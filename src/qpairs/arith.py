@@ -324,14 +324,6 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing |n| (1 for |n| = 1)."""
-    out = 1
-    for p, _ in factorize(n).factors:
-        out *= p
-    return out
-
-
 def fsum_complex(terms) -> complex:
     """Exactly rounded complex sum (order-independent)."""
     res = list(terms)

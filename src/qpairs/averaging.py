@@ -21,7 +21,7 @@ from .arith import factorize, fsum_complex, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, ResourceError
 from .multfunc import MultiplicativeFunction, evaluate_on_exponents
-from .quadforms import BinaryQuadraticForm, exceptional_primes, local_root_count
+from .quadforms import BinaryQuadraticForm, exceptional_primes, local_root_count, needs_bigint
 
 TWO_PI = 2.0 * math.pi
 
@@ -218,9 +218,7 @@ def _shifted_values(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -
     """P(q*m+a, q*n+b) over [n]^2 as int64, with an overflow guard."""
     if n > CAPS.divisor_grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.divisor_grid_n}")
-    hi = q * n + max(abs(a), abs(b))
-    bound = (abs(form.alpha) + abs(form.beta) + abs(form.gamma)) * hi * hi
-    if bound >= 2**62:
+    if needs_bigint(form, q, a, b, n):
         raise ResourceError("form values would overflow the fast integer path")
     ms = np.arange(1, n + 1, dtype=np.int64)
     u = (q * ms + a)[:, None]

@@ -1,15 +1,20 @@
 """Batch experiment runner.
 
+Each subcommand is declared once in COMMANDS: typed parameters (coercer from
+text, default, canonical printer) beside a handler that returns result rows.
+The parser, key=value tokens, --config and `sweep` derive from that table.
 Simple queries (classify, solve, obstruct, verify-coloring, omega, distance,
-ring, weights, divstat, folner) take ordinary flags.  Experiment subcommands
-(concentrate, tk, ldelta, probe-nonneg, correlate, levelset) read a flat
-key=value description, either from --config or as positional tokens, checked
-against a typed schema with unknown keys rejected.
+ring, weights, divstat, folner) take flags; experiments (concentrate, tk,
+ldelta, probe-nonneg, correlate, levelset) read key=value tokens and/or a
+--config file, with unknown keys rejected.  `sweep --sub SUB` runs any
+subcommand over comma-listed values of one parameter, the others given as
+key=value tokens named like the flags with dashes turned into underscores.
 
-Every run carries a deterministic id (content hash of the resolved spec);
-reruns of an identical spec produce byte-identical output.  Floats print with
-shortest round-trip formatting.  Exit codes: 0 ok, 2 usage, 3 resource cap,
-4 internal invariant.
+Each row's run id hashes the subcommand and its canonical typed values
+(n=0150 and n=150 share one), not --out, --format, --threads, --cap-n or the
+--config path; reruns of a spec give identical bytes.  Floats print with
+shortest round-trip formatting.  Exit codes: 0 ok, 2 usage (malformed values
+included), 3 resource cap, 4 internal invariant.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import averaging, experiments, multfunc, quadrings, regularity
 from .caps import CAPS
 from .errors import DomainError, InvariantError, ResourceError
 from .multfunc import TwistData, dirichlet_characters, function_from_name
 from .quadforms import (
-    BinaryQuadraticForm,
     construct_congruence_pair,
     hensel_lift,
     local_root_count,
@@ -41,102 +46,171 @@ from .quadforms import (
 
 
 # --------------------------------------------------------------------------
-# spec handling
+# spec handling: parameter kinds (text -> typed value -> canonical text),
+# parameters, the command table and the resolver
 # --------------------------------------------------------------------------
 
 
+class Kind(NamedTuple):
+    """Text -> typed value (parse) -> canonical text for the run id (show).
+    nargs: words a flag takes if not one; 0 is a switch (its text "true"),
+    2 a pair (its words joined with ';')."""
+
+    parse: Callable[[str], Any]
+    show: Callable[[Any], str] = str
+    choices: tuple = ()
+    nargs: int | None = None
+
+
+def _ints(s: str, count: int, sep: str = ",") -> tuple[int, ...]:
+    items = tuple(int(x) for x in s.split(sep))
+    if len(items) != count:
+        raise ValueError(f"expected {count} integers separated by {sep!r}")
+    return items
+
+
+def _factors(s: str) -> list[tuple]:
+    """liouville@[1,0];liouville@[0,1]"""
+    out = []
+    for item in s.split(";"):
+        if item.strip():
+            fname, lform = item.split("@")
+            out.append((function_from_name(fname.strip()), parse_linear_form(lform.strip())))
+    return out
+
+
+def _chi(s: str):
+    q, idx = _ints(s, 2, ":")
+    return dirichlet_characters(q)[idx]
+
+
+def _pair(kind: Kind) -> Kind:
+    """Two values of kind, written F1;F2 (two words as a flag)."""
+
+    def parse(s: str) -> tuple:
+        first, second = s.split(";")
+        return kind.parse(first), kind.parse(second)
+
+    return Kind(parse, lambda pair: ";".join(map(kind.show, pair)), nargs=2)
+
+
+def _join(show: Callable[[Any], str], sep: str = ",") -> Callable[[Sequence], str]:
+    return lambda items: sep.join(map(show, items))
+
+
+INT = Kind(int)
+FLOAT = Kind(float, repr)
+TEXT = Kind(str)
+COMPLEX = Kind(complex, repr)
+FORM = Kind(parse_form)
+FUNC = Kind(function_from_name, lambda f: f.description)
+COLORING = Kind(regularity.coloring_from_name, lambda c: c.spec_string())
+INTS = Kind(lambda s: [int(x) for x in s.split(",") if x.strip()], _join(str))
+FLOATS = Kind(lambda s: [float(x) for x in s.split(",")], _join(repr))
+CHI = Kind(_chi, lambda chi: chi.label.split(":", 1)[1])  # q:index
+FACTORS = Kind(_factors, _join(lambda fl: f"{fl[0].description}@{fl[1]}", ";"))
+ELEMENT = Kind(quadrings.parse_element, lambda e: f"{e[0]}{e[1]:+d}*tau")
+HENSEL = Kind(lambda s: _ints(s, 3), _join(str))
+EXPONENTS = Kind(  # p:l,p:l
+    lambda s: dict(_ints(x, 2, ":") for x in s.split(",") if x.strip()),
+    lambda e: ",".join(f"{p}:{l}" for p, l in e.items()),
+)
+REGION = Kind(  # u,v;u,v: half-planes u*x + v*y >= 0; none is the full quadrant
+    lambda s: experiments.RegionSpec(tuple(_ints(x, 2) for x in s.split(";")) if s.strip() else ()),
+    lambda r: ";".join(f"{u},{v}" for u, v in r.halfplanes),
+)
+SWITCH = Kind({"true": True, "false": False}.__getitem__, lambda b: str(b).lower(), nargs=0)
+
+REQUIRED: Any = object()  # the default of a parameter that must be given
+
+
+class Param(NamedTuple):
+    """One parameter: its key=value name (the flag is --name with dashes),
+    its kind, and its default text (None: absent unless given)."""
+
+    name: str
+    kind: Kind
+    default: Any = REQUIRED
+    positional: bool = False
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable[[SimpleNamespace, int], list[dict]]  # (values, threads) -> rows
+    params: tuple[Param, ...]
+    key_value: bool  # key=value tokens and --config rather than flags
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, *params: Param, key_value: bool = False):
+    """Register the decorated handler(values, threads) -> rows as `name`."""
+
+    def register(handler):
+        COMMANDS[name] = Command(handler, params, key_value)
+        return handler
+
+    return register
+
+
+def _abc(default: Any = REQUIRED) -> tuple[Param, ...]:
+    return tuple(Param(x, INT, default, positional=True) for x in "abc")
+
+
+def _triple(v) -> regularity.EquationTriple:
+    return regularity.EquationTriple(v.a, v.b, v.c)
+
+
 def parse_kv_text(text: str) -> dict[str, str]:
+    """key = value lines; blank lines and # comments are skipped."""
+    return _key_value_items(line.split("#", 1)[0] for line in text.splitlines())
+
+
+def _key_value_items(items) -> dict[str, str]:
     out: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for item in items:
+        if not item.strip():
             continue
-        if "=" not in line:
-            raise DomainError(f"expected key = value, got {line!r}")
-        key, val = line.split("=", 1)
+        if "=" not in item:
+            raise DomainError(f"expected key=value, got {item.strip()!r}")
+        key, val = item.split("=", 1)
         out[key.strip()] = val.strip()
     return out
 
 
-def resolve_spec(subcommand: str, schema: dict, raw: dict[str, str]) -> tuple[dict, str, str]:
-    """Coerce raw strings against the schema.
+def resolve_spec(subcommand: str, raw: Mapping[str, str]) -> tuple[SimpleNamespace, str, str]:
+    """Coerce raw texts against the subcommand's parameters.
 
-    Returns (typed values, canonical spec text, run id).  Unknown keys and
-    missing required keys are usage errors.
+    Returns (typed values, canonical spec text, run id).  Unknown keys,
+    missing required keys and malformed values are usage errors.  The
+    canonical text lists each parameter that has a value, sorted by name, as
+    its kind prints it; the run id hashes that text.
     """
-    unknown = set(raw) - set(schema)
+    params = COMMANDS[subcommand].params
+    unknown = set(raw) - {p.name for p in params}
     if unknown:
         raise DomainError(f"unknown keys for {subcommand}: {sorted(unknown)}")
-    values: dict = {}
-    canonical_items = []
-    for key in sorted(schema):
-        coerce, default = schema[key]
-        if key in raw:
-            text = raw[key]
-        elif default is None:
-            raise DomainError(f"{subcommand} requires {key}=")
-        else:
-            text = default
-        values[key] = coerce(text)
-        canonical_items.append(f"{key} = {text}")
-    canonical = subcommand + "\n" + "\n".join(canonical_items) + "\n"
-    run_id = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    return values, canonical, run_id
-
-
-def _t_int(s: str) -> int:
-    return int(s)
-
-
-def _t_float(s: str) -> float:
-    return float(s)
-
-
-def _t_str(s: str) -> str:
-    return s
-
-
-def _t_form(s: str) -> BinaryQuadraticForm:
-    return parse_form(s)
-
-
-def _t_func(s: str):
-    return function_from_name(s)
-
-
-def _t_complex(s: str) -> complex:
-    return complex(s)
-
-
-def _t_int_list(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip()]
-
-
-def _t_chi(s: str):
-    """Character literal q:index."""
-    q, idx = s.split(":")
-    return dirichlet_characters(int(q))[int(idx)]
-
-
-def _t_factors(s: str) -> list[tuple]:
-    """liouville@[1,0];liouville@[0,1]"""
-    out = []
-    for item in s.split(";"):
-        if not item.strip():
+    values: dict[str, Any] = {}
+    lines = [subcommand + "\n"]
+    for p in sorted(params, key=lambda p: p.name):
+        text = raw.get(p.name, p.default)
+        if text is REQUIRED:
+            raise DomainError(f"{subcommand} requires {p.name}=")
+        values[p.name] = None
+        if text is None:
             continue
-        fname, lform = item.split("@")
-        out.append((function_from_name(fname.strip()), parse_linear_form(lform.strip())))
-    return out
-
-
-def _t_region(s: str):
-    if not s.strip():
-        return experiments.FULL_QUADRANT
-    planes = []
-    for item in s.split(";"):
-        u, v = (int(x) for x in item.split(","))
-        planes.append((u, v))
-    return experiments.RegionSpec(tuple(planes))
+        try:
+            value = p.kind.parse(text)
+        except (ValueError, LookupError) as exc:  # DomainError is a ValueError
+            raise DomainError(f"bad value {p.name}={text!r}: {exc}") from exc
+        if p.kind.choices and value not in p.kind.choices:
+            raise DomainError(f"{p.name} must be one of {list(p.kind.choices)}, got {text!r}")
+        values[p.name] = value
+        lines.append(f"{p.name} = {p.kind.show(value)}\n")
+    canonical = "".join(lines)
+    run_id = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return SimpleNamespace(**values), canonical, run_id
 
 
 # --------------------------------------------------------------------------
@@ -159,11 +233,7 @@ def emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
         text = "\n".join(json.dumps(_jsonable(r), sort_keys=True) for r in rows) + "\n"
     else:
         buf = io.StringIO()
-        fields: list[str] = []
-        for r in rows:
-            for k in r:
-                if k not in fields:
-                    fields.append(k)
+        fields = list(dict.fromkeys(k for r in rows for k in r))
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
         for r in rows:
@@ -195,388 +265,260 @@ def emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
 
 
 # --------------------------------------------------------------------------
-# experiment schemas and handlers
-# --------------------------------------------------------------------------
-
-SCHEMAS: dict[str, dict] = {
-    "concentrate": {
-        "form": (_t_form, None),
-        "f": (_t_func, None),
-        "chi": (_t_chi, "1:0"),
-        "t": (_t_float, "0"),
-        "q": (_t_int, None),
-        "a": (_t_int, "1"),
-        "b": (_t_int, "0"),
-        "c": (_t_int, "1"),
-        "k": (_t_int, None),
-        "n": (_t_int, None),
-    },
-    "tk": {
-        "form": (_t_form, None),
-        "q": (_t_int, None),
-        "a": (_t_int, "1"),
-        "b": (_t_int, "0"),
-        "c": (_t_int, "1"),
-        "k": (_t_int, None),
-        "n": (_t_int, None),
-        "h_primes": (_t_int_list, None),
-        "h_value": (_t_complex, "1"),
-    },
-    "ldelta": {
-        "f": (_t_func, None),
-        "p1": (_t_form, None),
-        "p2": (_t_form, None),
-        "delta": (_t_float, "0.3"),
-        "q": (_t_int, "1"),
-        "a": (_t_int, "1"),
-        "b": (_t_int, "0"),
-        "n": (_t_int, None),
-        "mode": (_t_str, "weighted"),
-    },
-    "probe-nonneg": {
-        "f": (_t_func, None),
-        "p1": (_t_form, None),
-        "p2": (_t_form, None),
-        "delta": (_t_float, "0.1"),
-        "k": (_t_int, "2"),
-        "n": (_t_int, None),
-    },
-    "correlate": {
-        "factors": (_t_factors, None),
-        "g": (_t_func, "principal"),
-        "form": (_t_form, None),
-        "region": (_t_region, ""),
-        "q": (_t_int, "1"),
-        "a": (_t_int, "0"),
-        "b": (_t_int, "0"),
-        "n": (_t_int, None),
-    },
-    "levelset": {
-        "f": (_t_func, None),
-        "arc": (_t_float, None),
-        "p1": (_t_form, None),
-        "p2": (_t_form, None),
-        "kmax": (_t_int, "500"),
-        "mnmax": (_t_int, "60"),
-        "lmax": (_t_int, "40"),
-    },
-}
-
-
-def run_experiment(sub: str, values: dict, run_id: str, threads: int) -> list[dict]:
-    if sub == "concentrate":
-        twist = TwistData(values["t"], values["chi"])
-        setup = experiments.concentration_setup(
-            values["form"], values["f"], twist, values["q"], values["a"], values["b"],
-            values["c"], values["k"], values["n"],
-        )
-        g = experiments.concentration_exponent_form(
-            values["form"], values["f"], twist, values["k"], values["n"]
-        )
-        g_linear = experiments.concentration_exponent(
-            values["f"], twist, values["k"], values["n"]
-        )
-        lhs = experiments.concentration_lhs(setup, threads)
-        return [{
-            "run_id": run_id, "quantity": "concentration_deviation_mean",
-            "lhs": lhs, "exponent": g, "exponent_linear": g_linear,
-            "n": values["n"], "k": values["k"],
-        }]
-    if sub == "tk":
-        setup = experiments.concentration_setup(
-            values["form"], multfunc.one(), experiments.principal_twist(),
-            values["q"], values["a"], values["b"], values["c"], values["k"], values["n"],
-        )
-        h = multfunc.additive_from_prime_values(
-            {p: values["h_value"] for p in values["h_primes"]}
-        )
-        rep = experiments.turan_kubilius_variance(setup, h)
-        return [{
-            "run_id": run_id, "quantity": "additive_variance",
-            "variance": rep.variance, "predicted_mean": rep.predicted_mean,
-            "dist_sq_low": rep.dist_sq_low, "dist_sq_high": rep.dist_sq_high,
-            "k_term": rep.k_term,
-        }]
-    if sub == "ldelta":
-        if values["mode"] == "pair":
-            val = experiments.pair_correlation(
-                values["f"], values["p1"], values["p2"],
-                values["q"], values["a"], values["b"], values["n"], threads,
-            )
-            quantity = "pair_correlation"
-        else:
-            val = experiments.weighted_pair_average(
-                values["f"], values["p1"], values["p2"], values["delta"],
-                values["q"], values["a"], values["b"], values["n"], threads,
-            )
-            quantity = "weighted_pair_average"
-        return [{
-            "run_id": run_id, "quantity": quantity, "value": val,
-            "abs": abs(val), "n": values["n"],
-        }]
-    if sub == "probe-nonneg":
-        val = experiments.nonnegativity_probe(
-            values["f"], values["p1"], values["p2"], values["delta"],
-            values["k"], values["n"], threads,
-        )
-        return [{
-            "run_id": run_id, "quantity": "folner_mean_real_part",
-            "value": val, "k": values["k"], "n": values["n"],
-        }]
-    if sub == "correlate":
-        val = experiments.correlation_probe(
-            values["factors"], values["g"], values["form"], values["region"],
-            values["q"], values["a"], values["b"], values["n"], threads,
-        )
-        return [{
-            "run_id": run_id, "quantity": "correlation_mean",
-            "value": val, "abs": abs(val), "n": values["n"],
-        }]
-    if sub == "levelset":
-        spec = experiments.LevelSetSpec(values["f"], values["arc"], values["lmax"])
-        hit = experiments.level_set_search(
-            spec, values["p1"], values["p2"], values["kmax"], values["mnmax"]
-        )
-        if hit is None:
-            return [{"run_id": run_id, "quantity": "level_set_hit", "found": False}]
-        return [{
-            "run_id": run_id, "quantity": "level_set_hit", "found": True,
-            "k": hit.k, "m": hit.m, "n": hit.n,
-            "value1": hit.value1, "value2": hit.value2,
-            "f_at_k1": hit.f_at_k1, "f_at_k2": hit.f_at_k2,
-            "surrogate": hit.surrogate,
-        }]
-    raise DomainError(f"unknown experiment {sub}")  # pragma: no cover
-
-
-# --------------------------------------------------------------------------
-# flag-style subcommands
+# commands: simple queries take flags, experiments key=value tokens
 # --------------------------------------------------------------------------
 
 
-def _run_id_for(sub: str, parts: dict) -> str:
-    canonical = sub + "\n" + "\n".join(f"{k} = {parts[k]}" for k in sorted(parts)) + "\n"
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+@command("classify", *_abc(),
+         Param("pair", Kind(str, choices=("xy", "xz", "yz")), "xy"),
+         Param("prime_limit", INT, "100000"))
+def _classify(v, threads):
+    verdict = regularity.classify(_triple(v), v.pair, v.prime_limit)
+    return [{"quantity": "pair_regularity_verdict", **verdict.to_dict()}]
 
 
-def cmd_classify(args) -> list[dict]:
-    t = regularity.EquationTriple(args.a, args.b, args.c)
-    verdict = regularity.classify(t, args.pair, args.prime_limit)
-    row = {"run_id": _run_id_for("classify", vars(args)), "quantity": "pair_regularity_verdict"}
-    row.update(verdict.to_dict())
-    return [row]
-
-
-def cmd_solve(args) -> list[dict]:
-    t = regularity.EquationTriple(args.a, args.b, args.c)
-    tag, gen = regularity.parametric_family(t, args.family)
-    x, y, z = gen(args.k, args.m, args.n)
+@command("solve", *_abc(), Param("family", TEXT, "auto"),
+         Param("k", INT, "1"), Param("m", INT, "2"), Param("n", INT, "1"))
+def _solve(v, threads):
+    tag, gen = regularity.parametric_family(_triple(v), v.family)
+    x, y, z = gen(v.k, v.m, v.n)
     return [{
-        "run_id": _run_id_for("solve", vars(args)), "quantity": "parametric_solution",
-        "family": tag, "x": x, "y": y, "z": z,
-        "check": args.a * x * x + args.b * y * y == args.c * z * z,
+        "quantity": "parametric_solution", "family": tag, "x": x, "y": y, "z": z,
+        "check": v.a * x * x + v.b * y * y == v.c * z * z,
     }]
 
 
-def cmd_obstruct(args) -> list[dict]:
-    rid = _run_id_for("obstruct", vars(args))
-    if args.split:
-        f1 = [int(x) for x in args.split[0].split(",") if x.strip()]
-        f2 = [int(x) for x in args.split[1].split(",") if x.strip()]
-        p = regularity.find_split_prime(f1, f2, args.prime_limit)
-        return [{"run_id": rid, "quantity": "residue_split_prime", "prime": p}]
-    t = regularity.EquationTriple(args.a, args.b, args.c)
-    p = regularity.find_qr_obstruction(t, args.prime_limit)
-    return [{"run_id": rid, "quantity": "residue_obstruction_prime", "prime": p}]
+@command("obstruct", *_abc("1"), Param("prime_limit", INT, "100000"),
+         Param("split", _pair(INTS), None,
+               help="F1 F2: comma lists of primes or -1: residues, nonresidues"))
+def _obstruct(v, threads):
+    if v.split:
+        p = regularity.find_split_prime(*v.split, v.prime_limit)
+        return [{"quantity": "residue_split_prime", "prime": p}]
+    p = regularity.find_qr_obstruction(_triple(v), v.prime_limit)
+    return [{"quantity": "residue_obstruction_prime", "prime": p}]
 
 
-def cmd_verify_coloring(args) -> list[dict]:
-    t = regularity.EquationTriple(args.a, args.b, args.c)
-    coloring = regularity.coloring_from_name(args.coloring)
-    rep = regularity.verify_no_monochromatic(t, coloring, args.bound)
+@command("verify-coloring", *_abc(),
+         Param("coloring", COLORING, help="rado:P | two-adic | dyadic:L"),
+         Param("bound", INT, "2000"))
+def _verify_coloring(v, threads):
+    rep = regularity.verify_no_monochromatic(_triple(v), v.coloring, v.bound)
     return [{
-        "run_id": _run_id_for("verify-coloring", vars(args)),
-        "quantity": "monochromatic_pair_count",
-        "solutions": rep.solution_count,
+        "quantity": "monochromatic_pair_count", "solutions": rep.solution_count,
         "monochromatic": rep.monochromatic_count,
         "first_counterexample": rep.first_counterexample,
     }]
 
 
-def cmd_omega(args) -> list[dict]:
-    form = parse_form(args.form)
-    rid = _run_id_for("omega", vars(args))
-    if args.hensel:
-        p, root, k = (int(x) for x in args.hensel.split(","))
-        return [{"run_id": rid, "quantity": "hensel_lift", "lift": hensel_lift(form, p, root, k)}]
-    if args.partner:
-        other = parse_form(args.partner)
-        p1, p2 = partner_prime_sets(form, other, args.modulus)
-        return [{"run_id": rid, "quantity": "partner_prime_sets", "set1": p1, "set2": p2}]
-    if args.congruence_pair:
-        other = parse_form(args.congruence_pair)
-        exps = {}
-        for item in (args.exponents or "").split(","):
-            if item.strip():
-                p, l = item.split(":")
-                exps[int(p)] = int(l)
-        pair = construct_congruence_pair(form, other, args.r, args.modulus, exps)
+@command("omega", Param("form", FORM), Param("modulus", INT, "2"),
+         Param("fast", SWITCH, "false"), Param("hensel", HENSEL, None, help="p,root,k"),
+         Param("partner", FORM, None, help="second form literal"),
+         Param("congruence_pair", FORM, None, help="second form literal"),
+         Param("r", INT, "1"), Param("exponents", EXPONENTS, None, help="p:l,p:l"))
+def _omega(v, threads):
+    if v.hensel:
+        return [{"quantity": "hensel_lift", "lift": hensel_lift(v.form, *v.hensel)}]
+    if v.partner is not None:
+        p1, p2 = partner_prime_sets(v.form, v.partner, v.modulus)
+        return [{"quantity": "partner_prime_sets", "set1": p1, "set2": p2}]
+    if v.congruence_pair is not None:
+        pair = construct_congruence_pair(
+            v.form, v.congruence_pair, v.r, v.modulus, v.exponents or {}
+        )
         return [{
-            "run_id": rid, "quantity": "congruence_pair",
+            "quantity": "congruence_pair",
             "a": pair.a, "b": pair.b, "q": pair.q, "q1": pair.q1, "q2": pair.q2,
         }]
-    if args.fast:
-        return [{
-            "run_id": rid, "quantity": "local_root_count",
-            "count": local_root_count_fast(form, args.modulus), "method": "residue",
-        }]
+    if v.fast:
+        count, method = local_root_count_fast(v.form, v.modulus), "residue"
+    else:
+        count, method = local_root_count(v.form, v.modulus), "direct"
+    return [{"quantity": "local_root_count", "count": count, "method": method}]
+
+
+@command("distance", Param("f", FUNC), Param("g", FUNC, "principal"),
+         Param("x", FLOAT, "1.0"), Param("y", FLOAT, None), Param("form", FORM, None),
+         Param("profile", FLOATS, None, help="comma list of cutoffs"))
+def _distance(v, threads):
+    if v.profile:
+        profile = multfunc.distance_profile(v.f, v.g, v.profile, v.form)
+        return [{"quantity": "distance_profile", "y": y, "value": d} for y, d in profile]
+    if v.y is None:
+        raise DomainError("distance needs --y (or --profile)")
+    if v.form is not None:
+        val, kind = multfunc.distance_form(v.form, v.f, v.g, v.x, v.y), "form_weighted"
+    else:
+        val, kind = multfunc.distance(v.f, v.g, v.x, v.y), "plain"
+    return [{"quantity": "pretentious_distance", "kind": kind, "value": val}]
+
+
+@command("ring",
+         Param("action", Kind(str, choices=(
+             "norm", "count-solutions", "count-ideals", "unit", "regular", "associate")),
+             positional=True),
+         Param("d", INT), Param("element", ELEMENT, "1"), Param("k", INT, "1"),
+         Param("box", INT, "40"), Param("c_bound", FLOAT, "2.0"), Param("t_range", INT, "5"))
+def _ring(v, threads):
+    z = quadrings.QuadraticRing(v.d).element(*v.element)
+    if v.action == "norm":
+        return [{"quantity": "ring_norm", "value": z.norm()}]
+    if v.action == "count-solutions":
+        count = quadrings.count_norm_solutions(v.d, v.k, v.box)
+        return [{"quantity": "norm_solution_count", "count": count}]
+    if v.action == "count-ideals":
+        return [{"quantity": "ideal_count", "count": quadrings.count_ideals(v.d, v.k)}]
+    if v.action == "unit":
+        u, nrm = quadrings.fundamental_unit(v.d)
+        return [{"quantity": "fundamental_unit", "m": u.m, "n": u.n, "norm": nrm}]
+    if v.action == "regular":
+        ok = quadrings.is_regular(z, v.c_bound, v.box)
+        return [{"quantity": "box_regularity", "regular": ok}]
+    found = quadrings.find_regular_associate(z, v.c_bound, v.box, v.t_range)
+    if found is None:
+        return [{"quantity": "regular_associate", "found": False}]
+    assoc, t, sign = found
     return [{
-        "run_id": rid, "quantity": "local_root_count",
-        "count": local_root_count(form, args.modulus), "method": "direct",
+        "quantity": "regular_associate", "found": True,
+        "m": assoc.m, "n": assoc.n, "t": t, "sign": sign,
     }]
 
 
-def cmd_distance(args) -> list[dict]:
-    f = function_from_name(args.f)
-    g = function_from_name(args.g)
-    rid = _run_id_for("distance", vars(args))
-    if args.profile:
-        checkpoints = [float(x) for x in args.profile.split(",")]
-        form = parse_form(args.form) if args.form else None
-        profile = multfunc.distance_profile(f, g, checkpoints, form)
-        return [
-            {"run_id": rid, "quantity": "distance_profile", "y": y, "value": v}
-            for y, v in profile
-        ]
-    if args.y is None:
-        raise DomainError("distance needs --y (or --profile)")
-    if args.form:
-        val = multfunc.distance_form(parse_form(args.form), f, g, args.x, args.y)
-        kind = "form_weighted"
-    else:
-        val = multfunc.distance(f, g, args.x, args.y)
-        kind = "plain"
-    return [{"run_id": rid, "quantity": "pretentious_distance", "kind": kind, "value": val}]
-
-
-def _parse_element(ring: quadrings.QuadraticRing, text: str) -> quadrings.RingElement:
-    """m+n*tau or a bare integer."""
-    text = text.replace(" ", "")
-    if "tau" not in text:
-        return ring.element(int(text), 0)
-    head, _ = text.split("tau", 1)
-    head = head.rstrip("*")
-    if "+" in head[1:]:
-        cut = head.rfind("+")
-    else:
-        cut = head.rfind("-")
-        cut = cut if cut > 0 else 0
-    m_text = head[:cut] if cut else "0"
-    n_text = head[cut:] if cut else head
-    if n_text in ("", "+"):
-        n_text = "1"
-    if n_text == "-":
-        n_text = "-1"
-    return ring.element(int(m_text) if m_text else 0, int(n_text))
-
-
-def cmd_ring(args) -> list[dict]:
-    ring = quadrings.QuadraticRing(args.d)
-    rid = _run_id_for("ring", vars(args))
-    if args.action == "norm":
-        z = _parse_element(ring, args.element)
-        return [{"run_id": rid, "quantity": "ring_norm", "value": z.norm()}]
-    if args.action == "count-solutions":
-        return [{
-            "run_id": rid, "quantity": "norm_solution_count",
-            "count": quadrings.count_norm_solutions(args.d, args.k, args.box),
-        }]
-    if args.action == "count-ideals":
-        return [{
-            "run_id": rid, "quantity": "ideal_count",
-            "count": quadrings.count_ideals(args.d, args.k),
-        }]
-    if args.action == "unit":
-        u, nrm = quadrings.fundamental_unit(args.d)
-        return [{
-            "run_id": rid, "quantity": "fundamental_unit",
-            "m": u.m, "n": u.n, "norm": nrm,
-        }]
-    if args.action == "regular":
-        z = _parse_element(ring, args.element)
-        ok = quadrings.is_regular(z, args.c_bound, args.box)
-        return [{"run_id": rid, "quantity": "box_regularity", "regular": ok}]
-    if args.action == "associate":
-        z = _parse_element(ring, args.element)
-        found = quadrings.find_regular_associate(z, args.c_bound, args.box, args.t_range)
-        if found is None:
-            return [{"run_id": rid, "quantity": "regular_associate", "found": False}]
-        assoc, t, sign = found
-        return [{
-            "run_id": rid, "quantity": "regular_associate", "found": True,
-            "m": assoc.m, "n": assoc.n, "t": t, "sign": sign,
-        }]
-    raise DomainError(f"unknown ring action {args.action}")
-
-
-def cmd_weights(args) -> list[dict]:
-    spec = averaging.WeightSpec(args.delta, parse_form(args.p1), parse_form(args.p2))
-    est = averaging.mu_estimate(spec, args.n)
+@command("weights", Param("p1", FORM), Param("p2", FORM), Param("delta", FLOAT), Param("n", INT))
+def _weights(v, threads):
+    est = averaging.mu_estimate(averaging.WeightSpec(v.delta, v.p1, v.p2), v.n)
     return [{
-        "run_id": _run_id_for("weights", vars(args)), "quantity": "weight_mean",
+        "quantity": "weight_mean",
         "grid": est.grid, "riemann": est.riemann, "agreement": est.agreement,
     }]
 
 
-def cmd_divstat(args) -> list[dict]:
-    form = parse_form(args.form)
-    rid = _run_id_for("divstat", vars(args))
-    if args.bound_l:
-        exact, reference = averaging.divisor_bound_probe(
-            form, args.q, args.a, args.b, args.bound_l, args.n
-        )
+@command("divstat", Param("form", FORM), Param("primes", INTS, None, help="comma list"),
+         Param("bound_l", INT, None, help="probe l | P(Qm+a,Qn+b) against Q^2/l instead"),
+         Param("q", INT, "1"), Param("a", INT, "0"), Param("b", INT, "0"), Param("n", INT, "2000"))
+def _divstat(v, threads):
+    if v.bound_l:
+        exact, reference = averaging.divisor_bound_probe(v.form, v.q, v.a, v.b, v.bound_l, v.n)
         return [{
-            "run_id": rid, "quantity": "divisor_bound_probe",
-            "l": args.bound_l, "exact": exact, "reference": reference,
+            "quantity": "divisor_bound_probe",
+            "l": v.bound_l, "exact": exact, "reference": reference,
         }]
-    primes = [int(x) for x in args.primes.split(",")]
+    if not v.primes:
+        raise DomainError("divstat needs --primes or --bound-l")
     rows = []
-    for i, p in enumerate(primes):
-        for p2 in primes[i:]:
-            exact = averaging.divisor_stat_exact(form, args.q, args.a, args.b, p, p2, args.n)
+    for i, p in enumerate(v.primes):
+        for p2 in v.primes[i:]:
+            exact = averaging.divisor_stat_exact(v.form, v.q, v.a, v.b, p, p2, v.n)
             try:
-                pred = averaging.divisor_stat_predicted(form, p, p2, args.q)
+                pred = averaging.divisor_stat_predicted(v.form, p, p2, v.q)
             except DomainError:
                 pred = float("nan")
             rows.append({
-                "run_id": rid, "quantity": "exact_divisibility_frequency",
+                "quantity": "exact_divisibility_frequency",
                 "p": p, "q": p2, "exact": exact, "predicted": pred,
                 "abs_err": abs(exact - pred),
             })
     return rows
 
 
-def cmd_folner(args) -> list[dict]:
-    rid = _run_id_for("folner", vars(args))
-    if args.partner:
-        form1, form2 = (parse_form(x) for x in args.partner)
-        box = averaging.folner_partner(args.k, args.j, form1, form2)
+@command("folner", Param("k", INT), Param("f", FUNC, "principal"),
+         Param("partner", _pair(FORM), None, help="P1 P2: two form literals"),
+         Param("j", Kind(int, choices=(1, 2)), "1"))
+def _folner(v, threads):
+    if v.partner:
+        box = averaging.folner_partner(v.k, v.j, *v.partner)
         return [{
-            "run_id": rid, "quantity": "folner_partner_box",
-            "j": args.j, "size": len(box),
+            "quantity": "folner_partner_box", "j": v.j, "size": len(box),
             "elements": [dict(e.exponents) for e in box],
         }]
-    f = function_from_name(args.f)
-    mean = averaging.folner_average(f, args.k)
+    mean = averaging.folner_average(v.f, v.k)
     return [{
-        "run_id": rid, "quantity": "folner_mean",
-        "mean_re": mean.real, "mean_im": mean.imag,
-        "box_size": len(averaging.folner_enumerate(args.k)),
+        "quantity": "folner_mean", "mean_re": mean.real, "mean_im": mean.imag,
+        "box_size": len(averaging.folner_enumerate(v.k)),
+    }]
+
+
+@command("concentrate", Param("form", FORM), Param("f", FUNC), Param("chi", CHI, "1:0"),
+         Param("t", FLOAT, "0"), Param("q", INT), Param("a", INT, "1"), Param("b", INT, "0"),
+         Param("c", INT, "1"), Param("k", INT), Param("n", INT), key_value=True)
+def _concentrate(v, threads):
+    twist = TwistData(v.t, v.chi)
+    setup = experiments.concentration_setup(v.form, v.f, twist, v.q, v.a, v.b, v.c, v.k, v.n)
+    g = experiments.concentration_exponent_form(v.form, v.f, twist, v.k, v.n)
+    g_linear = experiments.concentration_exponent(v.f, twist, v.k, v.n)
+    lhs = experiments.concentration_lhs(setup, threads)
+    return [{
+        "quantity": "concentration_deviation_mean",
+        "lhs": lhs, "exponent": g, "exponent_linear": g_linear, "n": v.n, "k": v.k,
+    }]
+
+
+@command("tk", Param("form", FORM), Param("q", INT), Param("a", INT, "1"), Param("b", INT, "0"),
+         Param("c", INT, "1"), Param("k", INT), Param("n", INT), Param("h_primes", INTS),
+         Param("h_value", COMPLEX, "1"), key_value=True)
+def _tk(v, threads):
+    setup = experiments.concentration_setup(
+        v.form, multfunc.one(), experiments.principal_twist(), v.q, v.a, v.b, v.c, v.k, v.n
+    )
+    h = multfunc.additive_from_prime_values({p: v.h_value for p in v.h_primes})
+    rep = experiments.turan_kubilius_variance(setup, h)
+    return [{
+        "quantity": "additive_variance",
+        "variance": rep.variance, "predicted_mean": rep.predicted_mean,
+        "dist_sq_low": rep.dist_sq_low, "dist_sq_high": rep.dist_sq_high,
+        "k_term": rep.k_term,
+    }]
+
+
+@command("ldelta", Param("f", FUNC), Param("p1", FORM), Param("p2", FORM),
+         Param("delta", FLOAT, "0.3"), Param("q", INT, "1"), Param("a", INT, "1"),
+         Param("b", INT, "0"), Param("n", INT), Param("mode", TEXT, "weighted"), key_value=True)
+def _ldelta(v, threads):
+    if v.mode == "pair":
+        val = experiments.pair_correlation(v.f, v.p1, v.p2, v.q, v.a, v.b, v.n, threads)
+        quantity = "pair_correlation"
+    else:
+        val = experiments.weighted_pair_average(
+            v.f, v.p1, v.p2, v.delta, v.q, v.a, v.b, v.n, threads
+        )
+        quantity = "weighted_pair_average"
+    return [{"quantity": quantity, "value": val, "abs": abs(val), "n": v.n}]
+
+
+@command("probe-nonneg", Param("f", FUNC), Param("p1", FORM), Param("p2", FORM),
+         Param("delta", FLOAT, "0.1"), Param("k", INT, "2"), Param("n", INT), key_value=True)
+def _probe_nonneg(v, threads):
+    val = experiments.nonnegativity_probe(v.f, v.p1, v.p2, v.delta, v.k, v.n, threads)
+    return [{"quantity": "folner_mean_real_part", "value": val, "k": v.k, "n": v.n}]
+
+
+@command("correlate", Param("factors", FACTORS), Param("g", FUNC, "principal"),
+         Param("form", FORM), Param("region", REGION, ""), Param("q", INT, "1"),
+         Param("a", INT, "0"), Param("b", INT, "0"), Param("n", INT), key_value=True)
+def _correlate(v, threads):
+    val = experiments.correlation_probe(
+        v.factors, v.g, v.form, v.region, v.q, v.a, v.b, v.n, threads
+    )
+    return [{"quantity": "correlation_mean", "value": val, "abs": abs(val), "n": v.n}]
+
+
+@command("levelset", Param("f", FUNC), Param("arc", FLOAT), Param("p1", FORM), Param("p2", FORM),
+         Param("kmax", INT, "500"), Param("mnmax", INT, "60"), Param("lmax", INT, "40"),
+         key_value=True)
+def _levelset(v, threads):
+    spec = experiments.LevelSetSpec(v.f, v.arc, v.lmax)
+    hit = experiments.level_set_search(spec, v.p1, v.p2, v.kmax, v.mnmax)
+    if hit is None:
+        return [{"quantity": "level_set_hit", "found": False}]
+    return [{
+        "quantity": "level_set_hit", "found": True, "k": hit.k, "m": hit.m, "n": hit.n,
+        "value1": hit.value1, "value2": hit.value2,
+        "f_at_k1": hit.f_at_k1, "f_at_k2": hit.f_at_k2, "surrogate": hit.surrogate,
     }]
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# argument parsing, derived from COMMANDS
 # --------------------------------------------------------------------------
 
 
@@ -593,140 +535,74 @@ def _global_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
                         default="json" if not suppress else d)
 
 
+def _key_value_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("params", nargs="*", help="key=value tokens")
+    parser.add_argument("--config", default=None, help="key = value file")
+
+
+def _add_param(parser: argparse.ArgumentParser, p: Param) -> None:
+    # every value stays text, and an absent one stays absent (SUPPRESS), so
+    # that resolve_spec alone coerces values and fills defaults
+    kw: dict[str, Any] = {"default": argparse.SUPPRESS, "help": p.help}
+    if p.kind.choices:
+        kw["metavar"] = "{" + ",".join(map(str, p.kind.choices)) + "}"
+    if p.positional:
+        parser.add_argument(p.name, nargs=None if p.default is REQUIRED else "?", **kw)
+        return
+    if p.kind.nargs == 0:
+        kw.update(action="store_const", const="true")
+    else:
+        kw.update(nargs=p.kind.nargs, required=p.default is REQUIRED)
+    parser.add_argument("--" + p.name.replace("_", "-"), **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qpairs", description=__doc__)
     _global_flags(top, suppress=False)
-    _sub = top.add_subparsers(dest="subcommand", required=True)
-
-    class _SubFactory:
-        def add_parser(self, name, **kw):
-            parser = _sub.add_parser(name, **kw)
-            _global_flags(parser, suppress=True)
-            return parser
-
-    sub = _SubFactory()
-
-    p = sub.add_parser("classify")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--pair", choices=("xy", "xz", "yz"), default="xy")
-    p.add_argument("--prime-limit", type=int, default=10**5)
-
-    p = sub.add_parser("solve")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--family", default="auto")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
-
-    p = sub.add_parser("obstruct")
-    p.add_argument("a", type=int, nargs="?", default=1)
-    p.add_argument("b", type=int, nargs="?", default=1)
-    p.add_argument("c", type=int, nargs="?", default=1)
-    p.add_argument("--prime-limit", type=int, default=10**5)
-    p.add_argument("--split", nargs=2, metavar=("F1", "F2"), default=None,
-                   help="comma lists of primes or -1: residues, nonresidues")
-
-    p = sub.add_parser("verify-coloring")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("c", type=int)
-    p.add_argument("--coloring", required=True, help="rado:P | two-adic | dyadic:L")
-    p.add_argument("--bound", type=int, default=2000)
-
-    p = sub.add_parser("omega")
-    p.add_argument("--form", required=True)
-    p.add_argument("--modulus", type=int, default=2)
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--hensel", default=None, help="p,root,k")
-    p.add_argument("--partner", default=None, help="second form literal")
-    p.add_argument("--congruence-pair", default=None, help="second form literal")
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--exponents", default=None, help="p:l,p:l")
-
-    p = sub.add_parser("distance")
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default="principal")
-    p.add_argument("--x", type=float, default=1.0)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--form", default=None)
-    p.add_argument("--profile", default=None, help="comma list of cutoffs")
-
-    p = sub.add_parser("ring")
-    p.add_argument("action", choices=(
-        "norm", "count-solutions", "count-ideals", "unit", "regular", "associate"))
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--element", default="1")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--box", type=int, default=40)
-    p.add_argument("--c-bound", type=float, default=2.0)
-    p.add_argument("--t-range", type=int, default=5)
-
-    p = sub.add_parser("weights")
-    p.add_argument("--p1", required=True)
-    p.add_argument("--p2", required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("divstat")
-    p.add_argument("--form", required=True)
-    p.add_argument("--primes", default="", help="comma list")
-    p.add_argument("--bound-l", type=int, default=None,
-                   help="probe l | P(Qm+a,Qn+b) against Q^2/l instead")
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--a", type=int, default=0)
-    p.add_argument("--b", type=int, default=0)
-    p.add_argument("--n", type=int, default=2000)
-
-    p = sub.add_parser("folner")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--f", default="principal")
-    p.add_argument("--partner", nargs=2, metavar=("P1", "P2"), default=None)
-    p.add_argument("--j", type=int, default=1, choices=(1, 2))
-
-    for name in SCHEMAS:
-        p = sub.add_parser(name)
-        p.add_argument("params", nargs="*", help="key=value tokens")
-        p.add_argument("--config", default=None, help="key = value file")
-
-    p = sub.add_parser("sweep")
-    p.add_argument("--sub", required=True, choices=sorted(SCHEMAS))
-    p.add_argument("--axis", required=True)
-    p.add_argument("--values", required=True, help="comma list of axis values")
-    p.add_argument("params", nargs="*", help="key=value tokens")
-    p.add_argument("--config", default=None)
-
+    subs = top.add_subparsers(dest="subcommand", required=True)
+    for name, cmd in COMMANDS.items():
+        parser = subs.add_parser(name)
+        _global_flags(parser, suppress=True)
+        if cmd.key_value:
+            _key_value_args(parser)
+        else:
+            for p in cmd.params:
+                _add_param(parser, p)
+    parser = subs.add_parser("sweep")
+    _global_flags(parser, suppress=True)
+    parser.add_argument("--sub", required=True, choices=sorted(COMMANDS))
+    parser.add_argument("--axis", required=True, help="key=value name of the swept parameter")
+    parser.add_argument("--values", required=True, help="comma list of axis values")
+    _key_value_args(parser)
     return top
 
 
-def _collect_kv(args) -> dict[str, str]:
+def _key_values(args) -> dict[str, str]:
+    """The --config file's values, overridden by the key=value tokens."""
     raw: dict[str, str] = {}
     if args.config:
         with open(args.config) as fh:
-            raw.update(parse_kv_text(fh.read()))
-    for token in args.params:
-        if "=" not in token:
-            raise DomainError(f"expected key=value, got {token!r}")
-        key, val = token.split("=", 1)
-        raw[key.strip()] = val.strip()
-    return raw
+            raw = parse_kv_text(fh.read())
+    return {**raw, **_key_value_items(args.params)}
 
 
-FLAG_HANDLERS: dict[str, Callable] = {
-    "classify": cmd_classify,
-    "solve": cmd_solve,
-    "obstruct": cmd_obstruct,
-    "verify-coloring": cmd_verify_coloring,
-    "omega": cmd_omega,
-    "distance": cmd_distance,
-    "ring": cmd_ring,
-    "weights": cmd_weights,
-    "divstat": cmd_divstat,
-    "folner": cmd_folner,
-}
+def _runs(args) -> list[tuple[str, dict[str, str], dict[str, str]]]:
+    """(subcommand, raw texts, fields appended to its rows) per run of argv."""
+    if args.subcommand != "sweep":
+        cmd = COMMANDS[args.subcommand]
+        if cmd.key_value:
+            return [(args.subcommand, _key_values(args), {})]
+        texts = {p.name: getattr(args, p.name) for p in cmd.params if hasattr(args, p.name)}
+        raw = {k: ";".join(t) if isinstance(t, list) else t for k, t in texts.items()}
+        return [(args.subcommand, raw, {})]
+    raw = _key_values(args)
+    if args.axis not in {p.name for p in COMMANDS[args.sub].params}:
+        raise DomainError(f"{args.axis} is not a parameter of {args.sub}")
+    points = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not points:
+        raise DomainError("empty sweep value list")
+    return [(args.sub, {**raw, args.axis: v}, {"axis": args.axis, "axis_value": v})
+            for v in points]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -737,31 +613,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         CAPS.divisor_grid_n = args.cap_n
         CAPS.enumerate_bound = args.cap_n
     try:
-        if args.subcommand in FLAG_HANDLERS:
-            rows = FLAG_HANDLERS[args.subcommand](args)
-        elif args.subcommand in SCHEMAS:
-            raw = _collect_kv(args)
-            values, _, run_id = resolve_spec(args.subcommand, SCHEMAS[args.subcommand], raw)
-            rows = run_experiment(args.subcommand, values, run_id, args.threads)
-        elif args.subcommand == "sweep":
-            raw = _collect_kv(args)
-            schema = SCHEMAS[args.sub]
-            if args.axis not in schema:
-                raise DomainError(f"{args.axis} is not a parameter of {args.sub}")
-            points = [v for v in args.values.split(",") if v.strip()]
-            if not points:
-                raise DomainError("empty sweep value list")
-            rows = []
-            for point in points:
-                raw_point = dict(raw)
-                raw_point[args.axis] = point.strip()
-                values, _, run_id = resolve_spec(args.sub, schema, raw_point)
-                for row in run_experiment(args.sub, values, run_id, args.threads):
-                    row["axis"] = args.axis
-                    row["axis_value"] = point.strip()
-                    rows.append(row)
-        else:  # pragma: no cover
-            raise DomainError(f"unknown subcommand {args.subcommand}")
+        # every spec of a sweep resolves before the first one runs
+        specs = [(sub, *resolve_spec(sub, raw), extra) for sub, raw, extra in _runs(args)]
+        rows = [{"run_id": run_id, **row, **extra}
+                for sub, values, _, run_id, extra in specs
+                for row in COMMANDS[sub].handler(values, args.threads)]
         emit(rows, args.format, args.out)
         return 0
     except DomainError as exc:

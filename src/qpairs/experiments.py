@@ -37,6 +37,8 @@ from .quadforms import (
     form_has_root,
     local_root_count,
     local_root_count_fast,
+    needs_bigint,
+    shifted_value_bound,
     _roots_mod_prime,
     _roots_mod_prime_power,
 )
@@ -171,16 +173,6 @@ def _row_coords(q: int, a: int, b: int, ms: np.ndarray, n: int, big: bool):
     return u, w
 
 
-def _value_bound(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> int:
-    hi = q * n + max(abs(a), abs(b))
-    coeff = abs(form.alpha) + abs(form.beta) + abs(form.gamma)
-    return coeff * hi * hi
-
-
-def _needs_bigint(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> bool:
-    return _value_bound(form, q, a, b, n) >= 2**62
-
-
 def _prime_tables(
     fs: Iterable[MultiplicativeFunction],
     forms: Iterable[BinaryQuadraticForm],
@@ -192,7 +184,7 @@ def _prime_tables(
     """Build any value tables once, before striping, at the grid's bound."""
     from .multfunc import prime_value_table
 
-    bound = max(_value_bound(form, q, a, b, n) for form in forms)
+    bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
     for f in fs:
         prime_value_table(f, bound)
 
@@ -218,7 +210,7 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
     )
     g_val = cmath.exp(concentration_exponent_form(form, f, twist, k, n))
     chi0 = twist.chi(form.value(a, b) // c)
-    big = _needs_bigint(form, q, a, b, n)
+    big = needs_bigint(form, q, a, b, n)
     if not big:
         _prime_tables([f], [form], q, a, b, n)
 
@@ -242,19 +234,9 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
             target = target * np.exp(1j * twist.t * np.log(base))
         return complex(np.sum(np.abs(fv - target)))
 
-    return _striped_real_mean(block, n, threads)
-
-
-def _striped_real_mean(block, n: int, threads: int) -> float:
-    from ._grid import striped_complex_mean
+    from ._grid import striped_complex_mean  # on use: it imports the thread pool
 
     return striped_complex_mean(block, n, threads).real
-
-
-def _striped_mean(block, n: int, threads: int) -> complex:
-    from ._grid import striped_complex_mean
-
-    return striped_complex_mean(block, n, threads)
 
 
 # --------------------------------------------------------------------------
@@ -300,7 +282,7 @@ def turan_kubilius_variance(
             raise DomainError(f"support prime {p} collides with Q or the form data")
         support.append((p, hp))
 
-    if _needs_bigint(form, q, a, b, n):
+    if needs_bigint(form, q, a, b, n):
         raise ResourceError("lattice values overflow the fast integer path")
     acc = np.zeros((n, n), dtype=np.complex128)
     ws = q * np.arange(1, n + 1, dtype=np.int64) + b
@@ -378,7 +360,7 @@ def weighted_pair_average(
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
     spec = WeightSpec(delta, form1, form2)
-    big = _needs_bigint(form1, q, a, b, n) or _needs_bigint(form2, q, a, b, n)
+    big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
     if not big:
         _prime_tables([f], [form1, form2], q, a, b, n)
 
@@ -387,7 +369,9 @@ def weighted_pair_average(
         nvals = np.arange(1, n + 1, dtype=np.int64)[None, :]
         return complex(np.sum(weight_grid(spec, mvals, nvals)))
 
-    mu = _striped_real_mean(weight_block, n, threads)
+    from ._grid import striped_complex_mean
+
+    mu = striped_complex_mean(weight_block, n, threads).real
     if mu <= 0:
         raise DomainError("the weight vanishes on this grid; nothing to normalize")
 
@@ -400,7 +384,7 @@ def weighted_pair_average(
         f2 = evaluate_many(f, form2.grid_values(u, w))
         return complex(np.sum(wgt * f1 * np.conj(f2)))
 
-    return _striped_mean(block, n, threads) / mu
+    return striped_complex_mean(block, n, threads) / mu
 
 
 def pair_correlation(
@@ -416,7 +400,7 @@ def pair_correlation(
     """Unweighted E f(P1(Qm+a, Qn+b)) conj(f(P2(Qm+a, Qn+b)))."""
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
-    big = _needs_bigint(form1, q, a, b, n) or _needs_bigint(form2, q, a, b, n)
+    big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
     if not big:
         _prime_tables([f], [form1, form2], q, a, b, n)
 
@@ -426,7 +410,9 @@ def pair_correlation(
         f2 = evaluate_many(f, form2.grid_values(u, w))
         return complex(np.sum(f1 * np.conj(f2)))
 
-    return _striped_mean(block, n, threads)
+    from ._grid import striped_complex_mean
+
+    return striped_complex_mean(block, n, threads)
 
 
 def nonnegativity_probe(
@@ -498,7 +484,7 @@ def correlation_probe(
     for _, lj in factors[1:]:
         if not l1.independent(lj):
             raise DomainError(f"forms {l1} and {lj} are dependent")
-    big = _needs_bigint(form, q, a, b, n)
+    big = needs_bigint(form, q, a, b, n)
     if not big:
         _prime_tables([fj for fj, _ in factors] + [g], [form], q, a, b, n)
 
@@ -510,7 +496,9 @@ def correlation_probe(
         vals = vals * evaluate_many(g, form.grid_values(u, w))
         return complex(np.sum(vals))
 
-    return _striped_mean(block, n, threads)
+    from ._grid import striped_complex_mean
+
+    return striped_complex_mean(block, n, threads)
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,11 @@ path never consults them.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from math import gcd
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -504,6 +506,28 @@ def additive_from_prime_values(values: Mapping[int, complex], description: str =
 # --------------------------------------------------------------------------
 
 
+def _prime_terms(
+    weight_at: Callable[[int], float],
+    f: MultiplicativeFunction,
+    g: MultiplicativeFunction,
+    x: float,
+    y: float,
+) -> tuple[list[int], list[float]]:
+    """The sieved primes up to y, ascending, and for each its term
+    c(p)/p * (1 - Re f(p) conj g(p)) when x < p <= y, else 0.0 (as for c(p) = 0),
+    which leaves every exactly rounded sum unchanged."""
+    if x > y:
+        raise DomainError("need x <= y")
+    if y > CAPS.sieve_limit:
+        raise ResourceError("upper range exceeds the sieve cap")
+    primes = sieve_primes(max(2, int(y)))
+    terms = []
+    for p in primes:
+        c = weight_at(p) if x < p <= y else 0.0
+        terms.append(c / p * (1.0 - (f.at_prime(p) * g.at_prime(p).conjugate()).real) if c else 0.0)
+    return primes, terms
+
+
 def _distance_sq(
     weight_at: Callable[[int], float],
     f: MultiplicativeFunction,
@@ -511,20 +535,8 @@ def _distance_sq(
     x: float,
     y: float,
 ) -> float:
-    if x > y:
-        raise DomainError("need x <= y")
-    if y > CAPS.sieve_limit:
-        raise ResourceError("upper range exceeds the sieve cap")
-    terms = []
-    for p in sieve_primes(max(2, int(y))):
-        if p <= x or p > y:
-            continue
-        c = weight_at(p)
-        if c == 0.0:
-            continue
-        terms.append(c / p * (1.0 - (f.at_prime(p) * g.at_prime(p).conjugate()).real))
     # ascending prime order with exactly rounded summation
-    return max(0.0, math.fsum(terms))
+    return max(0.0, math.fsum(_prime_terms(weight_at, f, g, x, y)[1]))
 
 
 def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
@@ -532,15 +544,17 @@ def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: 
     return math.sqrt(_distance_sq(lambda p: 1.0, f, g, x, y))
 
 
-def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
-    """Distance with each prime weighted by the local root count of the form."""
+def _root_count_weight(form) -> Callable[[int], float]:
+    """p -> the local root count of the form mod p, as a float."""
     from .quadforms import local_root_count, local_root_count_fast
 
-    if form.irreducible:
-        weight = lambda p: float(local_root_count_fast(form, p))
-    else:
-        weight = lambda p: float(local_root_count(form, p))
-    return math.sqrt(_distance_sq(weight, f, g, x, y))
+    count = local_root_count_fast if form.irreducible else local_root_count
+    return lambda p: float(count(form, p))
+
+
+def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
+    """Distance with each prime weighted by the local root count of the form."""
+    return math.sqrt(_distance_sq(_root_count_weight(form), f, g, x, y))
 
 
 def distance_weighted(
@@ -570,14 +584,22 @@ def distance_profile(
     finite data; this report of the distance at increasing cutoffs is the
     honest finite substitute.  Bounded profiles suggest pretentious behavior,
     steadily growing ones suggest the opposite; no boolean is offered.
+
+    One pass: the terms up to the largest cutoff are computed once, and each
+    cutoff, in the given order, takes the exactly rounded sum of its prefix,
+    so every entry equals distance (or distance_form) at that cutoff.
     """
-    out = []
-    for y in checkpoints:
-        if form is not None:
-            out.append((float(y), distance_form(form, f, g, 1, y)))
-        else:
-            out.append((float(y), distance(f, g, 1, y)))
-    return out
+    ys = [float(y) for y in checkpoints]
+    if not ys:
+        return []
+    if min(ys) < 1:
+        raise DomainError("need x <= y")
+    weight = (lambda p: 1.0) if form is None else _root_count_weight(form)
+    primes, terms = _prime_terms(weight, f, g, 1, max(ys))
+    return [
+        (y, math.sqrt(max(0.0, math.fsum(islice(terms, bisect.bisect_right(primes, y))))))
+        for y in ys
+    ]
 
 
 def distance_additive(h: AdditiveFunction, x: float, y: float) -> float:

@@ -101,6 +101,17 @@ class LinearForm:
         return f"[{self.u},{self.v}]"
 
 
+def shifted_value_bound(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> int:
+    """A bound on |P(q*m + a, q*k + b)| over 1 <= m, k <= n."""
+    hi = q * n + max(abs(a), abs(b))
+    return (abs(form.alpha) + abs(form.beta) + abs(form.gamma)) * hi * hi
+
+
+def needs_bigint(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> bool:
+    """True when those values may overflow int64 arithmetic (the 2**62 guard)."""
+    return shifted_value_bound(form, q, a, b, n) >= 2**62
+
+
 def parse_form(text: str) -> BinaryQuadraticForm:
     """CLI literal: [alpha,beta,gamma]."""
     try:

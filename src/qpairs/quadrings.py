@@ -110,6 +110,22 @@ class RingElement:
         return f"{self.m}+{self.n}*tau"
 
 
+def parse_element(text: str) -> tuple[int, int]:
+    """CLI literal m+n*tau (n may be omitted or a bare sign) or an integer m,
+    as the coordinates (m, n)."""
+    text = text.replace(" ", "")
+    if "tau" not in text:
+        return int(text), 0
+    head = text.split("tau", 1)[0].rstrip("*")
+    if "+" in head[1:]:
+        cut = head.rfind("+")
+    else:
+        cut = max(head.rfind("-"), 0)
+    m_text, n_text = (head[:cut], head[cut:]) if cut else ("0", head)
+    n_text = {"": "1", "+": "1", "-": "-1"}.get(n_text, n_text)
+    return int(m_text) if m_text else 0, int(n_text)
+
+
 def norm(z: RingElement) -> int:
     return z.norm()
 

@@ -1,10 +1,13 @@
+import csv
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from qpairs.cli import main, parse_kv_text, resolve_spec, SCHEMAS
+from qpairs.cli import COMMANDS, main, parse_kv_text, resolve_spec
 from qpairs.errors import DomainError
 
 
@@ -133,17 +136,111 @@ def test_resource_cap_exit_3(capsys):
 
 
 def test_run_id_stability():
-    values1, canon1, rid1 = resolve_spec("ldelta", SCHEMAS["ldelta"],
+    values1, canon1, rid1 = resolve_spec("ldelta",
                                          {"f": "liouville", "p1": "[1,0,2]",
                                           "p2": "[0,2,0]", "n": "100"})
-    _, _, rid2 = resolve_spec("ldelta", SCHEMAS["ldelta"],
+    _, _, rid2 = resolve_spec("ldelta",
                               {"n": "100", "p2": "[0,2,0]", "p1": "[1,0,2]",
                                "f": "liouville"})
     assert rid1 == rid2  # order-insensitive canonicalization
-    _, _, rid3 = resolve_spec("ldelta", SCHEMAS["ldelta"],
+    _, _, rid3 = resolve_spec("ldelta",
                               {"f": "liouville", "p1": "[1,0,2]",
                                "p2": "[0,2,0]", "n": "101"})
     assert rid1 != rid3
+    # equivalent literals share an id; a different value gets another one
+    base = {"f": "principal", "p1": "[1,0,2]", "p2": "[0,2,0]", "n": "150"}
+    for key, plain, same, different in (("n", "150", "0150", "151"),
+                                        ("p1", "[1,0,2]", "[1, 0,2]", "[1,0,3]"),
+                                        ("delta", "0.3", ".30", "0.31"),
+                                        ("f", "arch:2.0", "arch:2", "arch:2.5")):
+        ref = resolve_spec("ldelta", {**base, key: plain})[2]
+        assert resolve_spec("ldelta", {**base, key: same})[2] == ref, key
+        assert resolve_spec("ldelta", {**base, key: different})[2] != ref, key
+
+
+def _ids(text, args):
+    """The run ids of the rows a command printed in its --format."""
+    if "--format" in args and args[args.index("--format") + 1] == "csv":
+        return [row["run_id"] for row in csv.DictReader(text.splitlines())]
+    return [json.loads(line)["run_id"] for line in text.splitlines()]
+
+
+def _run_ids(args, capsys, out_path=None):
+    """The run ids of a command's rows, from stdout or from its --out file."""
+    assert main(args) == 0
+    return _ids(out_path.read_text() if out_path else capsys.readouterr().out, args)
+
+
+def test_run_id_ignores_output_options(capsys, tmp_path):
+    query = ["classify", "1", "2", "6"]
+    (want,) = _run_ids(query, capsys)
+    for extra in (["--threads", "2"], ["--format", "csv"], ["--cap-n", "500"]):
+        assert _run_ids([*query, *extra], capsys) == [want], extra
+    out = tmp_path / "out.json"
+    assert _run_ids([*query, "--out", str(out)], capsys, out) == [want]
+    assert _run_ids([*query, "--pair", "xz"], capsys) != [want]
+    assert _run_ids(["classify", "1", "2", "7"], capsys) != [want]
+    ids = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        ids += _run_ids(["distance", "--f", "liouville", "--y", "100", "--out", str(out)],
+                        capsys, out)
+    assert ids[0] == ids[1]
+
+
+def test_sweep_rows_match_direct_runs(capsys):
+    code, out, _ = run_cli(
+        ["sweep", "--sub", "verify-coloring", "--axis", "bound", "--values", "200,500",
+         "a=3", "b=5", "c=30", "coloring=dyadic:6"],
+        capsys,
+    )
+    assert code == 0
+    swept = [json.loads(line) for line in out.splitlines()]
+    for row, bound in zip(swept, ("200", "500"), strict=True):
+        code, out, _ = run_cli(
+            ["verify-coloring", "3", "5", "30", "--coloring", "dyadic:6", "--bound", bound],
+            capsys,
+        )
+        assert code == 0
+        assert row == {**json.loads(out), "axis": "bound", "axis_value": bound}
+
+
+@pytest.mark.parametrize("args", [
+    ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=abc"],
+    ["concentrate", "form=[1,0,1]", "f=liouville", "chi=4", "q=6", "k=3", "n=100"],
+    ["tk", "form=[1,0,1]", "q=210", "k=10", "n=100", "h_primes=13,x"],
+])
+def test_malformed_value_exit_2(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def _readme_examples() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qpairs ")]
+
+
+def test_readme_examples_resolve(capsys, monkeypatch):
+    """Every README CLI example parses and resolves through COMMANDS; the
+    handlers are stubbed, so nothing is computed."""
+    called = []
+
+    def stub(values, threads):
+        called.append(values)
+        return [{"quantity": "stub"}]
+
+    for name, cmd in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, name, cmd._replace(handler=stub))
+    examples = _readme_examples()
+    assert len(examples) == 21  # 20 single lines and the two-line sweep
+    for args in examples:
+        code, out, err = run_cli(args, capsys)
+        assert code == 0, (args, err)
+        assert all(len(rid) == 16 for rid in _ids(out, args))
+    assert len(called) == 20 + 4  # the sweep runs four points
 
 
 def test_parse_kv_text_rejects_garbage():

@@ -290,6 +290,23 @@ def test_distance_profile_growth_shapes():
     assert flat[1][1] == pytest.approx(flat[0][1])
 
 
+@pytest.mark.parametrize("form", [None, BinaryQuadraticForm(1, 0, 1), BinaryQuadraticForm(1, 0, -2)])
+def test_distance_profile_equals_distance_at_each_cutoff(form):
+    from qpairs.multfunc import distance_profile
+
+    f, g = liouville(), archimedean(0.5)
+    cutoffs = [5000, 10, 1, 777.5, 3000, 2]  # unsorted, repeated primes, below 2
+    profile = distance_profile(f, g, cutoffs, form)
+    assert [y for y, _ in profile] == [float(y) for y in cutoffs]
+    for y, value in profile:
+        # one exactly rounded pass must give the same bits as a pass per cutoff
+        want = distance(f, g, 1, y) if form is None else distance_form(form, f, g, 1, y)
+        assert value == want
+    assert distance_profile(f, g, []) == []
+    with pytest.raises(DomainError):
+        distance_profile(f, g, [100, 0.5])
+
+
 def test_additive_function():
     h = additive_from_prime_values({13: 1.0, 17: 0.5})
     assert h(13 * 17) == 1.5
