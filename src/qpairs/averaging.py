@@ -6,6 +6,10 @@ The weight of (m, n) is a trapezoidal bump applied to the circle point
 positive.  Grid averages of the weight converge to a positive constant when
 the forms allow it, and that constant normalizes the correlation averages in
 `experiments`.
+
+Every grid average here (mean weights, weight stability, divisor
+frequencies) is a striped reduction through `_grid.striped_complex_mean`, so
+memory stays at one row stripe and results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from ._grid import striped_complex_mean
 from .arith import factorize, fsum_complex, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, ResourceError
@@ -98,10 +103,15 @@ def mu_estimate(spec: WeightSpec, n: int) -> MuEstimate:
         raise DomainError("need n >= 100 for a stable estimate")
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
-    ms = np.arange(1, n + 1, dtype=np.int64)
-    grid = float(np.mean(weight_grid(spec, ms[:, None], ms[None, :])))
-    mids = (np.arange(n, dtype=np.float64) + 0.5) / n
-    riemann = float(np.mean(weight_grid(spec, mids[:, None], mids[None, :])))
+    cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
+    mids = (cols - 0.5) / n
+
+    def block(ms: np.ndarray) -> tuple[float, float]:
+        grid = weight_grid(spec, ms[:, None], cols)
+        riemann = weight_grid(spec, ((ms - 0.5) / n)[:, None], mids)
+        return float(np.sum(grid)), float(np.sum(riemann))
+
+    grid, riemann = striped_complex_mean(block, n)
     return MuEstimate(grid=grid, riemann=riemann)
 
 
@@ -114,13 +124,17 @@ def weight_stability(
     """
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
-    ms = np.arange(1, n + 1, dtype=np.int64)
-    base = weight_grid(spec, ms[:, None], ms[None, :])
-    worst = np.zeros_like(base)
-    for q in range(1, q_max + 1):
-        shifted = weight_grid(spec, (q * ms + a)[:, None], (q * ms + b)[None, :])
-        np.maximum(worst, np.abs(shifted - base), out=worst)
-    return float(np.mean(worst))
+    cols = np.arange(1, n + 1, dtype=np.int64)
+
+    def block(ms: np.ndarray) -> tuple[float]:
+        base = weight_grid(spec, ms[:, None], cols[None, :])
+        worst = np.zeros_like(base)
+        for q in range(1, q_max + 1):
+            shifted = weight_grid(spec, (q * ms + a)[:, None], (q * cols + b)[None, :])
+            np.maximum(worst, np.abs(shifted - base), out=worst)
+        return (float(np.sum(worst)),)
+
+    return striped_complex_mean(block, n)[0]
 
 
 # --------------------------------------------------------------------------
@@ -214,16 +228,21 @@ def folner_average(f: MultiplicativeFunction, k: int) -> complex:
 # --------------------------------------------------------------------------
 
 
-def _shifted_values(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> np.ndarray:
-    """P(q*m+a, q*n+b) over [n]^2 as int64, with an overflow guard."""
+def _divisor_frequency(
+    form: BinaryQuadraticForm, q: int, a: int, b: int, n: int, hit
+) -> float:
+    """Frequency over [n]^2 of hit(P(q*m+a, q*n+b)), where hit maps an int64
+    array of form values to a boolean mask; with an overflow guard."""
     if n > CAPS.divisor_grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.divisor_grid_n}")
     if needs_bigint(form, q, a, b, n):
         raise ResourceError("form values would overflow the fast integer path")
-    ms = np.arange(1, n + 1, dtype=np.int64)
-    u = (q * ms + a)[:, None]
-    w = (q * ms + b)[None, :]
-    return form.grid_values(u, w)
+    w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
+
+    def block(ms: np.ndarray) -> tuple[int]:
+        return (int(np.count_nonzero(hit(form.grid_values((q * ms + a)[:, None], w)))),)
+
+    return striped_complex_mean(block, n)[0]
 
 
 def divisor_stat_exact(
@@ -231,13 +250,14 @@ def divisor_stat_exact(
 ) -> float:
     """Frequency over [n]^2 of exact divisibility of P(q m + a, q n + b) by
     both p and p2 (a single condition when p == p2)."""
-    vals = _shifted_values(form, q, a, b, n)
 
-    def exactly(prime: int) -> np.ndarray:
-        return (vals % prime == 0) & (vals % (prime * prime) != 0)
+    def hit(vals: np.ndarray) -> np.ndarray:
+        mask = np.ones(vals.shape, dtype=bool)
+        for prime in {p, p2}:
+            mask &= (vals % prime == 0) & (vals % (prime * prime) != 0)
+        return mask
 
-    mask = exactly(p) if p == p2 else exactly(p) & exactly(p2)
-    return float(np.count_nonzero(mask)) / (n * n)
+    return _divisor_frequency(form, q, a, b, n, hit)
 
 
 def _prediction_factor(form: BinaryQuadraticForm, p: int) -> float:
@@ -278,6 +298,4 @@ def divisor_bound_probe(
     omega_l = sum(e for _, e in factorize(l).factors)
     if omega_l > 2:
         raise DomainError("l must be a product of at most two primes")
-    vals = _shifted_values(form, q, a, b, n)
-    exact = float(np.count_nonzero(vals % l == 0)) / (n * n)
-    return exact, q * q / l
+    return _divisor_frequency(form, q, a, b, n, lambda v: v % l == 0), q * q / l

@@ -472,7 +472,8 @@ def _tk(v, threads):
 
 @command("ldelta", Param("f", FUNC), Param("p1", FORM), Param("p2", FORM),
          Param("delta", FLOAT, "0.3"), Param("q", INT, "1"), Param("a", INT, "1"),
-         Param("b", INT, "0"), Param("n", INT), Param("mode", TEXT, "weighted"), key_value=True)
+         Param("b", INT, "0"), Param("n", INT),
+         Param("mode", Kind(str, choices=("weighted", "pair")), "weighted"), key_value=True)
 def _ldelta(v, threads):
     if v.mode == "pair":
         val = experiments.pair_correlation(v.f, v.p1, v.p2, v.q, v.a, v.b, v.n, threads)
@@ -581,8 +582,11 @@ def _key_values(args) -> dict[str, str]:
     """The --config file's values, overridden by the key=value tokens."""
     raw: dict[str, str] = {}
     if args.config:
-        with open(args.config) as fh:
-            raw = parse_kv_text(fh.read())
+        try:
+            with open(args.config) as fh:
+                raw = parse_kv_text(fh.read())
+        except OSError as exc:
+            raise DomainError(f"cannot read --config {args.config}: {exc.strerror}") from exc
     return {**raw, **_key_value_items(args.params)}
 
 

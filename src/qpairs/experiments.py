@@ -7,8 +7,11 @@ nonnegativity probes, multilinear correlation probes over convex cones, and
 the level-set search for simultaneous arc hits of a multiplicative function
 along a pair of forms.
 
-Grid loops run over disjoint row stripes with per-stripe exact sums merged in
-stripe order, so results are independent of the thread count.
+Every grid average runs through `_grid.striped_complex_mean`: disjoint row
+stripes with per-stripe sums merged by exactly rounded summation in stripe
+order, so results are independent of the thread count.  The one exception is
+the Turan-Kubilius accumulator, a dense n x n array filled by a root-class
+sieve that writes whole columns.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._grid import striped_complex_mean
 from .arith import fsum_complex, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, InvariantError, ResourceError
@@ -27,16 +31,18 @@ from .multfunc import (
     AdditiveFunction,
     MultiplicativeFunction,
     TwistData,
+    _root_count_weight,
     dirichlet_characters,
+    distance_additive,
     evaluate_many,
+    prime_value_table,
+    prime_window_sum,
 )
 from .averaging import WeightSpec, folner_enumerate, weight_grid
 from .quadforms import (
     BinaryQuadraticForm,
     LinearForm,
     form_has_root,
-    local_root_count,
-    local_root_count_fast,
     needs_bigint,
     shifted_value_bound,
     _roots_mod_prime,
@@ -60,10 +66,6 @@ def _twist_factor(twist: TwistData, p: int) -> complex:
     return val
 
 
-def _omega(form: BinaryQuadraticForm, p: int) -> int:
-    return local_root_count_fast(form, p) if form.irreducible else local_root_count(form, p)
-
-
 def concentration_exponent_form(
     form: BinaryQuadraticForm,
     f: MultiplicativeFunction,
@@ -74,19 +76,17 @@ def concentration_exponent_form(
     """Sum over k < p <= n of omega_P(p)/p * (f(p) conj(chi(p)) p^{-it} - 1).
 
     Its exponential is the predicted concentration value for f along the
-    form.  Exactly rounded summation in ascending prime order.
+    form.  Exactly rounded summation.
     """
     if k >= n:
         return 0j
-    terms = []
-    for p in sieve_primes(max(2, n)):
-        if p <= k or p > n:
-            continue
-        w = _omega(form, p)
-        if w == 0:
-            continue
-        terms.append(w / p * (f.at_prime(p) * _twist_factor(twist, p) - 1.0))
-    return fsum_complex(terms)
+    omega = _root_count_weight(form)
+
+    def term(p: int) -> complex:
+        w = omega(p)
+        return w / p * (f.at_prime(p) * _twist_factor(twist, p) - 1.0) if w else 0.0
+
+    return prime_window_sum(term, k, n)
 
 
 def concentration_exponent(
@@ -95,20 +95,16 @@ def concentration_exponent(
     """The linear-form analogue: weight 1/p over all primes in (k, n]."""
     if k >= n:
         return 0j
-    terms = [
-        1.0 / p * (f.at_prime(p) * _twist_factor(twist, p) - 1.0)
-        for p in sieve_primes(max(2, n))
-        if k < p <= n
-    ]
-    return fsum_complex(terms)
+    return prime_window_sum(
+        lambda p: 1.0 / p * (f.at_prime(p) * _twist_factor(twist, p) - 1.0), k, n
+    )
 
 
 def predicted_additive_mean(h: AdditiveFunction, k: int, n: int) -> complex:
     """2 * sum over k < p <= n of h(p)/p."""
     if k >= n:
         return 0j
-    terms = [2.0 / p * h.at_prime(p) for p in sieve_primes(max(2, n)) if k < p <= n]
-    return fsum_complex(terms)
+    return prime_window_sum(lambda p: 2.0 / p * h.at_prime(p), k, n)
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +178,6 @@ def _prime_tables(
     n: int,
 ) -> None:
     """Build any value tables once, before striping, at the grid's bound."""
-    from .multfunc import prime_value_table
-
     bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
     for f in fs:
         prime_value_table(f, bound)
@@ -214,7 +208,7 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
     if not big:
         _prime_tables([f], [form], q, a, b, n)
 
-    def block(ms: np.ndarray) -> complex:
+    def block(ms: np.ndarray) -> tuple[float]:
         u, w = _row_coords(q, a, b, ms, n, big)
         vals = form.grid_values(u, w)
         if big:
@@ -232,11 +226,9 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
             u0, w0 = _row_coords(q, 0, 0, ms, n, big)
             base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
             target = target * np.exp(1j * twist.t * np.log(base))
-        return complex(np.sum(np.abs(fv - target)))
+        return (float(np.sum(np.abs(fv - target))),)
 
-    from ._grid import striped_complex_mean  # on use: it imports the thread pool
-
-    return striped_complex_mean(block, n, threads).real
+    return striped_complex_mean(block, n, threads)[0]
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +304,6 @@ def turan_kubilius_variance(
     mean_pred = predicted_additive_mean(h, k, n)
     dev = np.abs(acc - mean_pred) ** 2
     variance = float(np.mean(dev))
-    from .multfunc import distance_additive
-
     split = max(k, math.isqrt(n))
     d_low = distance_additive(h, k, split)
     d_high = distance_additive(h, split, n)
@@ -355,7 +345,8 @@ def weighted_pair_average(
     E w~(m,n) f(P1(Qm+a, Qn+b)) conj(f(P2(Qm+a, Qn+b))) over [n]^2.
 
     The weight is normalized by its own grid mean at the same n, so the
-    constant function averages to exactly 1.
+    constant function averages to exactly 1; one striped pass computes each
+    stripe's weights once and sums both the weights and the correlation.
     """
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
@@ -364,27 +355,19 @@ def weighted_pair_average(
     if not big:
         _prime_tables([f], [form1, form2], q, a, b, n)
 
-    def weight_block(ms: np.ndarray) -> complex:
-        mvals = ms[:, None]
-        nvals = np.arange(1, n + 1, dtype=np.int64)[None, :]
-        return complex(np.sum(weight_grid(spec, mvals, nvals)))
+    cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
 
-    from ._grid import striped_complex_mean
-
-    mu = striped_complex_mean(weight_block, n, threads).real
-    if mu <= 0:
-        raise DomainError("the weight vanishes on this grid; nothing to normalize")
-
-    def block(ms: np.ndarray) -> complex:
-        mvals = ms[:, None]
-        nvals = np.arange(1, n + 1, dtype=np.int64)[None, :]
-        wgt = weight_grid(spec, mvals, nvals)
+    def block(ms: np.ndarray) -> tuple[float, complex]:
+        wgt = weight_grid(spec, ms[:, None], cols)
         u, w = _row_coords(q, a, b, ms, n, big)
         f1 = evaluate_many(f, form1.grid_values(u, w))
         f2 = evaluate_many(f, form2.grid_values(u, w))
-        return complex(np.sum(wgt * f1 * np.conj(f2)))
+        return float(np.sum(wgt)), complex(np.sum(wgt * f1 * np.conj(f2)))
 
-    return striped_complex_mean(block, n, threads) / mu
+    mu, total = striped_complex_mean(block, n, threads)
+    if mu <= 0:
+        raise DomainError("the weight vanishes on this grid; nothing to normalize")
+    return total / mu
 
 
 def pair_correlation(
@@ -404,15 +387,13 @@ def pair_correlation(
     if not big:
         _prime_tables([f], [form1, form2], q, a, b, n)
 
-    def block(ms: np.ndarray) -> complex:
+    def block(ms: np.ndarray) -> tuple[complex]:
         u, w = _row_coords(q, a, b, ms, n, big)
         f1 = evaluate_many(f, form1.grid_values(u, w))
         f2 = evaluate_many(f, form2.grid_values(u, w))
-        return complex(np.sum(f1 * np.conj(f2)))
+        return (complex(np.sum(f1 * np.conj(f2))),)
 
-    from ._grid import striped_complex_mean
-
-    return striped_complex_mean(block, n, threads)
+    return striped_complex_mean(block, n, threads)[0]
 
 
 def nonnegativity_probe(
@@ -488,17 +469,15 @@ def correlation_probe(
     if not big:
         _prime_tables([fj for fj, _ in factors] + [g], [form], q, a, b, n)
 
-    def block(ms: np.ndarray) -> complex:
+    def block(ms: np.ndarray) -> tuple[complex]:
         u, w = _row_coords(q, a, b, ms, n, big)
         vals = region.mask(u, w).astype(np.complex128)
         for fj, lj in factors:
             vals = vals * evaluate_many(fj, lj.grid_values(u, w))
         vals = vals * evaluate_many(g, form.grid_values(u, w))
-        return complex(np.sum(vals))
+        return (complex(np.sum(vals)),)
 
-    from ._grid import striped_complex_mean
-
-    return striped_complex_mean(block, n, threads)
+    return striped_complex_mean(block, n, threads)[0]
 
 
 # --------------------------------------------------------------------------

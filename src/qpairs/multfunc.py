@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, sieve_primes
+from .arith import factorize, fsum_complex, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, ResourceError
 
@@ -506,42 +506,43 @@ def additive_from_prime_values(values: Mapping[int, complex], description: str =
 # --------------------------------------------------------------------------
 
 
-def _prime_terms(
-    weight_at: Callable[[int], float],
-    f: MultiplicativeFunction,
-    g: MultiplicativeFunction,
-    x: float,
-    y: float,
-) -> tuple[list[int], list[float]]:
-    """The sieved primes up to y, ascending, and for each its term
-    c(p)/p * (1 - Re f(p) conj g(p)) when x < p <= y, else 0.0 (as for c(p) = 0),
-    which leaves every exactly rounded sum unchanged."""
+def _prime_terms(term: Callable[[int], complex], x: float, y: float) -> tuple[list[int], list]:
+    """The sieved primes up to y, ascending, and for each term(p) when
+    x < p <= y, else 0.0, which leaves every exactly rounded sum unchanged."""
     if x > y:
         raise DomainError("need x <= y")
     if y > CAPS.sieve_limit:
         raise ResourceError("upper range exceeds the sieve cap")
     primes = sieve_primes(max(2, int(y)))
-    terms = []
-    for p in primes:
-        c = weight_at(p) if x < p <= y else 0.0
-        terms.append(c / p * (1.0 - (f.at_prime(p) * g.at_prime(p).conjugate()).real) if c else 0.0)
-    return primes, terms
+    return primes, [term(p) if x < p <= y else 0.0 for p in primes]
 
 
-def _distance_sq(
-    weight_at: Callable[[int], float],
-    f: MultiplicativeFunction,
-    g: MultiplicativeFunction,
-    x: float,
-    y: float,
-) -> float:
-    # ascending prime order with exactly rounded summation
-    return max(0.0, math.fsum(_prime_terms(weight_at, f, g, x, y)[1]))
+def prime_window_sum(term: Callable[[int], complex], x: float, y: float) -> complex:
+    """Exactly rounded sum of term(p) over the primes x < p <= y.
+
+    The one loop behind every prime-window sum: distances, additive norms,
+    concentration exponents and predicted additive means.
+    """
+    return fsum_complex(_prime_terms(term, x, y)[1])
+
+
+def _distance_term(weight_at: Callable[[int], float], f, g) -> Callable[[int], float]:
+    """p -> c(p)/p * (1 - Re f(p) conj g(p)) for c = weight_at, 0.0 where c(p) = 0."""
+
+    def term(p: int) -> float:
+        c = weight_at(p)
+        return c / p * (1.0 - (f.at_prime(p) * g.at_prime(p).conjugate()).real) if c else 0.0
+
+    return term
+
+
+def _distance(weight_at: Callable[[int], float], f, g, x: float, y: float) -> float:
+    return math.sqrt(max(0.0, prime_window_sum(_distance_term(weight_at, f, g), x, y).real))
 
 
 def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
     """Prime-sum distance: sqrt of sum over x < p <= y of (1 - Re f(p) conj g(p)) / p."""
-    return math.sqrt(_distance_sq(lambda p: 1.0, f, g, x, y))
+    return _distance(lambda p: 1.0, f, g, x, y)
 
 
 def _root_count_weight(form) -> Callable[[int], float]:
@@ -554,7 +555,7 @@ def _root_count_weight(form) -> Callable[[int], float]:
 
 def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
     """Distance with each prime weighted by the local root count of the form."""
-    return math.sqrt(_distance_sq(_root_count_weight(form), f, g, x, y))
+    return _distance(_root_count_weight(form), f, g, x, y)
 
 
 def distance_weighted(
@@ -569,7 +570,7 @@ def distance_weighted(
         weight = lambda p: float(c.get(p, 0.0))
     else:
         weight = lambda p: float(c(p))
-    return math.sqrt(_distance_sq(weight, f, g, x, y))
+    return _distance(weight, f, g, x, y)
 
 
 def distance_profile(
@@ -595,7 +596,7 @@ def distance_profile(
     if min(ys) < 1:
         raise DomainError("need x <= y")
     weight = (lambda p: 1.0) if form is None else _root_count_weight(form)
-    primes, terms = _prime_terms(weight, f, g, 1, max(ys))
+    primes, terms = _prime_terms(_distance_term(weight, f, g), 1, max(ys))
     return [
         (y, math.sqrt(max(0.0, math.fsum(islice(terms, bisect.bisect_right(primes, y))))))
         for y in ys
@@ -604,11 +605,4 @@ def distance_profile(
 
 def distance_additive(h: AdditiveFunction, x: float, y: float) -> float:
     """sqrt of sum over x < p <= y of |h(p)|^2 / p (the additive-function norm)."""
-    if x > y:
-        raise DomainError("need x <= y")
-    terms = [
-        abs(h.at_prime(p)) ** 2 / p
-        for p in sieve_primes(max(2, int(y)))
-        if x < p <= y
-    ]
-    return math.sqrt(math.fsum(terms))
+    return math.sqrt(prime_window_sum(lambda p: abs(h.at_prime(p)) ** 2 / p, x, y).real)

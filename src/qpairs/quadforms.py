@@ -131,10 +131,6 @@ def parse_linear_form(text: str) -> LinearForm:
     return LinearForm(u, v)
 
 
-def eval_form(form: BinaryQuadraticForm, m: int, n: int) -> int:
-    return form.value(m, n)
-
-
 # --------------------------------------------------------------------------
 # local root counts
 # --------------------------------------------------------------------------

@@ -74,6 +74,20 @@ def test_mu_estimates():
         mu_estimate(spec, 50)
 
 
+def test_mu_estimate_scalar_oracle():
+    """Both estimators against the scalar weight summed with fsum; n = 130
+    spans two stripes."""
+    n = 130
+    for forms in ((P12, PMN), (BinaryQuadraticForm(1, 0, -2), BinaryQuadraticForm(0, 1, 0))):
+        spec = WeightSpec(0.3, *forms)
+        est = mu_estimate(spec, n)
+        grid = math.fsum(weight(spec, m, k) for m in range(1, n + 1) for k in range(1, n + 1))
+        mids = [(i - 0.5) / n for i in range(1, n + 1)]
+        riemann = math.fsum(weight(spec, x, y) for x in mids for y in mids)
+        assert est.grid == pytest.approx(grid / n**2, abs=1e-12)
+        assert est.riemann == pytest.approx(riemann / n**2, abs=1e-12)
+
+
 def test_normalized_weight_near_one():
     # grid mean over riemann mean stays within 2 percent at n = 2000
     for forms in ((P12, PMN), (BinaryQuadraticForm(1, 0, -2), BinaryQuadraticForm(0, 1, 0))):
@@ -166,6 +180,24 @@ def test_exact_matches_predicted():
                 exact = divisor_stat_exact(P11, q, 1, 0, p, p2, 2000)
                 pred = divisor_stat_predicted(P11, p, p2, q)
                 assert abs(exact - pred) <= 0.01, (q, p, p2)
+
+
+def test_divisor_statistics_python_count():
+    """Exact frequencies equal a plain Python count; n = 130 spans two stripes."""
+    n = 130
+    form = BinaryQuadraticForm(1, 2, 5)
+    for q, a, b in ((1, 0, 0), (3, 1, 2)):
+        vals = [form.value(q * m + a, q * k + b) for m in range(1, n + 1) for k in range(1, n + 1)]
+
+        def exactly(v, p):
+            return v % p == 0 and v % (p * p) != 0
+
+        for p, p2 in ((5, 5), (13, 13), (5, 13)):
+            count = sum(1 for v in vals if exactly(v, p) and exactly(v, p2))
+            assert divisor_stat_exact(form, q, a, b, p, p2, n) == count / n**2
+        for l in (5, 25, 65):
+            count = sum(1 for v in vals if v % l == 0)
+            assert divisor_bound_probe(form, q, a, b, l, n) == (count / n**2, q * q / l)
 
 
 def test_divisor_bound_probe():

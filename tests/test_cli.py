@@ -92,6 +92,13 @@ def test_config_file(capsys, tmp_path):
     assert json.loads(out)["abs"] == 1.0
 
 
+def test_config_file_missing(capsys, tmp_path):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run_cli(["ldelta", "--config", str(missing)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read --config {missing}")
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--out", None, "ldelta", "f=liouville", "p1=[1,0,2]", "p2=[0,2,0]",
@@ -156,6 +163,10 @@ def test_run_id_stability():
         ref = resolve_spec("ldelta", {**base, key: plain})[2]
         assert resolve_spec("ldelta", {**base, key: same})[2] == ref, key
         assert resolve_spec("ldelta", {**base, key: different})[2] != ref, key
+    # ldelta's mode is one of two choices; their ids are pinned
+    assert resolve_spec("ldelta", base)[2] == "75e3858ce4b19749"
+    assert resolve_spec("ldelta", {**base, "mode": "weighted"})[2] == "75e3858ce4b19749"
+    assert resolve_spec("ldelta", {**base, "mode": "pair"})[2] == "60d1cf0f768c1d10"
 
 
 def _ids(text, args):
@@ -209,6 +220,7 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=abc"],
     ["concentrate", "form=[1,0,1]", "f=liouville", "chi=4", "q=6", "k=3", "n=100"],
     ["tk", "form=[1,0,1]", "q=210", "k=10", "n=100", "h_primes=13,x"],
+    ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=150", "mode=wighted"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

@@ -32,12 +32,14 @@ from qpairs.multfunc import (
     character_extended,
     character_function,
     dirichlet_characters,
+    distance_additive,
     distance_form,
     liouville,
     one,
     prime_patch,
+    twisted,
 )
-from qpairs.quadforms import BinaryQuadraticForm, LinearForm
+from qpairs.quadforms import BinaryQuadraticForm, LinearForm, local_root_count
 
 P11 = BinaryQuadraticForm(1, 0, 1)
 P12 = BinaryQuadraticForm(1, 0, 2)
@@ -76,6 +78,39 @@ def test_concentration_exponent_linear():
     lam = liouville()
     val = concentration_exponent(lam, principal_twist(), 2, 10)
     assert val == pytest.approx(-2 * (1 / 3 + 1 / 5 + 1 / 7))
+
+
+def test_prime_window_sums_match_direct_fsum():
+    """Each prime-window sum equals a direct exactly rounded sum over the
+    sieved primes in (k, n], with its own term written out."""
+    chi = dirichlet_characters(5)[1]
+    f = twisted(chi, 0.7)
+    twist = TwistData(1.3, chi)
+    k, n = 7, 3000
+    window = [p for p in sieve_primes(n) if k < p]
+
+    def twist_factor(p):
+        return chi(p).conjugate() * cmath.exp(-1j * twist.t * math.log(p))
+
+    def fsum_c(terms):
+        terms = list(terms)
+        return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+    for form in (P11, BinaryQuadraticForm(1, 0, -4)):  # irreducible, reducible
+        direct = fsum_c(
+            local_root_count(form, p) / p * (f.at_prime(p) * twist_factor(p) - 1.0)
+            for p in window
+            if local_root_count(form, p)
+        )
+        assert concentration_exponent_form(form, f, twist, k, n) == direct
+    direct = fsum_c(1.0 / p * (f.at_prime(p) * twist_factor(p) - 1.0) for p in window)
+    assert concentration_exponent(f, twist, k, n) == direct
+    h = additive_from_prime_values({p: cmath.exp(1j * p) for p in window[::3]})
+    direct = fsum_c(2.0 / p * h.at_prime(p) for p in window)
+    assert predicted_additive_mean(h, k, n) == direct
+    assert distance_additive(h, k, n) == math.sqrt(
+        math.fsum(abs(h.at_prime(p)) ** 2 / p for p in window)
+    )
 
 
 def test_predicted_additive_mean():
@@ -216,11 +251,27 @@ def test_pair_correlation_unweighted():
 
 
 def test_thread_determinism():
-    for threads in (1, 2, 4):
-        v = weighted_pair_average(liouville(), P12, PMN, 0.3, 1, 1, 0, 300, threads=threads)
-        if threads == 1:
-            base = v
-        assert v == base  # bit-identical regardless of the thread count
+    """Every striped experiment prints the same bytes on 1, 2 and 4 threads
+    (n = 300 gives three stripes)."""
+    chi = dirichlet_characters(4)[1]
+    setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, 3, 300)
+    region = RegionSpec(((1, -1),))
+    runs = {
+        "weighted_pair_average": lambda t: weighted_pair_average(
+            liouville(), P12, PMN, 0.3, 1, 1, 0, 300, threads=t),
+        "nonnegativity_probe": lambda t: nonnegativity_probe(
+            archimedean(2.0), P12, PMN, 0.2, 2, 300, threads=t),
+        "pair_correlation": lambda t: pair_correlation(
+            liouville(), P11, P12, 1, 1, 0, 300, threads=t),
+        "correlation_probe": lambda t: correlation_probe(
+            [(liouville(), LinearForm(1, 0)), (archimedean(1.0), LinearForm(1, 1))],
+            liouville(), P11, region, 1, 1, 2, 300, threads=t),
+        "concentration_lhs": lambda t: concentration_lhs(setup, threads=t),
+    }
+    for name, run in runs.items():
+        base = repr(run(1))
+        for threads in (2, 4):
+            assert repr(run(threads)) == base, (name, threads)
 
 
 # --- probes -----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from qpairs.errors import DomainError
 from qpairs.quadforms import (
     BinaryQuadraticForm,
     construct_congruence_pair,
-    eval_form,
     exceptional_primes,
     form_has_root,
     hensel_lift,
@@ -27,9 +26,9 @@ def scan_roots(form, r):
 
 
 def test_eval_form():
-    assert eval_form(P11, 3, 4) == 25
-    assert eval_form(BinaryQuadraticForm(1, 0, -2), 2, 1) == 2
-    assert eval_form(BinaryQuadraticForm(1, 1, 1), 1, 1) == 3
+    assert P11.value(3, 4) == 25
+    assert BinaryQuadraticForm(1, 0, -2).value(2, 1) == 2
+    assert BinaryQuadraticForm(1, 1, 1).value(1, 1) == 3
 
 
 def test_form_derived_data():
