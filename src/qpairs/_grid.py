@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .arith import fsum_complex
+from .errors import DomainError
 
 _DEFAULT_STRIPE = 128
 
@@ -34,6 +35,8 @@ def striped_complex_mean(
     result holds each quantity's mean: complex where the sums are complex,
     float otherwise.
     """
+    if n < 1:
+        raise DomainError("grid size must be >= 1")
     ranges = stripe_ranges(n)
     blocks = [np.arange(lo, hi, dtype=np.int64) for lo, hi in ranges]
     if threads > 1:

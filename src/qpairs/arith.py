@@ -2,13 +2,14 @@
 
 Sieves, deterministic factorization, residue symbols, CRT, prime search in
 arithmetic progressions, and Pell solving via continued fractions.  All
-functions are pure; sieve tables are built once and grow monotonically, so
-concurrent read-only use is safe.
+functions are pure; the sieve table is built once and grows monotonically
+under a lock, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -20,9 +21,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
 
-# One growing sieve table shared by all callers.
-_sieve_cache: list[int] = []
-_sieve_cache_limit = 0
+# One growing sieve table shared by all callers: (limit, primes <= limit),
+# replaced as a whole so that a lock-free read sees a matching pair.
+_sieve_cache: tuple[int, list[int]] = (0, [])
+_sieve_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -54,28 +56,35 @@ def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, ascending.
 
     Results are served from a shared growing cache, so repeated calls with
-    increasing limits cost one sieve of the largest limit seen.
+    increasing limits cost one sieve of the largest limit seen.  Reads of a
+    large enough cache take no lock; growth is serialized.
     """
-    global _sieve_cache, _sieve_cache_limit
+    global _sieve_cache
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
     if limit > CAPS.sieve_limit:
         raise ResourceError(f"sieve limit {limit} exceeds cap {CAPS.sieve_limit}")
-    if limit > _sieve_cache_limit:
-        sieve = bytearray(b"\x01") * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, isqrt(limit) + 1):
-            if sieve[p]:
-                start = p * p
-                sieve[start :: p] = b"\x00" * ((limit - start) // p + 1)
-        _sieve_cache = [i for i, v in enumerate(sieve) if v]
-        _sieve_cache_limit = limit
-    if limit == _sieve_cache_limit:
-        return list(_sieve_cache)
+    cache_limit, primes = _sieve_cache
+    if limit > cache_limit:
+        with _sieve_lock:
+            cache_limit, primes = _sieve_cache
+            if limit > cache_limit:
+                import numpy as np  # on use: importing arith alone loads no numpy
+
+                sieve = bytearray(b"\x01") * (limit + 1)
+                sieve[0:2] = b"\x00\x00"
+                for p in range(2, isqrt(limit) + 1):
+                    if sieve[p]:
+                        start = p * p
+                        sieve[start :: p] = b"\x00" * ((limit - start) // p + 1)
+                _sieve_cache = (limit, np.flatnonzero(np.frombuffer(sieve, np.uint8)).tolist())
+                cache_limit, primes = _sieve_cache
+    if limit == cache_limit:
+        return list(primes)
     import bisect
 
-    cut = bisect.bisect_right(_sieve_cache, limit)
-    return _sieve_cache[:cut]
+    cut = bisect.bisect_right(primes, limit)
+    return primes[:cut]
 
 
 def is_prime(n: int) -> bool:

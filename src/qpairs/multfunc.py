@@ -19,6 +19,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import islice
 from math import gcd
@@ -239,35 +240,68 @@ def evaluate_on_exponents(f: MultiplicativeFunction, exponents: Mapping[int, int
 
 # --- bulk evaluation --------------------------------------------------------
 
+# Entries per segment of the Liouville sieve: a segment's int64 product array
+# (8 MB) stays close to the L2 cache, and each prime power costs one slice
+# update per segment.
+_LIOUVILLE_SEGMENT = 1 << 20
+
 _liouville_table: np.ndarray | None = None
+_liouville_lock = threading.Lock()
+
+
+def _liouville_segments(table: np.ndarray, lo: int, primes: Sequence[int]) -> None:
+    """Write lambda(n) into table[n] for lo <= n < len(table), segment by segment.
+
+    primes must hold every prime <= sqrt(len(table) - 1).  Each prime power
+    p**e dividing a value multiplies its product by -p, so the product is
+    the value's part over those primes, signed by the parity of its prime
+    factors.  Where that part falls short of the value, the one prime factor
+    above sqrt(limit) that remains flips the sign.
+    """
+    hi = len(table)
+    for start in range(lo, hi, _LIOUVILLE_SEGMENT):
+        stop = min(start + _LIOUVILLE_SEGMENT, hi)
+        prod = np.ones(stop - start, dtype=np.int64)
+        for p in primes:
+            pe = p
+            while pe < stop:
+                prod[-start % pe :: pe] *= -p
+                pe *= p
+        flip = prod < 0
+        np.abs(prod, out=prod)
+        flip ^= prod < np.arange(start, stop, dtype=np.int64)
+        out = table[start:stop]
+        np.multiply(flip.view(np.int8), -2, out=out)
+        out += 1
 
 
 def _liouville_sieve(limit: int) -> np.ndarray:
-    """lambda(n) for n <= limit as int8, via prime-power slice updates.
+    """lambda(n) for n <= limit as int8, by a segmented prime-power sieve.
 
-    The table grows geometrically and is kept, so grid experiments should
-    call `prime_value_table` once with their value bound up front.
+    The table grows geometrically and is kept; growth sieves only the new
+    entries.  Grid experiments call `prime_value_table` once with their value
+    bound up front, so their stripes only read it.  Reads of a long enough
+    table take no lock; growth is serialized.
     """
     global _liouville_table
-    if _liouville_table is not None and len(_liouville_table) > limit:
-        return _liouville_table
+    table = _liouville_table
+    if table is not None and len(table) > limit:
+        return table
     if limit > CAPS.value_sieve_limit:
         raise ResourceError(f"value sieve {limit} exceeds cap {CAPS.value_sieve_limit}")
-    if _liouville_table is not None:
-        limit = min(max(limit, 2 * len(_liouville_table)), CAPS.value_sieve_limit)
-    n = limit + 1
-    parity = np.zeros(n, dtype=np.int8)
-    rem = np.arange(n, dtype=np.int64)
-    for p in sieve_primes(max(2, math.isqrt(limit))):
-        pe = p
-        while pe <= limit:
-            parity[pe::pe] ^= 1
-            rem[pe::pe] //= p
-            pe *= p
-    parity[rem > 1] ^= 1  # one prime factor > sqrt(limit) remains
-    table = np.where(parity == 0, 1, -1).astype(np.int8)
-    table[0] = 0
-    _liouville_table = table
+    with _liouville_lock:
+        old = _liouville_table
+        if old is not None and len(old) > limit:
+            return old
+        done = 0 if old is None else len(old)
+        if old is not None:
+            limit = min(max(limit, 2 * done), CAPS.value_sieve_limit)
+        table = np.empty(limit + 1, dtype=np.int8)
+        if old is not None:
+            table[:done] = old
+        _liouville_segments(table, done, sieve_primes(max(2, math.isqrt(limit))))
+        table[0] = 0  # every prime power divides 0, so the sieve's entry there is noise
+        _liouville_table = table
     return table
 
 

@@ -221,6 +221,8 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["concentrate", "form=[1,0,1]", "f=liouville", "chi=4", "q=6", "k=3", "n=100"],
     ["tk", "form=[1,0,1]", "q=210", "k=10", "n=100", "h_primes=13,x"],
     ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=150", "mode=wighted"],
+    ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=0"],
+    ["divstat", "--form", "[1,0,1]", "--primes", "5,13", "--n", "0"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

@@ -1,12 +1,16 @@
+import bisect
 import cmath
 import math
 import random
+import sys
+import threading
 from itertools import product
 
 import numpy as np
 import pytest
 
-from qpairs.arith import sieve_primes
+from qpairs import arith, multfunc
+from qpairs.arith import is_prime, sieve_primes
 from qpairs.errors import DomainError
 from qpairs.multfunc import (
     MultiplicativeFunction,
@@ -261,6 +265,111 @@ def trial_factor(n):
     if n > 1:
         out.append((n, 1))
     return out
+
+
+# --- the segmented Liouville sieve ------------------------------------------
+
+SEGMENT = multfunc._LIOUVILLE_SEGMENT
+SPAN = 3 * SEGMENT + SEGMENT // 3  # three full segments and a partial fourth
+
+
+def _liouville_whole_array(limit):
+    """The whole-array sieve the segmented one replaced (18 B per entry)."""
+    n = limit + 1
+    parity = np.zeros(n, dtype=np.int8)
+    rem = np.arange(n, dtype=np.int64)
+    for p in sieve_primes(max(2, math.isqrt(limit))):
+        pe = p
+        while pe <= limit:
+            parity[pe::pe] ^= 1
+            rem[pe::pe] //= p
+            pe *= p
+    parity[rem > 1] ^= 1  # one prime factor > sqrt(limit) remains
+    table = np.where(parity == 0, 1, -1).astype(np.int8)
+    table[0] = 0
+    return table
+
+
+@pytest.fixture(scope="module")
+def liouville_oracle():
+    return _liouville_whole_array(SPAN)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    """Empty Liouville and prime caches, restored after the test."""
+    monkeypatch.setattr(multfunc, "_liouville_table", None)
+    monkeypatch.setattr(arith, "_sieve_cache", (0, []))
+    return monkeypatch
+
+
+def test_segmented_liouville_matches_whole_array(fresh_caches, liouville_oracle):
+    table = multfunc._liouville_sieve(SPAN)
+    assert table.dtype == np.int8 and len(table) == SPAN + 1
+    assert np.array_equal(table, liouville_oracle)
+
+
+def test_liouville_growth_equals_fresh_build(fresh_caches, liouville_oracle):
+    small = multfunc._liouville_sieve(1000).copy()
+    middle = multfunc._liouville_sieve(SEGMENT + 5).copy()  # grows from 1001, not a boundary
+    grown = multfunc._liouville_sieve(SPAN)  # grows from SEGMENT + 6
+    assert (len(small), len(middle), len(grown)) == (1001, SEGMENT + 6, SPAN + 1)
+    assert np.array_equal(grown, liouville_oracle)
+    fresh_caches.setattr(multfunc, "_liouville_table", None)
+    assert np.array_equal(grown, multfunc._liouville_sieve(SPAN))
+
+
+def test_liouville_at_segment_boundaries(fresh_caches):
+    table = multfunc._liouville_sieve(SPAN)
+    boundaries = range(SEGMENT, SPAN + 1, SEGMENT)
+    points = {b + d for b in boundaries for d in (-1, 0, 1)}
+    prime_squares = [p * p for p in sieve_primes(math.isqrt(SPAN) + 1000)]
+    for b in boundaries:
+        i = bisect.bisect_left(prime_squares, b)
+        points |= {prime_squares[i - 1], prime_squares[i]}  # p**2 on both sides of b
+        for q in (2**19, 3**12, 5**8, 7**7, 1009**2, 1021**2):
+            points |= {b - b % q, b - b % q + q}  # multiples of q on both sides of b
+        points |= {next(n for n in range(b, 0, -1) if is_prime(n)),
+                   next(n for n in range(b, 2 * b) if is_prime(n))}
+    for n in sorted(p for p in points if 0 < p <= SPAN):
+        assert table[n] == (-1) ** sum(e for _, e in trial_factor(n)), n
+
+
+def test_concurrent_first_touch_of_both_caches(fresh_caches):
+    """Threads grow both caches at once, to different limits; each result
+    equals a fresh single-threaded build."""
+    limits = [(5_000, 2_500_000), (900_000, 200_000), (40_000, 1_500_000),
+              (300_000, 700_000), (2_000, 3_300_000), (1_200_000, 50_000)]
+    barrier = threading.Barrier(len(limits))
+    results = {}
+
+    def work(i, prime_limit, table_limit):
+        barrier.wait(timeout=30)
+        if i % 2:
+            primes = sieve_primes(prime_limit)
+            table = multfunc._liouville_sieve(table_limit)
+        else:
+            table = multfunc._liouville_sieve(table_limit)
+            primes = sieve_primes(prime_limit)
+        results[i] = (primes, table[: table_limit + 1].copy())
+
+    threads = [threading.Thread(target=work, args=(i, *lim)) for i, lim in enumerate(limits)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(len(limits)))
+    for i, (prime_limit, table_limit) in enumerate(limits):
+        fresh_caches.setattr(multfunc, "_liouville_table", None)
+        fresh_caches.setattr(arith, "_sieve_cache", (0, []))
+        assert results[i][0] == sieve_primes(prime_limit)
+        assert np.array_equal(results[i][1], multfunc._liouville_sieve(table_limit))
 
 
 def test_function_from_name_round_trip():
