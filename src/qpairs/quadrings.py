@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
+import numpy as np
+
 from .arith import factorize, kronecker, pell_fundamental_pm
 from .caps import CAPS
 from .errors import DomainError, InvariantError, ResourceError
@@ -252,13 +254,35 @@ def unit_inverse(u: RingElement) -> RingElement:
     return c if nrm == 1 else -c
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with g = gcd(a, b) = u*a + v*b and g >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, rem = divmod(a, b)
+        a, b = b, rem
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+# Lattice points per stripe of the is_regular walk: 512 KB per int64 array,
+# small enough for a stripe's temporaries to stay in cache.
+_STRIPE_POINTS = 1 << 16
+
+
 def is_regular(z: RingElement, c_bound, n_max: int) -> bool:
     """Box-contraction regularity of z with constant C.
 
     For every N <= n_max, every w with z*w in the symmetric coordinate box
     with half-width N must land in the box with half-width
-    floor(C * |norm(z)|^(-1/2) * N).  Checked exhaustively over divisible
-    lattice points; the comparison is exact for rational C.
+    floor(C * |norm(z)|^(-1/2) * N).  Checked exhaustively over the multiples
+    z*w in the box, about (2N+1)^2 / |norm(z)| points; the comparison is exact
+    for rational C.
+
+    The multiples form the image of M = [z*1 | z*tau], a lattice of index
+    k = |norm(z)|.  Its Hermite basis is (g, h), (0, t) with g*t = k, so the
+    row m = a*g of the box holds the n = a*h (mod t).  Rows are walked in
+    stripes, and w = adj(M) (m, n) / det(M) exactly.
     """
     if z.m == 0 and z.n == 0:
         raise DomainError("z must be nonzero")
@@ -267,22 +291,42 @@ def is_regular(z: RingElement, c_bound, n_max: int) -> bool:
     c_frac = Fraction(c_bound)
     if c_frac <= 0:
         raise DomainError("C must be positive")
-    k = abs(z.norm())
-    ring = z.ring
-    num2 = c_frac.numerator**2
-    den2 = c_frac.denominator**2
-    for m in range(-n_max, n_max + 1):
-        for n in range(-n_max, n_max + 1):
-            if m == 0 and n == 0:
-                continue
-            w = ring.element(m, n).divide_exact(z)
-            if w is None:
-                continue
-            box = max(abs(m), abs(n), 1)  # smallest box containing the point
-            coord = max(abs(w.m), abs(w.n))
-            # coord <= floor(C * N / sqrt(k))  <=>  coord^2 * k * den^2 <= num^2 * N^2
-            if coord * coord * k * den2 > num2 * box * box:
-                return False
+    if n_max < 1:
+        return True
+    det = z.norm()
+    k = abs(det)
+    if k == 0:
+        raise DomainError("division by zero element")
+    z_tau = z * z.ring.element(0, 1)
+    p, q, r, s = z.m, z_tau.m, z.n, z_tau.n  # M = [[p, q], [r, s]]
+    g, u, v = _ext_gcd(p, q)
+    t = k // g
+    h = (u * r + v * s) % t
+    # Every intermediate (adj(M) (m, n), a*h, the row progressions) stays
+    # below this bound; past the 2**62 guard the same walk runs on Python ints.
+    bound = 2 * (max(abs(p), abs(q), abs(r), abs(s)) + k) * (n_max + 1)
+    dtype = object if bound >= 2**62 else np.int64
+    # limit[b]: largest coord allowed in box b, coord^2 * k * den^2 <= num^2 * b^2;
+    # no coord reaches the bound, so clipping there keeps the comparison exact.
+    num2, den2 = c_frac.numerator**2, c_frac.denominator**2
+    limit = np.array(
+        [min(isqrt(num2 * b * b // (k * den2)), bound) for b in range(n_max + 1)], dtype=dtype
+    )
+    cols = np.arange(2 * n_max // t + 1).astype(dtype) * t  # most points one row holds
+    rows = np.arange(-(n_max // g), n_max // g + 1).astype(dtype)
+    step = max(1, _STRIPE_POINTS // len(cols))
+    for lo in range(0, len(rows), step):
+        a = rows[lo : lo + step]
+        first = (a * h + n_max) % t - n_max  # smallest n >= -N on each row
+        n = first[:, None] + cols[None, :]
+        inside = n <= n_max
+        m = np.broadcast_to((a * g)[:, None], n.shape)[inside]
+        n = n[inside]
+        coord = np.maximum(np.abs((s * m - q * n) // det), np.abs((p * n - r * m) // det))
+        box = np.maximum(np.abs(m), np.abs(n)).astype(np.int64, copy=False)
+        # the origin has box 0 and w = 0, which meets limit[0] = 0
+        if (coord > limit[box]).any():
+            return False
     return True
 
 

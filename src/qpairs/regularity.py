@@ -9,12 +9,12 @@ verification over enumerated solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .arith import crt, find_prime_in_class, is_square, jacobi, sieve_primes
+from .arith import crt, find_prime_in_class, is_prime, is_square, jacobi, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, InvariantError, ResourceError
 
@@ -52,7 +52,7 @@ class Coloring:
 
     def __post_init__(self):
         if self.kind == "rado":
-            if self.param < 3 or self.param % 2 == 0:
+            if self.param < 3 or not is_prime(self.param):
                 raise DomainError("rado coloring needs an odd prime")
         elif self.kind == "dyadic":
             if self.param < 1:
@@ -418,29 +418,50 @@ def _next_prime_in_class(a: int, q: int, after: int, limit: int) -> Optional[int
 def enumerate_solutions(t: EquationTriple, bound: int) -> list[tuple[int, int, int]]:
     """All positive solutions with x, y <= bound (z determined, any size).
 
-    Scans (x, y) in row chunks and tests c*z^2 = a*x^2 + b*y^2 by integer
-    square root; exact, lexicographically sorted.
+    Scans only the (x, y) with c | a*x^2 + b*y^2: the x of one residue class r
+    mod |c| (each x on its own when |c| > bound) against the y with
+    b*y^2 = -a*r^2 (mod |c|), in blocks of about 10^6 points, and tests
+    c*z^2 = a*x^2 + b*y^2 by integer square root; exact, lexicographically
+    sorted.  Raises ResourceError when a*x^2 + b*y^2 could overflow int64.
     """
     if bound < 1:
         raise DomainError("bound must be positive")
     if bound > CAPS.enumerate_bound:
         raise ResourceError(f"bound {bound} exceeds cap {CAPS.enumerate_bound}")
-    a, b, c = t.a, t.b, t.c
-    out: list[tuple[int, int, int]] = []
+    g = gcd(t.a, t.b, t.c)  # dividing it out leaves the solutions unchanged
+    a, b, c = t.a // g, t.b // g, t.c // g
+    largest = (abs(a) + abs(b)) * bound * bound
+    if largest >= 2**62:
+        raise ResourceError(
+            f"a*x^2 + b*y^2 with (a, b) = ({a}, {b}) overflows int64 at bound {bound}"
+        )
+    modulus = abs(c)
+    if modulus > largest:  # c divides no nonzero value in reach
+        return []
     ys = np.arange(1, bound + 1, dtype=np.int64)
     by2 = b * ys * ys
-    chunk = max(1, 10**6 // bound)
-    for x0 in range(1, bound + 1, chunk):
-        xs = np.arange(x0, min(x0 + chunk, bound + 1), dtype=np.int64)
-        s = (a * xs * xs)[:, None] + by2[None, :]
-        q, rem = np.divmod(s, c)
-        good = (rem == 0) & (q >= 1)
-        z = np.zeros_like(q)
-        if good.any():
-            z[good] = np.sqrt(q[good].astype(np.float64)).round().astype(np.int64)
-            good &= z * z == q
-        for i, j in zip(*np.nonzero(good)):
-            out.append((int(xs[i]), int(ys[j]), int(z[i, j])))
+    residue = by2 % modulus
+    order = np.argsort(residue)  # y grouped by b*y^2 mod |c|
+    residue = residue[order]
+    out: list[tuple[int, int, int]] = []
+    for r in range(1, min(modulus, bound) + 1):
+        want = (-a * r * r) % modulus
+        cls = order[np.searchsorted(residue, want) : np.searchsorted(residue, want, "right")]
+        if not len(cls):
+            continue
+        y, by2_class = ys[cls], by2[cls]
+        x_class = np.arange(r, bound + 1, modulus, dtype=np.int64)
+        chunk = max(1, 10**6 // len(cls))
+        for x0 in range(0, len(x_class), chunk):
+            xs = x_class[x0 : x0 + chunk]
+            q = ((a * xs * xs)[:, None] + by2_class[None, :]) // c  # exact: c divides
+            good = q >= 1
+            z = np.zeros_like(q)
+            if good.any():
+                z[good] = np.sqrt(q[good].astype(np.float64)).round().astype(np.int64)
+                good &= z * z == q
+            i, j = np.nonzero(good)
+            out.extend(zip(xs[i].tolist(), y[j].tolist(), z[i, j].tolist()))
     out.sort()
     return out
 

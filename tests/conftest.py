@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Oracle tests compare fast paths with slow reference loops whose time per
+# example swings with the machine's load, so they take no per-example
+# deadline: @settings(settings.get_profile("oracle"), ...).
+settings.register_profile("oracle", deadline=None)
 
 _acceptance_results: list[tuple[str, str]] = []
 

@@ -223,11 +223,22 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=150", "mode=wighted"],
     ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=0"],
     ["divstat", "--form", "[1,0,1]", "--primes", "5,13", "--n", "0"],
+    ["verify-coloring", "1", "1", "2", "--coloring", "rado:9", "--bound", "200"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_coefficient_overflow_exit_3(capsys):
+    code, out, err = run_cli(
+        ["verify-coloring", "2305843009213693952", "1", "1", "--coloring", "two-adic",
+         "--bound", "10"],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert "overflows int64" in err
 
 
 def _readme_examples() -> list[list[str]]:

@@ -1,9 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpairs.arith import sieve_primes
+from qpairs.caps import CAPS
 from qpairs.errors import DomainError
 from qpairs.quadforms import (
     BinaryQuadraticForm,
@@ -114,6 +117,45 @@ def test_beyond_scan_cap_uses_lifting():
     # r = 5^9 > 10^6: multiplicative path, checked against the lift structure
     assert local_root_count(P11, 5**9) == 2
     assert local_root_count(P11, 3 * 5**9) == 0
+
+
+FORMS = st.one_of(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30))
+    .filter(any)
+    .map(lambda c: BinaryQuadraticForm(*c)),
+    # singular roots, which branch when lifted
+    st.sampled_from([(1, 0, 0), (4, 4, 1), (9, 0, 0), (0, 2, 0), (2, 0, 18), (25, 10, 1)])
+    .map(lambda c: BinaryQuadraticForm(*c)),
+)
+ROOT_ORACLE = settings(settings.get_profile("oracle"), max_examples=30)
+
+
+def _numpy_roots(form, r):
+    """Brute-force count over every residue (int64 is exact for |coeff| <= 30, r < 3e6)."""
+    x = np.arange(r, dtype=np.int64)
+    return int(np.count_nonzero((form.alpha * x * x + form.beta * x + form.gamma) % r == 0))
+
+
+@ROOT_ORACLE
+@given(FORMS, st.integers(1, 4096))
+def test_local_root_count_python_scan(form, r):
+    assert local_root_count(form, r) == scan_roots(form, r)
+
+
+@ROOT_ORACLE
+@given(FORMS, st.integers(4097, 20000))
+def test_local_root_count_numpy_scan(form, r):
+    assert local_root_count(form, r) == scan_roots(form, r)
+
+
+@ROOT_ORACLE
+@given(FORMS, st.one_of(
+    st.integers(CAPS.root_scan_limit + 1, 3 * 10**6),
+    st.sampled_from([2**21, 3**13, 5**9, 2 * 7**7, 2**8 * 3**5 * 5**2, 11**6]),
+))
+def test_local_root_count_lifting(form, r):
+    assert r > CAPS.root_scan_limit
+    assert local_root_count(form, r) == _numpy_roots(form, r)
 
 
 def test_hensel_examples():

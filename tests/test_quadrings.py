@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qpairs.errors import DomainError
 from qpairs.quadrings import (
@@ -159,6 +161,75 @@ def test_regularity_examples():
     assert not is_regular(stretched, 2, 30)
     with pytest.raises(DomainError):
         is_regular(r1.element(0, 0), 1, 10)
+
+
+def _is_regular_loop(z, c_bound, n_max):
+    """Reference: every point of the box, divided by z where z divides it."""
+    c_frac = Fraction(c_bound)
+    k = abs(z.norm())
+    num2, den2 = c_frac.numerator**2, c_frac.denominator**2
+    for m in range(-n_max, n_max + 1):
+        for n in range(-n_max, n_max + 1):
+            if m == 0 and n == 0:
+                continue
+            w = z.ring.element(m, n).divide_exact(z)
+            if w is None:
+                continue
+            box = max(abs(m), abs(n), 1)
+            coord = max(abs(w.m), abs(w.n))
+            if coord * coord * k * den2 > num2 * box * box:
+                return False
+    return True
+
+
+# imaginary, half-integer (d = 3 mod 4) and real rings
+RING_DS = (1, 2, 5, 6, 3, 7, 11, 15, -2, -6, -3, -5, -7, -13)
+
+C_BOUNDS = st.one_of(
+    st.integers(1, 6),
+    st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=12),
+    # the CLI passes --c-bound as a float: Fraction(2.1) has a 52-bit denominator
+    st.floats(min_value=0.1, max_value=8).map(Fraction),
+)
+
+
+@st.composite
+def associates(draw):
+    """z = m + n*tau, times u^t with |t| <= 4 in a real ring."""
+    d = draw(st.sampled_from(RING_DS))
+    m, n = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    assume((m, n) != (0, 0))
+    z = QuadraticRing(d).element(m, n)
+    if d < 0:
+        t = draw(st.integers(-4, 4))
+        u, _ = fundamental_unit(d)
+        step = u if t > 0 else unit_inverse(u)
+        for _ in range(abs(t)):
+            z = z * step
+    return z
+
+
+@settings(settings.get_profile("oracle"), max_examples=300)
+@given(associates(), C_BOUNDS, st.integers(0, 40))
+def test_is_regular_matches_full_box_scan(z, c_bound, n_max):
+    assert is_regular(z, c_bound, n_max) == _is_regular_loop(z, c_bound, n_max)
+
+
+def test_is_regular_python_int_path_matches_full_box_scan():
+    """Associates whose height passes 2**62 take the Python-int walk."""
+    outcomes = set()
+    for d in (-2, -3, -5):
+        ring = QuadraticRing(d)
+        u, _ = fundamental_unit(d)
+        z = ring.element(2, 1)
+        while max(abs(z.m), abs(z.n)) < 2**62:
+            z = z * u
+        for c_bound in (Fraction(2.1), Fraction(1, 3), 10**20, 10**30):
+            for n_max in (1, 2, 5):
+                got = is_regular(z, c_bound, n_max)
+                assert got == _is_regular_loop(z, c_bound, n_max), (d, c_bound, n_max)
+                outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_regular_associate():

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpairs.arith import jacobi, sieve_primes
-from qpairs.errors import DomainError
+from qpairs.errors import DomainError, ResourceError
 from qpairs.regularity import (
     Coloring,
     EquationTriple,
@@ -196,6 +198,63 @@ def test_enumeration_is_exhaustive_and_sound():
     assert sols == brute
 
 
+def _enumerate_full_square(t, bound):
+    """Reference: every (x, y) of the square, tested by integer square root."""
+    a, b, c = t.a, t.b, t.c
+    out = []
+    ys = np.arange(1, bound + 1, dtype=np.int64)
+    by2 = b * ys * ys
+    chunk = max(1, 10**6 // bound)
+    for x0 in range(1, bound + 1, chunk):
+        xs = np.arange(x0, min(x0 + chunk, bound + 1), dtype=np.int64)
+        s = (a * xs * xs)[:, None] + by2[None, :]
+        q, rem = np.divmod(s, c)
+        good = (rem == 0) & (q >= 1)
+        z = np.zeros_like(q)
+        if good.any():
+            z[good] = np.sqrt(q[good].astype(np.float64)).round().astype(np.int64)
+            good &= z * z == q
+        for i, j in zip(*np.nonzero(good)):
+            out.append((int(xs[i]), int(ys[j]), int(z[i, j])))
+    out.sort()
+    return out
+
+
+NONZERO = st.integers(-30, 30).filter(bool)
+
+
+@settings(settings.get_profile("oracle"), max_examples=400)
+@given(
+    NONZERO,
+    NONZERO,
+    st.one_of(
+        st.sampled_from([1, -1, 2, -2, 3, 5, 6, -6, 8, 30]),
+        st.integers(-200, 200).filter(bool),  # |c| > bound included
+    ),
+    st.integers(1, 60),
+)
+def test_enumeration_matches_full_square(a, b, c, bound):
+    t = EquationTriple(a, b, c)
+    assert enumerate_solutions(t, bound) == _enumerate_full_square(t, bound)
+
+
+def test_enumeration_divides_out_common_factor():
+    # a*x^2 wrapped in int64 before the common factor was divided out: 852, not 7,755
+    base = enumerate_solutions(EquationTriple(3, 5, 30), 10000)
+    assert len(base) == 7755
+    scale = 10**12
+    assert enumerate_solutions(EquationTriple(3 * scale, 5 * scale, 30 * scale), 10000) == base
+
+
+def test_enumeration_refuses_int64_overflow():
+    with pytest.raises(ResourceError):
+        enumerate_solutions(EquationTriple(2**61, 1, 1), 10)
+    with pytest.raises(ResourceError):
+        enumerate_solutions(EquationTriple(1, 2**40, 3), 2**11)
+    # a c beyond every value in reach divides none of them
+    assert enumerate_solutions(EquationTriple(1, 1, 10**20), 10) == []
+
+
 # --- colorings ------------------------------------------------------------------------
 
 def test_coloring_rules():
@@ -209,8 +268,9 @@ def test_coloring_rules():
     assert dy.color_count == 32
     assert coloring_from_name("rado:7") == rado7
     assert coloring_from_name("dyadic:6") == dy
-    with pytest.raises(DomainError):
-        Coloring("rado", 4)
+    for composite in (4, 9, 15, 21, 25):
+        with pytest.raises(DomainError):
+            Coloring("rado", composite)
 
 
 def test_coloring_vector_matches_scalar():

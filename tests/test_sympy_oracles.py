@@ -1,0 +1,66 @@
+"""sympy as an independent oracle for the number theory in arith and for the
+unit groups behind the Dirichlet characters; skipped when sympy is absent."""
+
+from itertools import product
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qpairs.arith import factorize, jacobi, sqrt_mod
+from qpairs.multfunc import _unit_group_generators, dirichlet_characters
+
+sympy = pytest.importorskip("sympy")
+
+ORACLE = settings(settings.get_profile("oracle"), max_examples=200)
+PRIMES = st.integers(3, 10**9).map(sympy.nextprime)
+
+
+@ORACLE
+@given(st.one_of(
+    st.integers(-(10**15), 10**15).filter(bool),
+    st.tuples(PRIMES, PRIMES).map(prod),  # semiprimes, past trial division
+))
+def test_factorize_matches_sympy(n):
+    assert factorize(n).factors == tuple(sorted(sympy.factorint(abs(n)).items()))
+
+
+@ORACLE
+@given(st.integers(-(10**12), 10**12), st.integers(0, 10**9).map(lambda k: 2 * k + 1))
+def test_jacobi_matches_sympy(a, n):
+    assert jacobi(a, n) == sympy.jacobi_symbol(a, n)
+
+
+@ORACLE
+@given(st.integers(0, 10**12), st.one_of(st.integers(3, 2000).map(sympy.nextprime), PRIMES))
+def test_sqrt_mod_matches_sympy(a, p):
+    roots = set(sympy.sqrt_mod(a, p, all_roots=True))
+    r = sqrt_mod(a, p)
+    if roots:
+        assert r in roots
+    else:
+        assert r is None
+
+
+def test_unit_group_generators_match_sympy():
+    for q in range(2, 400):
+        gens = _unit_group_generators(q)
+        phi = sympy.totient(q)
+        assert all(sympy.n_order(g, q) == order for g, order in gens), q
+        # the cyclic factors multiply out to the whole unit group
+        generated = {
+            prod(pow(g, e, q) for (g, _), e in zip(gens, exps)) % q
+            for exps in product(*(range(order) for _, order in gens))
+        }
+        assert len(generated) == prod(order for _, order in gens) == phi, q
+        (p, e), *rest = sympy.factorint(q).items()
+        if p > 2 and not rest:  # the smallest primitive root of an odd prime power
+            assert gens == [(sympy.primitive_root(q), phi)]
+
+
+def test_character_orders_match_unit_orders():
+    """The dual group is isomorphic to (Z/qZ)*, so the orders agree as multisets."""
+    for q in range(2, 130):
+        units = [u for u in range(1, q) if sympy.gcd(u, q) == 1]
+        expected = sorted(sympy.n_order(u, q) for u in units)
+        assert sorted(chi.order for chi in dirichlet_characters(q)) == expected, q
