@@ -9,7 +9,10 @@ the forms allow it, and that constant normalizes the correlation averages in
 
 Every grid average here (mean weights, weight stability, divisor
 frequencies) is a striped reduction through `_grid.striped_complex_mean`, so
-memory stays at one row stripe and results do not depend on the thread count.
+results do not depend on the thread count.  Each stripe is computed in
+cache-sized row tiles (`_grid.StripeTiles`) written into stripe buffers that
+each worker thread reuses, so memory stays at those buffers plus one tile's
+temporaries.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._grid import striped_complex_mean
+from ._grid import StripeTiles, striped_complex_mean
 from .arith import factorize, fsum_complex, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, ResourceError
@@ -44,30 +47,42 @@ class WeightSpec:
             raise DomainError("delta must lie in (0, 1/2)")
 
 
-def trapezoid_bump(phase: np.ndarray | float, delta: float):
+def trapezoid_bump(phase: np.ndarray | float, delta: float, out: Optional[np.ndarray] = None):
     """1 on |phase| <= delta/2, 0 beyond delta, linear between.
 
-    Phases are in full turns, already reduced to [-1/2, 1/2).
+    Phases are in full turns, already reduced to [-1/2, 1/2).  The result
+    is written to out when given, which may be phase itself.
     """
-    a = np.abs(phase)
-    return np.clip(2.0 - 2.0 * a / delta, 0.0, 1.0)
+    a = np.abs(phase, out=out)
+    a = np.multiply(2.0, a, out=out)
+    a = np.divide(a, delta, out=out)
+    a = np.subtract(2.0, a, out=out)
+    return np.clip(a, 0.0, 1.0, out=out)
 
 
-def _reduced_phase(p1, p2):
-    """(ln p1 - ln p2) / 2pi reduced to [-1/2, 1/2); inputs must be positive."""
-    phi = (np.log(p1) - np.log(p2)) / TWO_PI
-    return phi - np.floor(phi + 0.5)
+def _reduced_phase(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """(ln p1 - ln p2) / 2pi reduced to [-1/2, 1/2), computed in place in p1
+    with p2 as scratch; inputs must be positive and of one shape."""
+    phi = np.log(p1, out=p1)
+    phi -= np.log(p2, out=p2)
+    phi /= TWO_PI
+    shift = np.add(phi, 0.5, out=p2)
+    phi -= np.floor(shift, out=shift)
+    return phi
 
 
 def weight_grid(spec: WeightSpec, u, w) -> np.ndarray:
     """Vectorized weight at coordinate arrays (already shifted/scaled)."""
-    p1 = spec.form1.grid_values(u, w).astype(np.float64)
-    p2 = spec.form2.grid_values(u, w).astype(np.float64)
+    p1 = np.asarray(spec.form1.grid_values(u, w), dtype=np.float64)
+    p2 = np.asarray(spec.form2.grid_values(u, w), dtype=np.float64)
     pos = (p1 > 0) & (p2 > 0)
+    if pos.all():
+        phi = _reduced_phase(p1, p2)
+        return trapezoid_bump(phi, spec.delta, out=phi)
     out = np.zeros(np.broadcast(p1, p2).shape)
     if pos.any():
         phi = _reduced_phase(np.where(pos, p1, 1.0), np.where(pos, p2, 1.0))
-        out = np.where(pos, trapezoid_bump(phi, spec.delta), 0.0)
+        out = np.where(pos, trapezoid_bump(phi, spec.delta, out=phi), 0.0)
     return out
 
 
@@ -96,7 +111,7 @@ class MuEstimate:
         return abs(self.grid - self.riemann)
 
 
-def mu_estimate(spec: WeightSpec, n: int) -> MuEstimate:
+def mu_estimate(spec: WeightSpec, n: int, threads: int = 1) -> MuEstimate:
     """Mean weight over [n]^2, plus a midpoint Riemann sum of the
     scale-invariant integrand over the unit square at the same resolution."""
     if n < 100:
@@ -105,18 +120,21 @@ def mu_estimate(spec: WeightSpec, n: int) -> MuEstimate:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
     cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
     mids = (cols - 0.5) / n
+    tiles = StripeTiles(n, np.float64, np.float64)
 
     def block(ms: np.ndarray) -> tuple[float, float]:
-        grid = weight_grid(spec, ms[:, None], cols)
-        riemann = weight_grid(spec, ((ms - 0.5) / n)[:, None], mids)
+        parts, (grid, riemann) = tiles(ms)
+        for rows in parts:
+            grid[rows] = weight_grid(spec, ms[rows, None], cols)
+            riemann[rows] = weight_grid(spec, ((ms[rows] - 0.5) / n)[:, None], mids)
         return float(np.sum(grid)), float(np.sum(riemann))
 
-    grid, riemann = striped_complex_mean(block, n)
+    grid, riemann = striped_complex_mean(block, n, threads)
     return MuEstimate(grid=grid, riemann=riemann)
 
 
 def weight_stability(
-    spec: WeightSpec, a: int, b: int, q_max: int, n: int
+    spec: WeightSpec, a: int, b: int, q_max: int, n: int, threads: int = 1
 ) -> float:
     """Grid mean of max over Q <= q_max of |w(Qm+a, Qn+b) - w(m, n)|.
 
@@ -125,16 +143,21 @@ def weight_stability(
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
     cols = np.arange(1, n + 1, dtype=np.int64)
+    tiles = StripeTiles(n, np.float64)
 
     def block(ms: np.ndarray) -> tuple[float]:
-        base = weight_grid(spec, ms[:, None], cols[None, :])
-        worst = np.zeros_like(base)
-        for q in range(1, q_max + 1):
-            shifted = weight_grid(spec, (q * ms + a)[:, None], (q * cols + b)[None, :])
-            np.maximum(worst, np.abs(shifted - base), out=worst)
+        parts, (worst,) = tiles(ms)
+        for rows in parts:
+            tile = ms[rows]
+            base = weight_grid(spec, tile[:, None], cols[None, :])
+            out = worst[rows]
+            out.fill(0.0)
+            for q in range(1, q_max + 1):
+                shifted = weight_grid(spec, (q * tile + a)[:, None], (q * cols + b)[None, :])
+                np.maximum(out, np.abs(shifted - base), out=out)
         return (float(np.sum(worst)),)
 
-    return striped_complex_mean(block, n)[0]
+    return striped_complex_mean(block, n, threads)[0]
 
 
 # --------------------------------------------------------------------------
@@ -229,7 +252,7 @@ def folner_average(f: MultiplicativeFunction, k: int) -> complex:
 
 
 def _divisor_frequency(
-    form: BinaryQuadraticForm, q: int, a: int, b: int, n: int, hit
+    form: BinaryQuadraticForm, q: int, a: int, b: int, n: int, hit, threads: int = 1
 ) -> float:
     """Frequency over [n]^2 of hit(P(q*m+a, q*n+b)), where hit maps an int64
     array of form values to a boolean mask; with an overflow guard."""
@@ -238,15 +261,21 @@ def _divisor_frequency(
     if needs_bigint(form, q, a, b, n):
         raise ResourceError("form values would overflow the fast integer path")
     w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
+    tiles = StripeTiles(n)  # exact integer counts: no stripe buffer needed
 
     def block(ms: np.ndarray) -> tuple[int]:
-        return (int(np.count_nonzero(hit(form.grid_values((q * ms + a)[:, None], w)))),)
+        parts, _ = tiles(ms)
+        return (sum(
+            int(np.count_nonzero(hit(form.grid_values((q * ms[rows] + a)[:, None], w))))
+            for rows in parts
+        ),)
 
-    return striped_complex_mean(block, n)[0]
+    return striped_complex_mean(block, n, threads)[0]
 
 
 def divisor_stat_exact(
-    form: BinaryQuadraticForm, q: int, a: int, b: int, p: int, p2: int, n: int
+    form: BinaryQuadraticForm, q: int, a: int, b: int, p: int, p2: int, n: int,
+    threads: int = 1,
 ) -> float:
     """Frequency over [n]^2 of exact divisibility of P(q m + a, q n + b) by
     both p and p2 (a single condition when p == p2)."""
@@ -257,7 +286,7 @@ def divisor_stat_exact(
             mask &= (vals % prime == 0) & (vals % (prime * prime) != 0)
         return mask
 
-    return _divisor_frequency(form, q, a, b, n, hit)
+    return _divisor_frequency(form, q, a, b, n, hit, threads)
 
 
 def _prediction_factor(form: BinaryQuadraticForm, p: int) -> float:
@@ -288,7 +317,7 @@ def divisor_stat_predicted(
 
 
 def divisor_bound_probe(
-    form: BinaryQuadraticForm, q: int, a: int, b: int, l: int, n: int
+    form: BinaryQuadraticForm, q: int, a: int, b: int, l: int, n: int, threads: int = 1
 ) -> tuple[float, float]:
     """(exact frequency of l | P(q m + a, q n + b), reference Q^2 / l).
 
@@ -298,4 +327,4 @@ def divisor_bound_probe(
     omega_l = sum(e for _, e in factorize(l).factors)
     if omega_l > 2:
         raise DomainError("l must be a product of at most two primes")
-    return _divisor_frequency(form, q, a, b, n, lambda v: v % l == 0), q * q / l
+    return _divisor_frequency(form, q, a, b, n, lambda v: v % l == 0, threads), q * q / l

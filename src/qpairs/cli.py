@@ -386,7 +386,7 @@ def _ring(v, threads):
 
 @command("weights", Param("p1", FORM), Param("p2", FORM), Param("delta", FLOAT), Param("n", INT))
 def _weights(v, threads):
-    est = averaging.mu_estimate(averaging.WeightSpec(v.delta, v.p1, v.p2), v.n)
+    est = averaging.mu_estimate(averaging.WeightSpec(v.delta, v.p1, v.p2), v.n, threads)
     return [{
         "quantity": "weight_mean",
         "grid": est.grid, "riemann": est.riemann, "agreement": est.agreement,
@@ -398,7 +398,9 @@ def _weights(v, threads):
          Param("q", INT, "1"), Param("a", INT, "0"), Param("b", INT, "0"), Param("n", INT, "2000"))
 def _divstat(v, threads):
     if v.bound_l:
-        exact, reference = averaging.divisor_bound_probe(v.form, v.q, v.a, v.b, v.bound_l, v.n)
+        exact, reference = averaging.divisor_bound_probe(
+            v.form, v.q, v.a, v.b, v.bound_l, v.n, threads
+        )
         return [{
             "quantity": "divisor_bound_probe",
             "l": v.bound_l, "exact": exact, "reference": reference,
@@ -408,7 +410,7 @@ def _divstat(v, threads):
     rows = []
     for i, p in enumerate(v.primes):
         for p2 in v.primes[i:]:
-            exact = averaging.divisor_stat_exact(v.form, v.q, v.a, v.b, p, p2, v.n)
+            exact = averaging.divisor_stat_exact(v.form, v.q, v.a, v.b, p, p2, v.n, threads)
             try:
                 pred = averaging.divisor_stat_predicted(v.form, p, p2, v.q)
             except DomainError:

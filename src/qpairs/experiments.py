@@ -9,9 +9,13 @@ along a pair of forms.
 
 Every grid average runs through `_grid.striped_complex_mean`: disjoint row
 stripes with per-stripe sums merged by exactly rounded summation in stripe
-order, so results are independent of the thread count.  The one exception is
-the Turan-Kubilius accumulator, a dense n x n array filled by a root-class
-sieve that writes whole columns.
+order, so results are independent of the thread count.  A stripe is computed
+in cache-sized row tiles written into stripe buffers that each worker thread
+reuses (`_grid.StripeTiles`).  The weight grid depends only on (m, n), so
+the weighted averages over several moduli Q (the Folner probe) share one
+pass: each stripe's weights are computed once and reused for every Q.  The
+one exception is the Turan-Kubilius accumulator, a dense n x n array filled
+by a root-class sieve that writes whole columns.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._grid import striped_complex_mean
+from ._grid import StripeTiles, striped_complex_mean
 from .arith import fsum_complex, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, InvariantError, ResourceError
@@ -158,15 +162,11 @@ def concentration_setup(form, f, twist, q, a, b, c, k, n) -> ConcentrationSetup:
     return ConcentrationSetup(form, f, twist, _expand_q(q), a, b, c, k, n)
 
 
-def _row_coords(q: int, a: int, b: int, ms: np.ndarray, n: int, big: bool):
-    """(u column-vector for the stripe rows, w row-vector) in the right dtype."""
+def _lattice_coords(q: int, shift: int, xs: np.ndarray, big: bool) -> np.ndarray:
+    """q * xs + shift as int64, or as Python ints when the grid needs them."""
     if big:
-        u = np.array([q * int(m) + a for m in ms], dtype=object)[:, None]
-        w = np.array([q * j + b for j in range(1, n + 1)], dtype=object)[None, :]
-    else:
-        u = (q * ms + a).astype(np.int64)[:, None]
-        w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
-    return u, w
+        return np.array([q * int(x) + shift for x in xs], dtype=object)
+    return (q * xs + shift).astype(np.int64)
 
 
 def _prime_tables(
@@ -207,26 +207,33 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
     big = needs_bigint(form, q, a, b, n)
     if not big:
         _prime_tables([f], [form], q, a, b, n)
+    cols = np.arange(1, n + 1, dtype=np.int64)
+    w = _lattice_coords(q, b, cols, big)[None, :]
+    w0 = _lattice_coords(q, 0, cols, big)[None, :]
+    target0 = chi0 * g_val
+    tiles = StripeTiles(n, np.float64)
 
     def block(ms: np.ndarray) -> tuple[float]:
-        u, w = _row_coords(q, a, b, ms, n, big)
-        vals = form.grid_values(u, w)
-        if big:
-            flat = vals.reshape(-1)
-            if any(int(v) % c for v in flat):
-                raise InvariantError("c does not divide a lattice value")
-            vc = np.array([int(v) // c for v in flat], dtype=object).reshape(vals.shape)
-        else:
-            if np.any(vals % c):
-                raise InvariantError("c does not divide a lattice value")
-            vc = vals // c
-        fv = evaluate_many(f, vc)
-        target = chi0 * g_val
-        if twist.t != 0.0:
-            u0, w0 = _row_coords(q, 0, 0, ms, n, big)
-            base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
-            target = target * np.exp(1j * twist.t * np.log(base))
-        return (float(np.sum(np.abs(fv - target))),)
+        parts, (dev,) = tiles(ms)
+        for rows in parts:
+            vals = form.grid_values(_lattice_coords(q, a, ms[rows], big)[:, None], w)
+            if big:
+                flat = vals.reshape(-1)
+                if any(int(v) % c for v in flat):
+                    raise InvariantError("c does not divide a lattice value")
+                vc = np.array([int(v) // c for v in flat], dtype=object).reshape(vals.shape)
+            else:
+                if np.any(vals % c):
+                    raise InvariantError("c does not divide a lattice value")
+                vc = vals // c
+            fv = evaluate_many(f, vc)
+            target = target0
+            if twist.t != 0.0:
+                u0 = _lattice_coords(q, 0, ms[rows], big)[:, None]
+                base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
+                target = target * np.exp(1j * twist.t * np.log(base))
+            np.abs(fv - target, out=dev[rows])
+        return (float(np.sum(dev)),)
 
     return striped_complex_mean(block, n, threads)[0]
 
@@ -348,26 +355,59 @@ def weighted_pair_average(
     constant function averages to exactly 1; one striped pass computes each
     stripe's weights once and sums both the weights and the correlation.
     """
+    return _weighted_pair_averages(f, form1, form2, delta, [q], a, b, n, threads)[0]
+
+
+def _weighted_pair_averages(
+    f: MultiplicativeFunction,
+    form1: BinaryQuadraticForm,
+    form2: BinaryQuadraticForm,
+    delta: float,
+    qs: Sequence[int],
+    a: int,
+    b: int,
+    n: int,
+    threads: int,
+) -> list[complex]:
+    """weighted_pair_average for each modulus in qs, in one striped pass.
+
+    The weight does not depend on Q: each stripe fills its weight buffer
+    once, then one complex buffer with w * f(P1) * conj(f(P2)) for each Q in
+    turn, so memory does not grow with the number of moduli.
+    """
     if n > CAPS.grid_n:
         raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
     spec = WeightSpec(delta, form1, form2)
-    big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
-    if not big:
-        _prime_tables([f], [form1, form2], q, a, b, n)
+    bigs = []
+    for q in qs:
+        big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
+        if not big:
+            _prime_tables([f], [form1, form2], q, a, b, n)
+        bigs.append(big)
+    cols = np.arange(1, n + 1, dtype=np.int64)
+    lattices = [(q, big, _lattice_coords(q, b, cols, big)[None, :]) for q, big in zip(qs, bigs)]
+    tiles = StripeTiles(n, np.float64, np.complex128)
 
-    cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
+    def block(ms: np.ndarray) -> tuple:
+        parts, (wgt, prod) = tiles(ms)
+        for rows in parts:
+            wgt[rows] = weight_grid(spec, ms[rows, None], cols[None, :])
+        sums = [float(np.sum(wgt))]
+        for q, big, w in lattices:
+            for rows in parts:
+                u = _lattice_coords(q, a, ms[rows], big)[:, None]
+                f1 = evaluate_many(f, form1.grid_values(u, w))
+                f2 = evaluate_many(f, form2.grid_values(u, w))
+                out = prod[rows]
+                np.multiply(wgt[rows], f1, out=out)
+                out *= np.conj(f2, out=f2)
+            sums.append(complex(np.sum(prod)))
+        return tuple(sums)
 
-    def block(ms: np.ndarray) -> tuple[float, complex]:
-        wgt = weight_grid(spec, ms[:, None], cols)
-        u, w = _row_coords(q, a, b, ms, n, big)
-        f1 = evaluate_many(f, form1.grid_values(u, w))
-        f2 = evaluate_many(f, form2.grid_values(u, w))
-        return float(np.sum(wgt)), complex(np.sum(wgt * f1 * np.conj(f2)))
-
-    mu, total = striped_complex_mean(block, n, threads)
+    mu, *totals = striped_complex_mean(block, n, threads)
     if mu <= 0:
         raise DomainError("the weight vanishes on this grid; nothing to normalize")
-    return total / mu
+    return [total / mu for total in totals]
 
 
 def pair_correlation(
@@ -386,12 +426,17 @@ def pair_correlation(
     big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
     if not big:
         _prime_tables([f], [form1, form2], q, a, b, n)
+    w = _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
+    tiles = StripeTiles(n, np.complex128)
 
     def block(ms: np.ndarray) -> tuple[complex]:
-        u, w = _row_coords(q, a, b, ms, n, big)
-        f1 = evaluate_many(f, form1.grid_values(u, w))
-        f2 = evaluate_many(f, form2.grid_values(u, w))
-        return (complex(np.sum(f1 * np.conj(f2))),)
+        parts, (prod,) = tiles(ms)
+        for rows in parts:
+            u = _lattice_coords(q, a, ms[rows], big)[:, None]
+            f1 = evaluate_many(f, form1.grid_values(u, w))
+            f2 = evaluate_many(f, form2.grid_values(u, w))
+            np.multiply(f1, np.conj(f2, out=f2), out=prod[rows])
+        return (complex(np.sum(prod)),)
 
     return striped_complex_mean(block, n, threads)[0]
 
@@ -409,13 +454,9 @@ def nonnegativity_probe(
     correlation with the lattice Qm+1, Qn."""
     if k > 4:
         raise ResourceError("probe limited to K <= 4: Q already has hundreds of digits beyond")
-    values = []
-    for elem in folner_enumerate(k):
-        q = elem.integer_value()
-        values.append(
-            weighted_pair_average(f, form1, form2, delta, q, 1, 0, n, threads).real
-        )
-    return float(np.mean(values))
+    qs = [elem.integer_value() for elem in folner_enumerate(k)]
+    values = _weighted_pair_averages(f, form1, form2, delta, qs, 1, 0, n, threads)
+    return float(np.mean([value.real for value in values]))
 
 
 # --------------------------------------------------------------------------
@@ -468,14 +509,19 @@ def correlation_probe(
     big = needs_bigint(form, q, a, b, n)
     if not big:
         _prime_tables([fj for fj, _ in factors] + [g], [form], q, a, b, n)
+    w = _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
+    tiles = StripeTiles(n, np.complex128)
 
     def block(ms: np.ndarray) -> tuple[complex]:
-        u, w = _row_coords(q, a, b, ms, n, big)
-        vals = region.mask(u, w).astype(np.complex128)
-        for fj, lj in factors:
-            vals = vals * evaluate_many(fj, lj.grid_values(u, w))
-        vals = vals * evaluate_many(g, form.grid_values(u, w))
-        return (complex(np.sum(vals)),)
+        parts, (prod,) = tiles(ms)
+        for rows in parts:
+            u = _lattice_coords(q, a, ms[rows], big)[:, None]
+            vals = prod[rows]
+            vals[...] = region.mask(u, w)
+            for fj, lj in factors:
+                vals *= evaluate_many(fj, lj.grid_values(u, w))
+            vals *= evaluate_many(g, form.grid_values(u, w))
+        return (complex(np.sum(prod)),)
 
     return striped_complex_mean(block, n, threads)[0]
 

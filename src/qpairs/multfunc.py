@@ -323,6 +323,23 @@ def _strip_valuations(values: np.ndarray, p: int, val: complex) -> tuple[np.ndar
     return w, corr
 
 
+def _unit_power(flat: np.ndarray, t: float) -> np.ndarray:
+    """|x|^{it} over a flat array of absolute values, 1 at zero.
+
+    cos and sin of theta = t ln x, written into the real and imaginary parts.
+    With glibc's libm these are the bits of exp(1j * t * ln x), whose
+    argument has imaginary part exactly theta; tests compare the two.
+    """
+    theta = flat.astype(np.float64)
+    theta[flat == 0] = 1.0
+    np.log(theta, out=theta)
+    theta *= t
+    out = np.empty(flat.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     """Vectorized f over an integer array (any sign; zeros map to 0).
 
@@ -341,10 +358,9 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     elif hint.kind == "liouville":
         vmax = int(flat.max()) if flat.size else 0
         table = _liouville_sieve(max(2, vmax))
-        out = table[flat.astype(np.int64)].astype(np.complex128)
+        out = table[flat.astype(np.int64, copy=False)].astype(np.complex128)
     elif hint.kind == "arch":
-        safe = np.where(flat == 0, 1, flat).astype(np.float64)
-        out = np.exp(1j * hint.t * np.log(safe))
+        out = _unit_power(flat, hint.t)
     elif hint.kind in ("periodic", "support"):
         # zeros would never leave the stripping loop; they are masked to 0 below
         safe_flat = np.where(flat == 0, 1, flat)
@@ -358,14 +374,14 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
             res = (w % chi.q).astype(np.int64)
             out = chi.value_array()[res] * corr
             if hint.t != 0.0:
-                safe = np.where(flat == 0, 1, flat).astype(np.float64)
-                out = out * np.exp(1j * hint.t * np.log(safe))
+                out = out * _unit_power(flat, hint.t)
         else:
             out = corr
     else:  # pragma: no cover
         raise DomainError(f"unknown evaluation hint {hint.kind}")
     out = out.reshape(absv.shape)
-    return np.where(absv == 0, 0j, out)
+    out[absv == 0] = 0j
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,8 @@ class QuadraticRing:
     def __post_init__(self):
         if self.d == 0:
             raise DomainError("d must be nonzero")
+        if self.d == -1:
+            raise DomainError("d = -1 gives Q(sqrt(1)), which is not a quadratic field")
         for _, e in factorize(self.d).factors:
             if e > 1:
                 raise DomainError(f"d = {self.d} is not squarefree")

@@ -224,6 +224,9 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=0"],
     ["divstat", "--form", "[1,0,1]", "--primes", "5,13", "--n", "0"],
     ["verify-coloring", "1", "1", "2", "--coloring", "rado:9", "--bound", "200"],
+    ["ring", "norm", "--d", "-1", "--element", "1-1*tau"],
+    ["ring", "unit", "--d", "-1"],
+    ["ring", "count-ideals", "--d", "-1", "--k", "6"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

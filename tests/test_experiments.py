@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpairs.arith import sieve_primes
+from qpairs.averaging import WeightSpec, divisor_stat_exact, mu_estimate, weight_stability
 from qpairs.errors import DomainError, ResourceError
 from qpairs.experiments import (
     FULL_QUADRANT,
@@ -251,16 +252,22 @@ def test_pair_correlation_unweighted():
 
 
 def test_thread_determinism():
-    """Every striped experiment prints the same bytes on 1, 2 and 4 threads
+    """Every striped grid average prints the same bytes on 1, 2 and 4 threads
     (n = 300 gives three stripes)."""
     chi = dirichlet_characters(4)[1]
     setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, 3, 300)
     region = RegionSpec(((1, -1),))
+    spec = WeightSpec(0.3, P12, PMN)
     runs = {
+        "mu_estimate": lambda t: mu_estimate(spec, 300, threads=t),
+        "weight_stability": lambda t: weight_stability(spec, 1, 0, 5, 300, threads=t),
+        "divisor_stat_exact": lambda t: divisor_stat_exact(P11, 3, 1, 2, 5, 13, 300, threads=t),
         "weighted_pair_average": lambda t: weighted_pair_average(
             liouville(), P12, PMN, 0.3, 1, 1, 0, 300, threads=t),
         "nonnegativity_probe": lambda t: nonnegativity_probe(
             archimedean(2.0), P12, PMN, 0.2, 2, 300, threads=t),
+        "nonnegativity_probe k=3": lambda t: nonnegativity_probe(
+            archimedean(2.0), P12, PMN, 0.2, 3, 300, threads=t),
         "pair_correlation": lambda t: pair_correlation(
             liouville(), P11, P12, 1, 1, 0, 300, threads=t),
         "correlation_probe": lambda t: correlation_probe(

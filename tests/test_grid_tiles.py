@@ -1,0 +1,319 @@
+"""Tiled stripe blocks against the whole-stripe blocks they replaced.
+
+The oracles below are the stripe blocks as they were before tiling: each
+builds the temporaries of its whole (rows, n) stripe at once and sums them,
+and the Folner probe makes one weighted pass per modulus.  The tiled blocks
+must reproduce them bit for bit, at grid sizes that give partial last tiles
+and stripes, and with a small tile size that puts many tile boundaries in
+every stripe.  Also here: the big-integer grid path against the int64 path,
+and the cos/sin evaluation of n^{it} against the complex exponential.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from qpairs import _grid, experiments
+from qpairs._grid import striped_complex_mean
+from qpairs.errors import DomainError
+from qpairs.averaging import (
+    MuEstimate,
+    WeightSpec,
+    divisor_bound_probe,
+    divisor_stat_exact,
+    folner_enumerate,
+    mu_estimate,
+    trapezoid_bump,
+    weight_stability,
+)
+from qpairs.experiments import (
+    RegionSpec,
+    concentration_lhs,
+    concentration_setup,
+    correlation_probe,
+    nonnegativity_probe,
+    pair_correlation,
+    weighted_pair_average,
+)
+from qpairs.multfunc import (
+    TwistData,
+    archimedean,
+    character_function,
+    dirichlet_characters,
+    evaluate_many,
+    liouville,
+    twisted,
+)
+from qpairs.quadforms import BinaryQuadraticForm, LinearForm
+
+P11 = BinaryQuadraticForm(1, 0, 1)
+P12 = BinaryQuadraticForm(1, 0, 2)
+PMN = BinaryQuadraticForm(0, 2, 0)
+# a second pair whose weight vanishes on part of every stripe
+MIXED = (BinaryQuadraticForm(1, 0, -2), BinaryQuadraticForm(0, 1, 0))
+REGION = RegionSpec(((1, -1),))
+TWO_PI = 2.0 * math.pi
+
+
+# --- whole-stripe oracles -------------------------------------------------------
+
+def _weight_grid(spec, u, w):
+    p1 = spec.form1.grid_values(u, w).astype(np.float64)
+    p2 = spec.form2.grid_values(u, w).astype(np.float64)
+    pos = (p1 > 0) & (p2 > 0)
+    out = np.zeros(np.broadcast(p1, p2).shape)
+    if pos.any():
+        phi = (np.log(np.where(pos, p1, 1.0)) - np.log(np.where(pos, p2, 1.0))) / TWO_PI
+        phi = phi - np.floor(phi + 0.5)
+        out = np.where(pos, trapezoid_bump(phi, spec.delta), 0.0)
+    return out
+
+
+def _row_coords(q, a, b, ms, n, big):
+    if big:
+        u = np.array([q * int(m) + a for m in ms], dtype=object)[:, None]
+        w = np.array([q * j + b for j in range(1, n + 1)], dtype=object)[None, :]
+    else:
+        u = (q * ms + a).astype(np.int64)[:, None]
+        w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
+    return u, w
+
+
+def mu_whole(spec, n):
+    cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
+    mids = (cols - 0.5) / n
+
+    def block(ms):
+        grid = _weight_grid(spec, ms[:, None], cols)
+        riemann = _weight_grid(spec, ((ms - 0.5) / n)[:, None], mids)
+        return float(np.sum(grid)), float(np.sum(riemann))
+
+    return MuEstimate(*striped_complex_mean(block, n))
+
+
+def stability_whole(spec, a, b, q_max, n):
+    cols = np.arange(1, n + 1, dtype=np.int64)
+
+    def block(ms):
+        base = _weight_grid(spec, ms[:, None], cols[None, :])
+        worst = np.zeros_like(base)
+        for q in range(1, q_max + 1):
+            shifted = _weight_grid(spec, (q * ms + a)[:, None], (q * cols + b)[None, :])
+            np.maximum(worst, np.abs(shifted - base), out=worst)
+        return (float(np.sum(worst)),)
+
+    return striped_complex_mean(block, n)[0]
+
+
+def divisor_whole(form, q, a, b, n, hit):
+    w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
+
+    def block(ms):
+        return (int(np.count_nonzero(hit(form.grid_values((q * ms + a)[:, None], w)))),)
+
+    return striped_complex_mean(block, n)[0]
+
+
+def exact_hit(p, p2):
+    def hit(vals):
+        mask = np.ones(vals.shape, dtype=bool)
+        for prime in {p, p2}:
+            mask &= (vals % prime == 0) & (vals % (prime * prime) != 0)
+        return mask
+
+    return hit
+
+
+def concentration_whole(setup):
+    form, f, twist, q, a, b, c, k, n = (
+        setup.form, setup.f, setup.twist, setup.q, setup.a, setup.b, setup.c, setup.k, setup.n
+    )
+    g_val = cmath.exp(experiments.concentration_exponent_form(form, f, twist, k, n))
+    chi0 = twist.chi(form.value(a, b) // c)
+
+    def block(ms):
+        u, w = _row_coords(q, a, b, ms, n, False)
+        vc = form.grid_values(u, w) // c
+        fv = evaluate_many(f, vc)
+        target = chi0 * g_val
+        if twist.t != 0.0:
+            u0, w0 = _row_coords(q, 0, 0, ms, n, False)
+            base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
+            target = target * np.exp(1j * twist.t * np.log(base))
+        return (float(np.sum(np.abs(fv - target))),)
+
+    return striped_complex_mean(block, n)[0]
+
+
+def weighted_whole(f, form1, form2, delta, q, a, b, n):
+    spec = WeightSpec(delta, form1, form2)
+    cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
+
+    def block(ms):
+        wgt = _weight_grid(spec, ms[:, None], cols)
+        u, w = _row_coords(q, a, b, ms, n, False)
+        f1 = evaluate_many(f, form1.grid_values(u, w))
+        f2 = evaluate_many(f, form2.grid_values(u, w))
+        return float(np.sum(wgt)), complex(np.sum(wgt * f1 * np.conj(f2)))
+
+    mu, total = striped_complex_mean(block, n)
+    if mu <= 0:
+        raise DomainError("the weight vanishes on this grid; nothing to normalize")
+    return total / mu
+
+
+def probe_whole(f, form1, form2, delta, k, n):
+    values = [
+        weighted_whole(f, form1, form2, delta, e.integer_value(), 1, 0, n).real
+        for e in folner_enumerate(k)
+    ]
+    return float(np.mean(values))
+
+
+def pair_whole(f, form1, form2, q, a, b, n):
+    def block(ms):
+        u, w = _row_coords(q, a, b, ms, n, False)
+        f1 = evaluate_many(f, form1.grid_values(u, w))
+        f2 = evaluate_many(f, form2.grid_values(u, w))
+        return (complex(np.sum(f1 * np.conj(f2))),)
+
+    return striped_complex_mean(block, n)[0]
+
+
+def correlation_whole(factors, g, form, region, q, a, b, n):
+    def block(ms):
+        u, w = _row_coords(q, a, b, ms, n, False)
+        vals = region.mask(u, w).astype(np.complex128)
+        for fj, lj in factors:
+            vals = vals * evaluate_many(fj, lj.grid_values(u, w))
+        vals = vals * evaluate_many(g, form.grid_values(u, w))
+        return (complex(np.sum(vals)),)
+
+    return striped_complex_mean(block, n)[0]
+
+
+def _outcome(fn):
+    """repr of the result, or the error's type and message."""
+    try:
+        return repr(fn())
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _weighted_pairs(label, forms, n):
+    """The averages built on the weight, for one pair of forms."""
+    spec = WeightSpec(0.3, *forms)
+    out = []
+    if n >= 100:
+        out.append((label + "mu_estimate", lambda: mu_estimate(spec, n), lambda: mu_whole(spec, n)))
+    out += [
+        (label + "weight_stability", lambda: weight_stability(spec, 1, 2, 5, n),
+         lambda: stability_whole(spec, 1, 2, 5, n)),
+        (label + "weighted_pair_average liouville",
+         lambda: weighted_pair_average(liouville(), *forms, 0.3, 3, 2, 1, n),
+         lambda: weighted_whole(liouville(), *forms, 0.3, 3, 2, 1, n)),
+        (label + "weighted_pair_average arch",
+         lambda: weighted_pair_average(archimedean(1.5), *forms, 0.3, 7, 3, 2, n),
+         lambda: weighted_whole(archimedean(1.5), *forms, 0.3, 7, 3, 2, n)),
+        (label + "nonnegativity_probe k=2",
+         lambda: nonnegativity_probe(archimedean(2.0), *forms, 0.2, 2, n),
+         lambda: probe_whole(archimedean(2.0), *forms, 0.2, 2, n)),
+    ]
+    return out
+
+
+def _pairs(n):
+    """(name, tiled run, whole-stripe oracle) for every tiled grid average."""
+    chi = dirichlet_characters(4)[1]
+    setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, min(3, n - 1), n)
+    factors = [(liouville(), LinearForm(1, 0)), (archimedean(1.0), LinearForm(1, 1))]
+    out = []
+    for label, forms in (("", (P12, PMN)), ("mixed ", MIXED)):
+        out += _weighted_pairs(label, forms, n)
+    out += [
+        ("nonnegativity_probe k=3",
+         lambda: nonnegativity_probe(twisted(chi, 0.5), P12, PMN, 0.2, 3, n),
+         lambda: probe_whole(twisted(chi, 0.5), P12, PMN, 0.2, 3, n)),
+        ("divisor_stat_exact", lambda: divisor_stat_exact(P11, 3, 1, 2, 5, 13, n),
+         lambda: divisor_whole(P11, 3, 1, 2, n, exact_hit(5, 13))),
+        ("divisor_bound_probe", lambda: divisor_bound_probe(P11, 1, 0, 0, 65, n)[0],
+         lambda: divisor_whole(P11, 1, 0, 0, n, lambda v: v % 65 == 0)),
+        ("concentration_lhs", lambda: concentration_lhs(setup), lambda: concentration_whole(setup)),
+        ("pair_correlation", lambda: pair_correlation(liouville(), P11, P12, 3, 2, 1, n),
+         lambda: pair_whole(liouville(), P11, P12, 3, 2, 1, n)),
+        ("correlation_probe", lambda: correlation_probe(factors, liouville(), P11, REGION, 1, 1, 2, n),
+         lambda: correlation_whole(factors, liouville(), P11, REGION, 1, 1, 2, n)),
+    ]
+    return out
+
+
+@pytest.mark.parametrize("tile_points", [None, 1000])
+@pytest.mark.parametrize("n", [1, 7, 129, 300, 513])
+def test_tiles_match_whole_stripes(n, tile_points, monkeypatch):
+    """== against the whole-stripe oracles.  The default tile gives 127 + 1
+    rows per stripe at n = 513; 1000 points give 1 to 142 rows per tile."""
+    if tile_points is not None:
+        monkeypatch.setattr(_grid, "_TILE_POINTS", tile_points)
+    for name, tiled, whole in _pairs(n):
+        assert _outcome(tiled) == _outcome(whole), name
+
+
+def test_weights_readme_golden():
+    """The digits README's `weights ... --n 1500` has printed since the
+    striped reducer landed."""
+    est = mu_estimate(WeightSpec(0.3, P12, PMN), 1500)
+    assert (repr(est.grid), repr(est.riemann)) == ("0.808394813688819", "0.8083321798004348")
+
+
+# --- big-integer grid path --------------------------------------------------------
+
+def test_object_path_matches_int64(monkeypatch):
+    """Below 2^62 the big-integer coordinates must give the int64 results."""
+    n = 200
+    chi = dirichlet_characters(4)[1]
+    setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, 3, n)
+    factors = [(liouville(), LinearForm(1, 0)), (archimedean(1.0), LinearForm(1, 1))]
+    runs = {
+        "weighted liouville": lambda: weighted_pair_average(liouville(), P12, PMN, 0.3, 3, 2, 1, n),
+        "weighted arch": lambda: weighted_pair_average(archimedean(1.5), P12, PMN, 0.3, 7, 3, 2, n),
+        "pair_correlation": lambda: pair_correlation(liouville(), P11, P12, 3, 2, 1, n),
+        "correlation_probe": lambda: correlation_probe(
+            factors, liouville(), P11, REGION, 5, 1, 2, n),
+        "concentration_lhs": lambda: concentration_lhs(setup),
+    }
+    fast = {name: repr(run()) for name, run in runs.items()}
+    monkeypatch.setattr(experiments, "needs_bigint", lambda *args: True)
+    for name, run in runs.items():
+        assert repr(run()) == fast[name], name
+
+
+# --- n^{it} -----------------------------------------------------------------------
+
+def _exp_power(values, t):
+    absv = np.abs(values).reshape(-1)
+    safe = np.where(absv == 0, 1, absv).astype(np.float64)
+    return np.exp(1j * t * np.log(safe)).reshape(np.shape(values))
+
+
+def test_unit_power_matches_complex_exp():
+    """cos/sin of t ln|x| carry the bits of exp(1j t ln|x|), signed zeros
+    included, for arch and for twisted characters, on int64 and on Python
+    ints.  The identity rests on the platform's libm, so it is checked."""
+    rng = np.random.default_rng(7)
+    ints = np.concatenate([
+        np.arange(-3000, 3000, dtype=np.int64).reshape(60, 100).ravel(),
+        rng.integers(1, 2**62, 20000, dtype=np.int64),
+    ]).reshape(-1, 100)
+    big = np.array([3**k + j for k in range(40, 60) for j in range(5)], dtype=object)
+    chi = dirichlet_characters(5)[1]
+    for values in (ints, big):
+        zero = np.abs(values) == 0
+        for t in (2.0, 1.5, -1.5, 0.7, 0.0, -3.25, 1e-3):
+            want = np.where(zero, 0j, _exp_power(values, t))
+            got = evaluate_many(archimedean(t), values)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
+            want = np.where(zero, 0j, evaluate_many(character_function(chi), values) * _exp_power(values, t))
+            got = evaluate_many(twisted(chi, t), values)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), t
