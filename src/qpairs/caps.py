@@ -12,9 +12,10 @@ from dataclasses import dataclass
 class Caps:
     sieve_limit: int = 10**8          # largest prime-sieve table
     # Largest completely-multiplicative value table.  The Liouville table costs
-    # 1 B per entry (about 0.4 GB here), built in segments of 2**20 entries;
-    # growing it briefly holds the old table too.  4e8 covers grid_n for the
-    # README forms: shifted_value_bound([1,0,2], 1, 0, 0, 10**4) is 3e8.
+    # 1 B per entry (about 0.4 GB here), built in segments of 2**20 entries
+    # whose working arrays take 3 MB; growing it briefly holds the old table
+    # too.  4e8 covers grid_n for the README forms:
+    # shifted_value_bound([1,0,2], 1, 0, 0, 10**4) is 3e8.
     value_sieve_limit: int = 4 * 10**8
     dirichlet_modulus: int = 10**4
     root_scan_limit: int = 10**6      # exhaustive residue scans mod r

@@ -608,8 +608,9 @@ def level_set_search(
         return None
     arr = np.array([(v1, v2) for _, _, v1, v2 in pairs], dtype=np.int64)
     for k in range(1, k_max + 1):
-        z1 = evaluate_many(spec.f, k * arr[:, 0])
-        z2 = evaluate_many(spec.f, k * arr[:, 1])
+        # as complex128: numpy takes the phase of int8 values in float16
+        z1 = evaluate_many(spec.f, k * arr[:, 0]).astype(np.complex128, copy=False)
+        z2 = evaluate_many(spec.f, k * arr[:, 1]).astype(np.complex128, copy=False)
         ok = (
             (np.abs(z1) >= 1e-12)
             & (np.abs(z2) >= 1e-12)

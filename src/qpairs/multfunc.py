@@ -10,8 +10,9 @@ Evaluation hints: grid experiments need f at millions of form values, where
 per-value factorization is hopeless.  Each built-in carries a structural hint
 (constant one / Liouville sign sieve / periodic character times n^{it} with
 finitely many prime overrides / finite prime support / pure Archimedean) that
-`evaluate_many` dispatches on.  Hints are an optimization only; the scalar
-path never consults them.
+`evaluate_many` dispatches on.  It returns the Liouville function as int8
+(the cached table's entries) and every other function as complex128.  Hints
+are an optimization only; the scalar path never consults them.
 """
 
 from __future__ import annotations
@@ -240,39 +241,96 @@ def evaluate_on_exponents(f: MultiplicativeFunction, exponents: Mapping[int, int
 
 # --- bulk evaluation --------------------------------------------------------
 
-# Entries per segment of the Liouville sieve: a segment's int64 product array
-# (8 MB) stays close to the L2 cache, and each prime power costs one slice
-# update per segment.
+# Entries per segment of the Liouville sieve: a segment's int16 accumulator
+# (2 MB) and its bool mask stay near the L2 cache, and each prime power costs
+# one slice update per segment.
 _LIOUVILLE_SEGMENT = 1 << 20
+
+# Scale S of the rounded base-2 logarithms that the sieve sums.
+_LOG_SCALE = 256
+
+# The wheel 2**4 * 3**2 * 5 * 7 * 11: every segment starts from the periodic
+# sums of these prime powers' terms, and the sieve adds only the rest.
+_WHEEL_POWERS = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1}
+_WHEEL = math.prod(p**e for p, e in _WHEEL_POWERS.items())  # 55,440
+_wheel: np.ndarray | None = None  # two periods as int16, built by the first sieve
 
 _liouville_table: np.ndarray | None = None
 _liouville_lock = threading.Lock()
 
 
-def _liouville_segments(table: np.ndarray, lo: int, primes: Sequence[int]) -> None:
-    """Write lambda(n) into table[n] for lo <= n < len(table), segment by segment.
+def _log_term(p: int) -> int:
+    """2*round(S*log2 p) + 1: added once for each power of p dividing n."""
+    return 2 * round(_LOG_SCALE * math.log2(p)) + 1
 
-    primes must hold every prime <= sqrt(len(table) - 1).  Each prime power
-    p**e dividing a value multiplies its product by -p, so the product is
-    the value's part over those primes, signed by the parity of its prime
-    factors.  Where that part falls short of the value, the one prime factor
-    above sqrt(limit) that remains flips the sign.
+
+def _wheel_pattern() -> np.ndarray:
+    """The wheel's sums over two periods, so that one period from any
+    offset is one slice."""
+    global _wheel
+    if _wheel is None:
+        pattern = np.zeros(2 * _WHEEL, dtype=np.int16)
+        for p, e in _WHEEL_POWERS.items():
+            for k in range(1, e + 1):
+                pattern[:: p**k] += _log_term(p)
+        _wheel = pattern
+    return _wheel
+
+
+def _liouville_segments(out: np.ndarray, start: int, primes: Sequence[int]) -> None:
+    """Write lambda(n) into out[n - start] for start <= n < start + len(out),
+    with 0 at n = 0, in segments aligned to multiples of _LIOUVILLE_SEGMENT.
+
+    primes must hold every prime <= isqrt(start + len(out) - 1), ascending,
+    and start + len(out) must not exceed 2**63.  In a segment [lo, hi), each
+    power p**e < hi of a prime p <= isqrt(hi - 1) adds _log_term(p) to the
+    int16 accumulator of its multiples; the wheel's powers come prefilled.
+    A sum is 2*A + Omega over the sieved prime factors of n, with A within
+    Omega/2 of S*log2 of their product m, so its low bit is their parity.
+
+    What the sieve leaves of n is 1 or one prime P > isqrt(hi - 1) >= sqrt(n),
+    so m = n or m < sqrt(n).  For n in [2**k, 2**(k+1)), m = n puts half the
+    sum at S*k - k/2 or above, and m < sqrt(n) puts it below
+    (S + 1)*(k + 1)/2, as Omega(m) <= log2 m.  The threshold (S - 1)*k lies
+    in that gap for k >= 2; for n < 4 half the sum is 0 if m = 1 and at
+    least S otherwise, against a threshold of 0 or S - 1.  So one more prime
+    factor is counted exactly where half the sum is below the threshold.  No
+    sum exceeds 2*S*log2 n + 2*Omega(n) <= 2*256*63 + 126 < 2**15.
     """
-    hi = len(table)
-    for start in range(lo, hi, _LIOUVILLE_SEGMENT):
-        stop = min(start + _LIOUVILLE_SEGMENT, hi)
-        prod = np.ones(stop - start, dtype=np.int64)
-        for p in primes:
-            pe = p
-            while pe < stop:
-                prod[-start % pe :: pe] *= -p
+    wheel = _wheel_pattern()
+    terms = [_log_term(p) for p in primes]
+    size = min(len(out), _LIOUVILLE_SEGMENT)
+    acc = np.empty(size, dtype=np.int16)
+    flips = np.empty(size, dtype=bool)
+    end = start + len(out)
+    lo = start
+    while lo < end:
+        hi = min(end, lo - lo % _LIOUVILLE_SEGMENT + _LIOUVILLE_SEGMENT)
+        seg, flip = acc[: hi - lo], flips[: hi - lo]
+        offset = lo % _WHEEL
+        for i in range(0, hi - lo, _WHEEL):
+            chunk = seg[i : i + _WHEEL]
+            chunk[...] = wheel[offset : offset + len(chunk)]
+        for i in range(bisect.bisect_right(primes, math.isqrt(hi - 1))):
+            p, d = primes[i], terms[i]
+            pe = p ** (_WHEEL_POWERS.get(p, 0) + 1)
+            while pe < hi:
+                seg[-lo % pe :: pe] += d
                 pe *= p
-        flip = prod < 0
-        np.abs(prod, out=prod)
-        flip ^= prod < np.arange(start, stop, dtype=np.int64)
-        out = table[start:stop]
-        np.multiply(flip.view(np.int8), -2, out=out)
-        out += 1
+        n = lo
+        while n < hi:
+            k = max(n, 1).bit_length() - 1
+            top = min(hi, 2 << k)
+            np.less(seg[n - lo : top - lo], 2 * (_LOG_SCALE - 1) * k, out=flip[n - lo : top - lo])
+            n = top
+        seg += flip
+        seg &= 1
+        lam = out[lo - start : hi - start]
+        np.multiply(seg, -2, out=lam, casting="unsafe")
+        lam += 1
+        lo = hi
+    if start == 0 and len(out):
+        out[0] = 0
 
 
 def _liouville_sieve(limit: int) -> np.ndarray:
@@ -299,8 +357,7 @@ def _liouville_sieve(limit: int) -> np.ndarray:
         table = np.empty(limit + 1, dtype=np.int8)
         if old is not None:
             table[:done] = old
-        _liouville_segments(table, done, sieve_primes(max(2, math.isqrt(limit))))
-        table[0] = 0  # every prime power divides 0, so the sieve's entry there is noise
+        _liouville_segments(table[done:], done, sieve_primes(max(2, math.isqrt(limit))))
         _liouville_table = table
     return table
 
@@ -343,22 +400,23 @@ def _unit_power(flat: np.ndarray, t: float) -> np.ndarray:
 def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     """Vectorized f over an integer array (any sign; zeros map to 0).
 
-    Uses the structural hint when present; otherwise falls back to per-value
-    factorization, which is only viable for small batches.
+    Liouville values come back as int8 (the table's own entries, 0 at 0),
+    every other function's as complex128.  Uses the structural hint when
+    present; otherwise falls back to per-value factorization, which is only
+    viable for small batches.
     """
     values = np.asarray(values)
     absv = np.abs(values)
     hint = f.hint
     if hint is None:
         return np.array([evaluate(f, int(v)) for v in values], dtype=np.complex128)
+    if hint.kind == "liouville":
+        vmax = int(absv.max()) if absv.size else 0
+        return _liouville_sieve(max(2, vmax))[absv.astype(np.int64, copy=False)]
 
     flat = absv.reshape(-1)
     if hint.kind == "one":
         out = np.ones(flat.shape, dtype=np.complex128)
-    elif hint.kind == "liouville":
-        vmax = int(flat.max()) if flat.size else 0
-        table = _liouville_sieve(max(2, vmax))
-        out = table[flat.astype(np.int64, copy=False)].astype(np.complex128)
     elif hint.kind == "arch":
         out = _unit_power(flat, hint.t)
     elif hint.kind in ("periodic", "support"):

@@ -70,8 +70,25 @@ class BinaryQuadraticForm:
         return self.alpha * m * m + self.beta * m * n + self.gamma * n * n
 
     def grid_values(self, u, w):
-        """Vectorized evaluation on coordinate arrays (numpy or python ints)."""
-        return self.alpha * u * u + self.beta * u * w + self.gamma * w * w
+        """Vectorized evaluation on coordinate arrays (numpy or python ints).
+
+        Terms with a zero coefficient are skipped.  The result is still a new
+        value of the broadcast shape and dtype of u and w, equal to
+        alpha*u*u + beta*u*w + gamma*w*w.
+        """
+        import numpy as np
+
+        out = None
+        for c, x, y in ((self.alpha, u, u), (self.beta, u, w), (self.gamma, w, w)):
+            if c:
+                term = c * x * y
+                out = term if out is None else out + term
+        shape = np.broadcast_shapes(np.shape(u), np.shape(w))
+        if np.shape(out) != shape or (
+            isinstance(out, np.ndarray) and out.dtype != np.result_type(u, w)
+        ):
+            out = np.broadcast_to(out, shape).astype(np.result_type(u, w))
+        return out
 
     def __str__(self) -> str:
         return f"[{self.alpha},{self.beta},{self.gamma}]"

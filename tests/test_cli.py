@@ -40,6 +40,21 @@ def test_malformed_input_exit_2():
     assert proc.returncode == 2
 
 
+def test_help_builds_no_liouville_table():
+    """A cold `ldelta --help` builds neither the sieve's wheel nor the
+    Liouville table: a start pays for no sieve."""
+    code = (
+        "from qpairs import multfunc\n"
+        "from qpairs.cli import main\n"
+        "try:\n    main(['ldelta', '--help'])\nexcept SystemExit:\n    pass\n"
+        "print(multfunc._wheel is None, multfunc._liouville_table is None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "True True"
+
+
 def test_folner_closed_form(capsys):
     code, out, _ = run_cli(["folner", "--k", "3", "--f", "liouville"], capsys)
     assert code == 0

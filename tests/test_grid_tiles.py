@@ -29,10 +29,12 @@ from qpairs.averaging import (
     weight_stability,
 )
 from qpairs.experiments import (
+    LevelSetSpec,
     RegionSpec,
     concentration_lhs,
     concentration_setup,
     correlation_probe,
+    level_set_search,
     nonnegativity_probe,
     pair_correlation,
     weighted_pair_average,
@@ -154,8 +156,8 @@ def weighted_whole(f, form1, form2, delta, q, a, b, n):
     def block(ms):
         wgt = _weight_grid(spec, ms[:, None], cols)
         u, w = _row_coords(q, a, b, ms, n, False)
-        f1 = evaluate_many(f, form1.grid_values(u, w))
-        f2 = evaluate_many(f, form2.grid_values(u, w))
+        f1 = evaluate_many(f, form1.grid_values(u, w)).astype(np.complex128)
+        f2 = evaluate_many(f, form2.grid_values(u, w)).astype(np.complex128)
         return float(np.sum(wgt)), complex(np.sum(wgt * f1 * np.conj(f2)))
 
     mu, total = striped_complex_mean(block, n)
@@ -175,8 +177,8 @@ def probe_whole(f, form1, form2, delta, k, n):
 def pair_whole(f, form1, form2, q, a, b, n):
     def block(ms):
         u, w = _row_coords(q, a, b, ms, n, False)
-        f1 = evaluate_many(f, form1.grid_values(u, w))
-        f2 = evaluate_many(f, form2.grid_values(u, w))
+        f1 = evaluate_many(f, form1.grid_values(u, w)).astype(np.complex128)
+        f2 = evaluate_many(f, form2.grid_values(u, w)).astype(np.complex128)
         return (complex(np.sum(f1 * np.conj(f2))),)
 
     return striped_complex_mean(block, n)[0]
@@ -287,6 +289,45 @@ def test_object_path_matches_int64(monkeypatch):
     monkeypatch.setattr(experiments, "needs_bigint", lambda *args: True)
     for name, run in runs.items():
         assert repr(run()) == fast[name], name
+
+
+# --- int8 Liouville values ----------------------------------------------------------
+
+def _complex_evaluate_many(f, values):
+    """evaluate_many with Liouville values cast to complex128, as they were
+    returned before they came back as the table's int8 entries."""
+    return evaluate_many(f, values).astype(np.complex128)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 129])
+def test_int8_liouville_matches_complex_evaluation(n, monkeypatch):
+    """Every caller of evaluate_many gives the same repr, signed zeros
+    included, whether λ arrives as int8 or as complex128: a form with only
+    negative values, Q > 1 with a, b != 0, and arcs from 1e-9 (0 as
+    float16, the phase dtype numpy gives int8) to nearly pi."""
+    lam = liouville()
+    neg = BinaryQuadraticForm(-1, 0, -1)
+    chi = dirichlet_characters(4)[1]
+    setup = concentration_setup(neg, lam, TwistData(0.5, chi), 12, 2, 1, 1, min(3, n - 1), n)
+    factors = [(lam, LinearForm(1, 0)), (lam, LinearForm(1, -2))]
+    runs = {
+        "weighted sweep": lambda: weighted_pair_average(lam, P12, PMN, 0.3, 1, 1, 0, n),
+        "weighted q=3": lambda: weighted_pair_average(lam, P12, PMN, 0.3, 3, 2, 1, n),
+        "weighted mixed": lambda: weighted_pair_average(lam, *MIXED, 0.3, 5, -2, 3, n),
+        "weighted negative": lambda: weighted_pair_average(lam, neg, PMN, 0.3, 3, 2, 1, n),
+        "probe": lambda: nonnegativity_probe(lam, P12, PMN, 0.3, 1, n),
+        "pair negative": lambda: pair_correlation(lam, neg, P12, 3, 2, 1, n),
+        "pair": lambda: pair_correlation(lam, P11, P12, 1, 1, 0, n),
+        "correlation": lambda: correlation_probe(factors, lam, neg, REGION, 3, 2, -1, n),
+        "concentration": lambda: concentration_lhs(setup),
+        "level set": lambda: level_set_search(LevelSetSpec(lam, 0.3), P11, P12, 3, n),
+        "level set tiny arc": lambda: level_set_search(LevelSetSpec(lam, 1e-9), P11, P12, 3, n),
+        "level set near pi": lambda: level_set_search(LevelSetSpec(lam, 3.1415), P11, P12, 3, n),
+    }
+    got = {name: _outcome(run) for name, run in runs.items()}
+    monkeypatch.setattr(experiments, "evaluate_many", _complex_evaluate_many)
+    for name, run in runs.items():
+        assert got[name] == _outcome(run), name
 
 
 # --- n^{it} -----------------------------------------------------------------------

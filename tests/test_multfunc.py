@@ -8,6 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpairs import arith, multfunc
 from qpairs.arith import is_prime, sieve_primes
@@ -236,6 +237,7 @@ def test_evaluate_many_matches_scalar():
     ]
     for f in funcs:
         bulk = evaluate_many(f, values)
+        assert bulk.dtype == (np.int8 if f.hint.kind == "liouville" else np.complex128)
         for v, got in zip(values, bulk):
             assert abs(got - evaluate(f, int(v))) < 1e-12, (f.description, v)
 
@@ -273,20 +275,22 @@ SEGMENT = multfunc._LIOUVILLE_SEGMENT
 SPAN = 3 * SEGMENT + SEGMENT // 3  # three full segments and a partial fourth
 
 
-def _liouville_whole_array(limit):
-    """The whole-array sieve the segmented one replaced (18 B per entry)."""
-    n = limit + 1
-    parity = np.zeros(n, dtype=np.int8)
-    rem = np.arange(n, dtype=np.int64)
+def _liouville_whole_array(limit, start=0):
+    """lambda(n) for start <= n <= limit by exact division: the whole-array
+    sieve the segmented one replaced (18 B per entry), on any window."""
+    parity = np.zeros(limit + 1 - start, dtype=np.int8)
+    rem = np.arange(start, limit + 1, dtype=np.int64)
     for p in sieve_primes(max(2, math.isqrt(limit))):
         pe = p
         while pe <= limit:
-            parity[pe::pe] ^= 1
-            rem[pe::pe] //= p
+            first = -start % pe
+            parity[first::pe] ^= 1
+            rem[first::pe] //= p
             pe *= p
     parity[rem > 1] ^= 1  # one prime factor > sqrt(limit) remains
     table = np.where(parity == 0, 1, -1).astype(np.int8)
-    table[0] = 0
+    if start == 0:
+        table[0] = 0
     return table
 
 
@@ -333,6 +337,55 @@ def test_liouville_at_segment_boundaries(fresh_caches):
                    next(n for n in range(b, 2 * b) if is_prime(n))}
     for n in sorted(p for p in points if 0 < p <= SPAN):
         assert table[n] == (-1) ** sum(e for _, e in trial_factor(n)), n
+
+
+def _window(start, length):
+    out = np.full(length, 7, dtype=np.int8)
+    multfunc._liouville_segments(out, start, sieve_primes(max(2, math.isqrt(start + length - 1))))
+    return out
+
+
+# 2**17 entries across 2**31, and around the square of 316241, the first
+# prime above sqrt(10**11), which is then the last prime the window sieves.
+@pytest.mark.parametrize("start", [2**31 - 2**16, 316241**2 - 2**16])
+def test_liouville_window_far_from_zero(start):
+    """A window far from 0 against exact division, and a sample of it, prime
+    squares and powers of the wheel's primes included, against factorize."""
+    length = 1 << 17
+    got = _window(start, length)
+    assert np.array_equal(got, _liouville_whole_array(start + length - 1, start))
+    end = start + length
+    sample = set(range(start, end, 997)) | {start, start + 1, end - 2, end - 1}
+    sample |= {p * p for p in range(math.isqrt(start), math.isqrt(end - 1) + 1) if is_prime(p)}
+    sample |= {n - n % q for q in (2**16, 3**10, 5**7, 7**6, 11**5, 13**4) for n in (start + q, end - 1)}
+    sample = sorted(n for n in sample if start <= n < end)
+    assert len(sample) > 100
+    for n in sample:
+        assert got[n - start] == (-1) ** sum(e for _, e in arith.factorize(n).factors), n
+
+
+def _window_anchors():
+    """Segment and wheel-period boundaries, powers of two, and p**2 + 1 for
+    primes p around the segment ends' square roots: a window that ends
+    there sieves p last."""
+    points = set(range(0, SPAN + 1, SEGMENT)) | {1 << k for k in range(1, SPAN.bit_length())}
+    points |= set(range(0, SPAN + 1, multfunc._WHEEL * 7))
+    roots = [math.isqrt(b) for b in range(SEGMENT, SPAN + 1, SEGMENT)] + [math.isqrt(SPAN)]
+    points |= {p * p + 1 for p in sieve_primes(math.isqrt(SPAN))
+               if any(abs(p - r) < 40 for r in roots)}
+    return sorted(p for p in points if p <= SPAN)
+
+
+@settings(settings.get_profile("oracle"), max_examples=60)
+@given(st.sampled_from(_window_anchors()), st.integers(0, 2 * SEGMENT), st.integers(0, 200))
+def test_liouville_window_matches_whole_array(liouville_oracle, anchor, before, after):
+    """Windows [anchor - before, anchor + after) that cross segment ends,
+    wheel periods and powers of two."""
+    start = max(0, anchor - before)
+    end = min(SPAN + 1, anchor + after)
+    if end <= start:
+        end = start + 1
+    assert np.array_equal(_window(start, end - start), liouville_oracle[start:end])
 
 
 def test_concurrent_first_touch_of_both_caches(fresh_caches):

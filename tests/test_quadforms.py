@@ -45,6 +45,46 @@ def test_form_derived_data():
         BinaryQuadraticForm(0, 0, 0)
 
 
+@pytest.mark.parametrize("coeffs", [
+    (a, b, c) for a in (0, 3) for b in (0, -2) for c in (0, 5) if (a, b, c) != (0, 0, 0)
+])
+def test_grid_values_skip_zero_terms(coeffs):
+    """All 7 patterns of nonzero coefficients give the full formula's values,
+    shape and dtype, as a new array: int64 broadcast shapes, float64
+    midpoints, mixed dtypes, and object arrays past 2**62."""
+    form = BinaryQuadraticForm(*coeffs)
+    a, b, c = coeffs
+    rows = np.arange(-3, 4, dtype=np.int64)[:, None]
+    cols = np.arange(1, 6, dtype=np.int64)[None, :]
+    big = 2**40 + 7
+    cases = [
+        (rows, cols),
+        (cols, rows),
+        (rows, rows.T[:, :1]),
+        (rows[:5, 0], cols[0]),
+        (rows, np.int64(4)),
+        ((rows - 0.5) / 5, (cols - 0.5) / 5),
+        (rows * cols, (cols - 0.5) / 5),
+        ((rows * cols).astype(np.int32), cols),
+        (np.array([big * x for x in range(-2, 3)], dtype=object)[:, None],
+         np.array([big + x for x in range(3)], dtype=object)[None, :]),
+        (3, -4),
+    ]
+    for u, w in cases:
+        want = a * u * u + b * u * w + c * w * w
+        got = form.grid_values(u, w)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(got == want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            assert not np.shares_memory(got, u) and not np.shares_memory(got, w)
+            assert got.flags.writeable
+        else:
+            assert type(got) is type(want)
+    obj = cases[-2]
+    assert max(abs(int(v)) for v in form.grid_values(*obj).ravel()) > 2**62
+
+
 def test_parse_form():
     assert parse_form("[1,0,2]") == P12
     with pytest.raises(DomainError):
