@@ -1,10 +1,9 @@
 """Deterministic stripe-parallel grid reductions.
 
-Every n x n grid average in `averaging` and `experiments` (the
-Turan-Kubilius accumulator aside) is split into row stripes; each stripe is
-reduced on its own (numpy, single pass) to one sum per averaged quantity, and
-the per-stripe sums are merged with exactly rounded summation in stripe-index
-order.  The result is bit-identical whether stripes run sequentially or on a
+Every n x n grid average in `averaging` and `experiments` is split into row
+stripes; each stripe is reduced on its own (numpy, single pass) to one sum
+per averaged quantity, and the per-stripe sums are merged with exactly
+rounded summation in stripe-index order.  The result is bit-identical whether stripes run sequentially or on a
 thread pool, and no array larger than one stripe is built.
 
 A stripe block computes its quantities in tiles of about 2**16 grid points,

@@ -463,7 +463,7 @@ def _tk(v, threads):
         v.form, multfunc.one(), experiments.principal_twist(), v.q, v.a, v.b, v.c, v.k, v.n
     )
     h = multfunc.additive_from_prime_values({p: v.h_value for p in v.h_primes})
-    rep = experiments.turan_kubilius_variance(setup, h)
+    rep = experiments.turan_kubilius_variance(setup, h, threads)
     return [{
         "quantity": "additive_variance",
         "variance": rep.variance, "predicted_mean": rep.predicted_mean,

@@ -13,9 +13,9 @@ order, so results are independent of the thread count.  A stripe is computed
 in cache-sized row tiles written into stripe buffers that each worker thread
 reuses (`_grid.StripeTiles`).  The weight grid depends only on (m, n), so
 the weighted averages over several moduli Q (the Folner probe) share one
-pass: each stripe's weights are computed once and reused for every Q.  The
-one exception is the Turan-Kubilius accumulator, a dense n x n array filled
-by a root-class sieve that writes whole columns.
+pass: each stripe's weights are computed once and reused for every Q.  Each
+average sets up its lattice through `_lattice`, which checks the grid cap,
+chooses int64 or Python ints and builds the value tables.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .quadforms import (
     form_has_root,
     needs_bigint,
     shifted_value_bound,
-    _roots_mod_prime,
     _roots_mod_prime_power,
 )
 
@@ -148,10 +147,9 @@ class ConcentrationSetup:
         qc = self.q // self.c
         if qc % self.twist.chi.q:
             raise DomainError("the character modulus must divide Q/c")
-        prod = 1
-        for p in sieve_primes(max(2, self.k)):
-            prod *= p
-        if qc % prod:
+        if self.k < 1:
+            raise DomainError("need K >= 1")
+        if qc % math.prod(sieve_primes(self.k) if self.k > 1 else ()):
             raise DomainError("the product of primes <= K must divide Q/c")
         if self.k >= self.n:
             raise DomainError("need K < N")
@@ -169,18 +167,28 @@ def _lattice_coords(q: int, shift: int, xs: np.ndarray, big: bool) -> np.ndarray
     return (q * xs + shift).astype(np.int64)
 
 
-def _prime_tables(
-    fs: Iterable[MultiplicativeFunction],
-    forms: Iterable[BinaryQuadraticForm],
+def _lattice(
+    fs: Sequence[MultiplicativeFunction],
+    forms: Sequence[BinaryQuadraticForm],
     q: int,
     a: int,
     b: int,
     n: int,
-) -> None:
-    """Build any value tables once, before striping, at the grid's bound."""
-    bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
-    for f in fs:
-        prime_value_table(f, bound)
+) -> tuple[bool, np.ndarray]:
+    """Set up the lattice (Qm+a, Qn+b) over [n]^2 for the forms.
+
+    Checks the grid cap, chooses int64 or Python ints (big) by the 2**62
+    guard, builds the value tables of fs once at the grid's bound, and
+    returns (big, w) with w the column coordinates Qn+b as a (1, n) row.
+    """
+    if n > CAPS.grid_n:
+        raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
+    big = any(needs_bigint(form, q, a, b, n) for form in forms)
+    if not big:
+        bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
+        for f in fs:
+            prime_value_table(f, bound)
+    return big, _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
 
 
 def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
@@ -202,14 +210,10 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
         setup.k,
         setup.n,
     )
+    big, w = _lattice([f], [form], q, a, b, n)
+    w0 = w - b
     g_val = cmath.exp(concentration_exponent_form(form, f, twist, k, n))
     chi0 = twist.chi(form.value(a, b) // c)
-    big = needs_bigint(form, q, a, b, n)
-    if not big:
-        _prime_tables([f], [form], q, a, b, n)
-    cols = np.arange(1, n + 1, dtype=np.int64)
-    w = _lattice_coords(q, b, cols, big)[None, :]
-    w0 = _lattice_coords(q, 0, cols, big)[None, :]
     target0 = chi0 * g_val
     tiles = StripeTiles(n, np.float64)
 
@@ -244,14 +248,18 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
 
 
 def turan_kubilius_variance(
-    setup: ConcentrationSetup, h: AdditiveFunction
+    setup: ConcentrationSetup, h: AdditiveFunction, threads: int = 1
 ) -> "TkReport":
     """Grid variance of h(P_c(Qm+a, Qn+b)) around the predicted mean.
 
     h must vanish at primes <= K, primes > N, primes where the form has no
     root, and on all higher prime powers; under those conditions h of a
     lattice value is a sum of h(p) over primes exactly dividing it, which is
-    accumulated by sieving root classes instead of factorizing.
+    accumulated by sieving root classes instead of factorizing.  For p not
+    dividing w = Qn+b, p^e divides P(Qm+a, w) exactly when Qm+a = r*w
+    (mod p^e) for a root r of P(x, 1) mod p^e: one residue class of rows per
+    column, root and p^e.  Each stripe adds h(p) at the hits of the classes
+    mod p and subtracts it at those mod p^2, in (p, p^e, root) order.
     """
     form, q, a, b, c, k, n = (
         setup.form,
@@ -281,36 +289,41 @@ def turan_kubilius_variance(
             raise DomainError(f"support prime {p} collides with Q or the form data")
         support.append((p, hp))
 
-    if needs_bigint(form, q, a, b, n):
+    big, w = _lattice([], [form], q, a, b, n)
+    if big:
         raise ResourceError("lattice values overflow the fast integer path")
-    acc = np.zeros((n, n), dtype=np.complex128)
-    ws = q * np.arange(1, n + 1, dtype=np.int64) + b
-    qinv_cache: dict[int, int] = {}
+    ws = w[0]
+    # per (p, p^e, root), in that order: the columns j with p not dividing w_j,
+    # sorted by start_j in [1, p^e], where their hit rows start_j + t * p^e
+    # begin; a stripe finds the hits of each shift t * p^e by binary search
+    classes = []
     for p, hp in support:
-        for modulus, sign in ((p, 1.0), (p * p, -1.0)):
-            roots = (
-                _roots_mod_prime(form, p)
-                if modulus == p
-                else _roots_mod_prime_power(form, p, 2)
-            )
-            qinv = qinv_cache.get(modulus)
-            if qinv is None:
-                qinv = pow(q, -1, modulus)
-                qinv_cache[modulus] = qinv
-            wmod = ws % modulus
-            for r in roots:
-                m0 = ((r * wmod - a) * qinv) % modulus
-                for j in range(n):
-                    if ws[j] % p == 0:
-                        continue  # p | w forces p^2 | P: never exact
-                    start = int(m0[j])
-                    if start == 0:
-                        start = modulus
-                    if start <= n:
-                        acc[start - 1 :: modulus, j] += sign * hp
+        keep = np.flatnonzero(ws % p)  # p | w forces p^2 | P: never exact
+        for e, sign in ((1, 1.0), (2, -1.0)):
+            modulus = p**e
+            wmod = ws[keep] % modulus
+            qinv = pow(q, -1, modulus)
+            for r in _roots_mod_prime_power(form, p, e):
+                starts = ((r * wmod - a) % modulus * qinv - 1) % modulus + 1
+                order = np.argsort(starts)
+                classes.append((modulus, sign * hp, starts[order], keep[order]))
     mean_pred = predicted_additive_mean(h, k, n)
-    dev = np.abs(acc - mean_pred) ** 2
-    variance = float(np.mean(dev))
+    tiles = StripeTiles(n, np.complex128, np.float64)
+
+    def block(ms: np.ndarray) -> tuple[float]:
+        _, (acc, dev) = tiles(ms)
+        lo, hi = int(ms[0]), int(ms[-1]) + 1
+        acc.fill(0)
+        for modulus, value, starts, cols in classes:
+            for shift in range((lo - 1) // modulus * modulus, hi - 1, modulus):
+                i, j = np.searchsorted(starts, (lo - shift, hi - shift))
+                acc[starts[i:j] + (shift - lo), cols[i:j]] += value
+        np.subtract(acc, mean_pred, out=acc)
+        np.abs(acc, out=dev)
+        np.square(dev, out=dev)
+        return (float(np.sum(dev)),)
+
+    variance = striped_complex_mean(block, n, threads)[0]
     split = max(k, math.isqrt(n))
     d_low = distance_additive(h, k, split)
     d_high = distance_additive(h, split, n)
@@ -375,17 +388,9 @@ def _weighted_pair_averages(
     once, then one complex buffer with w * f(P1) * conj(f(P2)) for each Q in
     turn, so memory does not grow with the number of moduli.
     """
-    if n > CAPS.grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
+    lattices = [(q, *_lattice([f], [form1, form2], q, a, b, n)) for q in qs]
     spec = WeightSpec(delta, form1, form2)
-    bigs = []
-    for q in qs:
-        big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
-        if not big:
-            _prime_tables([f], [form1, form2], q, a, b, n)
-        bigs.append(big)
     cols = np.arange(1, n + 1, dtype=np.int64)
-    lattices = [(q, big, _lattice_coords(q, b, cols, big)[None, :]) for q, big in zip(qs, bigs)]
     tiles = StripeTiles(n, np.float64, np.complex128)
 
     def block(ms: np.ndarray) -> tuple:
@@ -421,12 +426,7 @@ def pair_correlation(
     threads: int = 1,
 ) -> complex:
     """Unweighted E f(P1(Qm+a, Qn+b)) conj(f(P2(Qm+a, Qn+b)))."""
-    if n > CAPS.grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
-    big = needs_bigint(form1, q, a, b, n) or needs_bigint(form2, q, a, b, n)
-    if not big:
-        _prime_tables([f], [form1, form2], q, a, b, n)
-    w = _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
+    big, w = _lattice([f], [form1, form2], q, a, b, n)
     tiles = StripeTiles(n, np.complex128)
 
     def block(ms: np.ndarray) -> tuple[complex]:
@@ -506,10 +506,7 @@ def correlation_probe(
     for _, lj in factors[1:]:
         if not l1.independent(lj):
             raise DomainError(f"forms {l1} and {lj} are dependent")
-    big = needs_bigint(form, q, a, b, n)
-    if not big:
-        _prime_tables([fj for fj, _ in factors] + [g], [form], q, a, b, n)
-    w = _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
+    big, w = _lattice([fj for fj, _ in factors] + [g], [form], q, a, b, n)
     tiles = StripeTiles(n, np.complex128)
 
     def block(ms: np.ndarray) -> tuple[complex]:

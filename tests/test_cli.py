@@ -157,6 +157,19 @@ def test_resource_cap_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["ldelta", "f=principal", "p1=[1,0,2]", "p2=[0,2,0]", "n=200"],
+    ["weights", "--p1", "[1,0,2]", "--p2", "[0,2,0]", "--delta", "0.3", "--n", "200"],
+    ["concentrate", "form=[1,0,1]", "f=principal", "q=6", "k=3", "n=200"],
+    ["correlate", "factors=liouville@[1,0]", "form=[1,0,1]", "n=200"],
+    ["tk", "form=[1,0,1]", "q=210", "k=10", "n=200", "h_primes=13"],
+])
+def test_grid_cap_exit_3(args, capsys):
+    code, out, err = run_cli(["--cap-n", "100", *args], capsys)
+    assert code == 3 and out == ""
+    assert "exceeds cap 100" in err
+
+
 def test_run_id_stability():
     values1, canon1, rid1 = resolve_spec("ldelta",
                                          {"f": "liouville", "p1": "[1,0,2]",
@@ -242,6 +255,8 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["ring", "norm", "--d", "-1", "--element", "1-1*tau"],
     ["ring", "unit", "--d", "-1"],
     ["ring", "count-ideals", "--d", "-1", "--k", "6"],
+    ["tk", "form=[1,0,1]", "q=210", "k=0", "n=100", "h_primes=13"],
+    ["tk", "form=[1,0,1]", "q=210", "k=-3", "n=100", "h_primes=13"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

@@ -1,10 +1,13 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qpairs._grid import stripe_ranges
 from qpairs.arith import sieve_primes
 from qpairs.averaging import WeightSpec, divisor_stat_exact, mu_estimate, weight_stability
 from qpairs.errors import DomainError, ResourceError
@@ -40,7 +43,14 @@ from qpairs.multfunc import (
     prime_patch,
     twisted,
 )
-from qpairs.quadforms import BinaryQuadraticForm, LinearForm, local_root_count
+from qpairs.quadforms import (
+    BinaryQuadraticForm,
+    LinearForm,
+    _roots_mod_prime,
+    _roots_mod_prime_power,
+    form_has_root,
+    local_root_count,
+)
 
 P11 = BinaryQuadraticForm(1, 0, 1)
 P12 = BinaryQuadraticForm(1, 0, 2)
@@ -131,6 +141,16 @@ def test_concentration_setup_validation():
         concentration_setup(P11, one(), principal_twist(), {2: 4, 3: 4}, 1, 0, 5, 4, 100)
 
 
+def test_concentration_setup_k_edges():
+    """K >= 1; K = 1 takes the empty product of primes, so Q = 1 is allowed.
+    No K fits 1 <= K < N at N = 1."""
+    setup = concentration_setup(P11, one(), principal_twist(), 1, 1, 0, 1, 1, 100)
+    assert concentration_lhs(setup) == 0.0
+    for k, n in ((0, 100), (-3, 100), (0, 1), (1, 1)):
+        with pytest.raises(DomainError):
+            concentration_setup(P11, one(), principal_twist(), 210, 1, 0, 1, k, n)
+
+
 def test_concentration_exact_zero_character_config():
     chi = dirichlet_characters(4)[1]
     f = character_extended(chi, {2: 1.0})
@@ -207,6 +227,95 @@ def test_tk_variance_matches_direct_factorization():
     assert rep.variance == pytest.approx(total / (n * n), rel=1e-12)
 
 
+def test_tk_variance_large_support_primes():
+    """Support primes above 1450, where (r * w - a) * Q^-1 mod p^2 exceeds
+    int64 unless r * w - a is reduced first, against hit counts of the
+    values themselves."""
+    q, n = 210, 2800
+    support = {2549: 1.0, 2753: -0.5}
+    setup = concentration_setup(P11, one(), principal_twist(), q, 1, 0, 1, 10, n)
+    h = additive_from_prime_values(support)
+    mean = predicted_additive_mean(h, 10, n)
+    w = q * np.arange(1, n + 1, dtype=np.int64)[None, :]
+    total = 0.0
+    for lo, hi in stripe_ranges(n):
+        v = P11.grid_values((q * np.arange(lo, hi, dtype=np.int64) + 1)[:, None], w)
+        hv = sum(hp * ((v % p == 0) & (v % (p * p) != 0)) for p, hp in support.items())
+        total += float(np.sum(np.abs(hv - mean) ** 2))
+    assert turan_kubilius_variance(setup, h).variance == pytest.approx(total / (n * n), rel=1e-12)
+
+
+def tk_dense_deviations(setup, h):
+    """|acc - mean|^2 over the dense n x n accumulator that the Turan-Kubilius
+    variance was computed from before it was striped: each (p, p^e, root)
+    class in turn, written column by column."""
+    form, q, a, b, n = setup.form, setup.q, setup.a, setup.b, setup.n
+    acc = np.zeros((n, n), dtype=np.complex128)
+    ws = q * np.arange(1, n + 1, dtype=np.int64) + b
+    for p in h.support:
+        hp = h.at_prime(p)
+        if hp == 0:
+            continue
+        for modulus, sign in ((p, 1.0), (p * p, -1.0)):
+            roots = _roots_mod_prime(form, p) if modulus == p else _roots_mod_prime_power(form, p, 2)
+            qinv = pow(q, -1, modulus)
+            wmod = ws % modulus
+            for r in roots:
+                m0 = ((r * wmod - a) * qinv) % modulus
+                for j in range(n):
+                    if ws[j] % p == 0:
+                        continue
+                    start = int(m0[j]) or modulus
+                    if start <= n:
+                        acc[start - 1 :: modulus, j] += sign * hp
+    return np.abs(acc - predicted_additive_mean(h, setup.k, n)) ** 2
+
+
+# forms with two roots mod every odd prime, with roots mod p = 1 (4), with
+# roots mod p = 1, 3 (8), and with a middle coefficient
+TK_FORMS = (BinaryQuadraticForm(1, 0, -1), P11, P12, BinaryQuadraticForm(1, 1, 1))
+H_VALUES = st.one_of(
+    st.floats(-1.0, 1.0).map(complex),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(settings.get_profile("oracle"), max_examples=200)
+@given(
+    st.sampled_from(TK_FORMS),
+    st.sampled_from((1, 2, 6, 7, 12, 35, 210)),
+    st.integers(1, 3),
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.sampled_from((2, 127, 128, 129, 300)),
+    st.data(),
+)
+def test_tk_variance_matches_dense_accumulator(form, q, k, a, b, n, data):
+    """The striped sieve gives the dense accumulator's |acc - mean|^2 summed
+    per stripe and merged in stripe order, ==.  Its np.mean, which the
+    variance was before, sums in another pairwise tree: the two agree to
+    within 2 ulp on 400 random configurations, and neither is always within
+    1 ulp of the exact mean (at [1,0,1], Q = 1, K = 1, a = b = 0, n = 300,
+    h(17) = 1 the stripe merge is exact and np.mean is 2 ulp below), so the
+    bound here is 8 ulp.  Support primes are drawn below and above 128, the
+    stripe height, for p and for p^2 (p = 3, 5, 11 have p^2 < 128)."""
+    if k >= n or q % math.prod(sieve_primes(k) if k > 1 else ()):
+        k = 1
+    allowed = [
+        p for p in sieve_primes(n)
+        if p > k and q % p and (2 * form.alpha * form.discriminant) % p and form_has_root(form, p)
+    ]
+    primes = data.draw(st.lists(st.sampled_from(allowed), max_size=4, unique=True)) if allowed else []
+    h = additive_from_prime_values({p: data.draw(H_VALUES) for p in primes})
+    setup = concentration_setup(form, one(), principal_twist(), q, a, b, 1, k, n)
+    dev = tk_dense_deviations(setup, h)
+    stripes = [float(np.sum(dev[lo - 1 : hi - 1])) for lo, hi in stripe_ranges(n)]
+    variance = turan_kubilius_variance(setup, h).variance
+    assert variance == math.fsum(stripes) / (n * n)
+    mean = float(np.mean(dev))
+    assert abs(variance - mean) <= 8 * math.ulp(mean)
+
+
 # --- weighted pair averages ---------------------------------------------------------
 
 def test_weighted_pair_average_constant_is_one():
@@ -256,6 +365,7 @@ def test_thread_determinism():
     (n = 300 gives three stripes)."""
     chi = dirichlet_characters(4)[1]
     setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, 3, 300)
+    tk_setup = concentration_setup(P11, one(), principal_twist(), 6, 1, 2, 1, 3, 300)
     region = RegionSpec(((1, -1),))
     spec = WeightSpec(0.3, P12, PMN)
     runs = {
@@ -274,11 +384,43 @@ def test_thread_determinism():
             [(liouville(), LinearForm(1, 0)), (archimedean(1.0), LinearForm(1, 1))],
             liouville(), P11, region, 1, 1, 2, 300, threads=t),
         "concentration_lhs": lambda t: concentration_lhs(setup, threads=t),
+        "turan_kubilius_variance": lambda t: turan_kubilius_variance(
+            tk_setup, additive_from_prime_values({5: 1, 13: 0.5j, 17: -0.75}), threads=t),
     }
     for name, run in runs.items():
         base = repr(run(1))
         for threads in (2, 4):
             assert repr(run(threads)) == base, (name, threads)
+
+
+def test_grid_averages_allocate_no_dense_grid():
+    """At n = 1000 each grid average peaks below one n x n complex128 array
+    under tracemalloc (f is arch or principal, so no value table is built):
+    only stripes, tiles and per-column data are allocated."""
+    n = 1000
+    limit = n * n * np.dtype(np.complex128).itemsize
+    arch = archimedean(1.0)
+    tk_setup = concentration_setup(P11, one(), principal_twist(), 210, 1, 0, 1, 10, n)
+    runs = {
+        "turan_kubilius_variance": lambda: turan_kubilius_variance(
+            tk_setup, additive_from_prime_values({p: 1 for p in (13, 17, 29, 37, 41)})),
+        "weighted_pair_average": lambda: weighted_pair_average(arch, P12, PMN, 0.3, 3, 2, 1, n),
+        "pair_correlation": lambda: pair_correlation(arch, P11, P12, 3, 2, 1, n),
+        "concentration_lhs": lambda: concentration_lhs(
+            concentration_setup(P11, arch, principal_twist(), 6, 1, 0, 1, 3, n)),
+        "correlation_probe": lambda: correlation_probe(
+            [(arch, LinearForm(1, 0)), (one(), LinearForm(1, 1))], one(), P11,
+            RegionSpec(((1, -1),)), 1, 1, 2, n),
+        "mu_estimate": lambda: mu_estimate(WeightSpec(0.3, P12, PMN), n),
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (name, peak)
 
 
 # --- probes -----------------------------------------------------------------------

@@ -229,7 +229,10 @@ def _weighted_pairs(label, forms, n):
 def _pairs(n):
     """(name, tiled run, whole-stripe oracle) for every tiled grid average."""
     chi = dirichlet_characters(4)[1]
-    setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, min(3, n - 1), n)
+    # built on use: at n = 1 no K satisfies 1 <= K < N, and both sides raise
+    def setup():
+        return concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, min(3, n - 1), n)
+
     factors = [(liouville(), LinearForm(1, 0)), (archimedean(1.0), LinearForm(1, 1))]
     out = []
     for label, forms in (("", (P12, PMN)), ("mixed ", MIXED)):
@@ -242,7 +245,7 @@ def _pairs(n):
          lambda: divisor_whole(P11, 3, 1, 2, n, exact_hit(5, 13))),
         ("divisor_bound_probe", lambda: divisor_bound_probe(P11, 1, 0, 0, 65, n)[0],
          lambda: divisor_whole(P11, 1, 0, 0, n, lambda v: v % 65 == 0)),
-        ("concentration_lhs", lambda: concentration_lhs(setup), lambda: concentration_whole(setup)),
+        ("concentration_lhs", lambda: concentration_lhs(setup()), lambda: concentration_whole(setup())),
         ("pair_correlation", lambda: pair_correlation(liouville(), P11, P12, 3, 2, 1, n),
          lambda: pair_whole(liouville(), P11, P12, 3, 2, 1, n)),
         ("correlation_probe", lambda: correlation_probe(factors, liouville(), P11, REGION, 1, 1, 2, n),
@@ -308,7 +311,10 @@ def test_int8_liouville_matches_complex_evaluation(n, monkeypatch):
     lam = liouville()
     neg = BinaryQuadraticForm(-1, 0, -1)
     chi = dirichlet_characters(4)[1]
-    setup = concentration_setup(neg, lam, TwistData(0.5, chi), 12, 2, 1, 1, min(3, n - 1), n)
+    # built on use: at n = 1 no K satisfies 1 <= K < N, and both runs raise
+    def setup():
+        return concentration_setup(neg, lam, TwistData(0.5, chi), 12, 2, 1, 1, min(3, n - 1), n)
+
     factors = [(lam, LinearForm(1, 0)), (lam, LinearForm(1, -2))]
     runs = {
         "weighted sweep": lambda: weighted_pair_average(lam, P12, PMN, 0.3, 1, 1, 0, n),
@@ -319,7 +325,7 @@ def test_int8_liouville_matches_complex_evaluation(n, monkeypatch):
         "pair negative": lambda: pair_correlation(lam, neg, P12, 3, 2, 1, n),
         "pair": lambda: pair_correlation(lam, P11, P12, 1, 1, 0, n),
         "correlation": lambda: correlation_probe(factors, lam, neg, REGION, 3, 2, -1, n),
-        "concentration": lambda: concentration_lhs(setup),
+        "concentration": lambda: concentration_lhs(setup()),
         "level set": lambda: level_set_search(LevelSetSpec(lam, 0.3), P11, P12, 3, n),
         "level set tiny arc": lambda: level_set_search(LevelSetSpec(lam, 1e-9), P11, P12, 3, n),
         "level set near pi": lambda: level_set_search(LevelSetSpec(lam, 3.1415), P11, P12, 3, n),
