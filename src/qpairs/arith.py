@@ -21,9 +21,14 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_LIMIT = 10**6
 
-# One growing sieve table shared by all callers: (limit, primes <= limit),
-# replaced as a whole so that a lock-free read sees a matching pair.
-_sieve_cache: tuple[int, list[int]] = (0, [])
+# Odd integers per segment of the prime sieve: 1 MB of bools, which stays in
+# the L2 cache while every sieving prime crosses it off.
+_SIEVE_SEGMENT = 1 << 20
+
+# One growing prime table shared by all callers: (limit, the primes <= limit
+# as one read-only int64 array), replaced as a whole so that a lock-free read
+# sees a matching pair.
+_sieve_cache: tuple = (0, None)
 _sieve_lock = threading.Lock()
 
 
@@ -52,12 +57,47 @@ class SquarefreeDecomposition:
     r: int
 
 
-def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending.
+def _odd_sieve(limit: int):
+    """The primes <= limit (limit >= 2) as a read-only int64 array.
 
-    Results are served from a shared growing cache, so repeated calls with
-    increasing limits cost one sieve of the largest limit seen.  Reads of a
-    large enough cache take no lock; growth is serialized.
+    One bool per odd integer while sieving (1/2 B per integer), then 8 B per
+    prime: about 96 MB at once for limit 10**8.  The odd primes up to
+    sqrt(limit) are sieved first, in the table's own head; then each segment
+    of the table is crossed off by all of them while it sits in cache.
+    """
+    import numpy as np  # on use: importing arith alone loads no numpy
+
+    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
+    root = isqrt(limit)
+    head = odd[: (root + 1) // 2]
+    for i in range(1, (isqrt(root) + 1) // 2):
+        if head[i]:
+            head[(2 * i + 1) ** 2 // 2 :: 2 * i + 1] = False
+    base = (2 * np.flatnonzero(head[1:]) + 3).tolist()
+    starts = [p * p // 2 for p in base]  # the next index each prime crosses off
+    for lo in range(0, len(odd), _SIEVE_SEGMENT):
+        segment = odd[lo : lo + _SIEVE_SEGMENT]
+        hi = lo + len(segment)
+        for j, p in enumerate(base):
+            if starts[j] < hi:
+                segment[starts[j] - lo :: p] = False
+                starts[j] += (hi - starts[j] + p - 1) // p * p
+    # odd[0] stands for 1 and stays set: it becomes the prime 2
+    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    primes.flags.writeable = False
+    return primes
+
+
+def _prime_array(limit: int):
+    """The primes <= limit, ascending, as a read-only int64 view of the
+    shared cache: no copy is made.
+
+    Repeated calls with increasing limits cost one sieve of the largest
+    limit seen.  Reads of a large enough cache take no lock; growth is
+    serialized.
     """
     global _sieve_cache
     if limit < 2:
@@ -69,22 +109,15 @@ def sieve_primes(limit: int) -> list[int]:
         with _sieve_lock:
             cache_limit, primes = _sieve_cache
             if limit > cache_limit:
-                import numpy as np  # on use: importing arith alone loads no numpy
-
-                sieve = bytearray(b"\x01") * (limit + 1)
-                sieve[0:2] = b"\x00\x00"
-                for p in range(2, isqrt(limit) + 1):
-                    if sieve[p]:
-                        start = p * p
-                        sieve[start :: p] = b"\x00" * ((limit - start) // p + 1)
-                _sieve_cache = (limit, np.flatnonzero(np.frombuffer(sieve, np.uint8)).tolist())
-                cache_limit, primes = _sieve_cache
+                _sieve_cache = cache_limit, primes = limit, _odd_sieve(limit)
     if limit == cache_limit:
-        return list(primes)
-    import bisect
+        return primes
+    return primes[: primes.searchsorted(limit, "right")]
 
-    cut = bisect.bisect_right(primes, limit)
-    return primes[:cut]
+
+def sieve_primes(limit: int) -> list[int]:
+    """All primes <= limit, ascending, as a new list (from the shared cache)."""
+    return _prime_array(limit).tolist()
 
 
 def is_prime(n: int) -> bool:
@@ -133,6 +166,39 @@ def _pollard_brent(n: int) -> int:
     raise ResourceError(f"factorization of {n} exceeded the rho iteration cap")
 
 
+def _trial_divide(m: int, factors: dict[int, int]) -> int:
+    """Divide the primes up to min(10**6, isqrt(m)) out of m into factors and
+    return what is left.
+
+    The cached primes are walked in steps of growing length, and the walk
+    ends at the first prime p with p*p > m.  The first step, the 32 smallest
+    primes, goes one by one; a later step tests all its primes at once, in
+    numpy while m < 2**63, and ends the walk after it if m has become small
+    enough.
+    """
+    primes = _prime_array(min(_TRIAL_LIMIT, max(2, isqrt(m))))
+    for p in primes[:32].tolist():
+        if p * p > m:
+            return m
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+    start, step = 32, 128
+    while start < len(primes) and int(primes[start]) ** 2 <= m:
+        chunk = primes[start : start + step]
+        if m < 2**63:
+            hits = chunk[m % chunk == 0].tolist()
+        else:
+            hits = [p for p in chunk.tolist() if m % p == 0]
+        for p in hits:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
+        start += step
+        step *= 4
+    return m
+
+
 def factorize(n: int) -> Factorization:
     """Factor a nonzero integer: trial division to 10**6, then Brent rho.
 
@@ -143,12 +209,7 @@ def factorize(n: int) -> Factorization:
     m = abs(n)
     factors: dict[int, int] = {}
     if m > 1:
-        for p in sieve_primes(min(_TRIAL_LIMIT, max(2, isqrt(m)))):
-            if p * p > m:
-                break
-            while m % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                m //= p
+        m = _trial_divide(m, factors)
         stack = [m] if m > 1 else []
         while stack:
             v = stack.pop()

@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 @dataclass
 class Caps:
-    sieve_limit: int = 10**8          # largest prime-sieve table
+    # Largest prime table.  Sieving takes 1/2 B per integer (a bool per odd
+    # integer) and the table keeps 8 B per prime: about 96 MB at once at
+    # 10**8, whose 5,761,455 primes then take 46 MB.
+    sieve_limit: int = 10**8
     # Largest completely-multiplicative value table.  The Liouville table costs
     # 1 B per entry (about 0.4 GB here), built in segments of 2**20 entries
     # whose working arrays take 3 MB; growing it briefly holds the old table

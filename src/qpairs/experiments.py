@@ -35,11 +35,16 @@ from .multfunc import (
     AdditiveFunction,
     MultiplicativeFunction,
     TwistData,
-    _root_count_weight,
+    _additive_term,
+    _cmul,
+    _prime_power_it,
+    _root_count_weights,
+    _unit_weights,
     dirichlet_characters,
     distance_additive,
     evaluate_many,
     prime_value_table,
+    prime_values,
     prime_window_sum,
 )
 from .averaging import WeightSpec, folner_enumerate, weight_grid
@@ -61,12 +66,23 @@ def principal_twist() -> TwistData:
     return TwistData(t=0.0, chi=dirichlet_characters(1)[0])
 
 
-def _twist_factor(twist: TwistData, p: int) -> complex:
-    """conj(chi(p)) * p^{-it}."""
-    val = twist.chi(p).conjugate()
-    if twist.t != 0.0:
-        val *= cmath.exp(-1j * twist.t * math.log(p))
-    return val
+def _concentration_term(weights, f: MultiplicativeFunction, twist: TwistData):
+    """primes -> w(p)/p * (f(p) conj(chi(p)) p^{-it} - 1) for w = weights(primes),
+    0 where w(p) = 0."""
+
+    def term(primes: np.ndarray) -> np.ndarray:
+        w = weights(primes)
+        tw = np.conj(twist.chi.value_array()[primes % twist.chi.q])
+        if twist.t != 0.0:
+            tw = _cmul(tw, _prime_power_it(primes, -twist.t))
+        z = _cmul(prime_values(f, primes), tw)
+        s = w / primes
+        out = np.zeros(len(primes), dtype=np.complex128)
+        np.multiply(s, z.real - 1.0, out=out.real, where=w != 0)
+        np.multiply(s, z.imag, out=out.imag, where=w != 0)
+        return out
+
+    return term
 
 
 def concentration_exponent_form(
@@ -83,13 +99,7 @@ def concentration_exponent_form(
     """
     if k >= n:
         return 0j
-    omega = _root_count_weight(form)
-
-    def term(p: int) -> complex:
-        w = omega(p)
-        return w / p * (f.at_prime(p) * _twist_factor(twist, p) - 1.0) if w else 0.0
-
-    return prime_window_sum(term, k, n)
+    return prime_window_sum(_concentration_term(_root_count_weights(form), f, twist), k, n)
 
 
 def concentration_exponent(
@@ -98,16 +108,14 @@ def concentration_exponent(
     """The linear-form analogue: weight 1/p over all primes in (k, n]."""
     if k >= n:
         return 0j
-    return prime_window_sum(
-        lambda p: 1.0 / p * (f.at_prime(p) * _twist_factor(twist, p) - 1.0), k, n
-    )
+    return prime_window_sum(_concentration_term(_unit_weights, f, twist), k, n)
 
 
 def predicted_additive_mean(h: AdditiveFunction, k: int, n: int) -> complex:
     """2 * sum over k < p <= n of h(p)/p."""
     if k >= n:
         return 0j
-    return prime_window_sum(lambda p: 2.0 / p * h.at_prime(p), k, n)
+    return prime_window_sum(_additive_term(h, lambda p: 2.0 / p * h.at_prime(p)), k, n)
 
 
 # --------------------------------------------------------------------------

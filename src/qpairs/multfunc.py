@@ -11,8 +11,10 @@ per-value factorization is hopeless.  Each built-in carries a structural hint
 (constant one / Liouville sign sieve / periodic character times n^{it} with
 finitely many prime overrides / finite prime support / pure Archimedean) that
 `evaluate_many` dispatches on.  It returns the Liouville function as int8
-(the cached table's entries) and every other function as complex128.  Hints
-are an optimization only; the scalar path never consults them.
+(the cached table's entries) and every other function as complex128.  The
+prime-window sums read f at whole arrays of primes from the same hints
+(`prime_values`).  Hints are an optimization only; the scalar path never
+consults them.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 from math import gcd
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import factorize, fsum_complex, sieve_primes
+from .arith import _prime_array, factorize, sieve_primes
 from .caps import CAPS
 from .errors import DomainError, ResourceError
 
@@ -170,7 +172,8 @@ class TwistData:
 
 @dataclass(frozen=True)
 class EvalHint:
-    """Structural shape used by evaluate_many; never affects scalar results.
+    """Structural shape used by evaluate_many and prime_values; never affects
+    scalar results.
 
     kind:
       'one'        constant 1
@@ -531,7 +534,8 @@ def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     """value at primes in (lo, hi], 1 elsewhere; completely multiplicative."""
     if abs(value) > 1 + 1e-12:
         raise DomainError("values must stay in the unit disk")
-    support = tuple(p for p in sieve_primes(max(2, hi)) if lo < p <= hi)
+    primes = _prime_array(max(2, hi))
+    support = tuple(primes[(lo < primes) & (primes <= hi)].tolist())
     sset = set(support)
     value = complex(value)
 
@@ -614,56 +618,150 @@ def additive_from_prime_values(values: Mapping[int, complex], description: str =
 # --------------------------------------------------------------------------
 
 
-def _prime_terms(term: Callable[[int], complex], x: float, y: float) -> tuple[list[int], list]:
-    """The sieved primes up to y, ascending, and for each term(p) when
-    x < p <= y, else 0.0, which leaves every exactly rounded sum unchanged."""
+# Primes per chunk of a prime-window sum: each chunk's terms are computed as
+# arrays and handed to math.fsum as they come, so no list of all terms exists.
+_CHUNK = 1 << 16
+
+
+def _check_cutoffs(*cutoffs: float) -> None:
+    if not all(-math.inf < c < math.inf for c in cutoffs):
+        raise DomainError("prime-window cutoffs must be finite")
+
+
+def _prime_window(x: float, y: float) -> np.ndarray:
+    """The primes x < p <= y, ascending, as a read-only int64 array."""
+    _check_cutoffs(x, y)
     if x > y:
         raise DomainError("need x <= y")
     if y > CAPS.sieve_limit:
         raise ResourceError("upper range exceeds the sieve cap")
-    primes = sieve_primes(max(2, int(y)))
-    return primes, [term(p) if x < p <= y else 0.0 for p in primes]
+    primes = _prime_array(max(2, int(y)))
+    lo, hi = (primes.searchsorted(max(1, math.floor(c)), "right") for c in (x, y))
+    return primes[lo:hi]
 
 
-def prime_window_sum(term: Callable[[int], complex], x: float, y: float) -> complex:
-    """Exactly rounded sum of term(p) over the primes x < p <= y.
+def _chunks(a: np.ndarray):
+    return (a[i : i + _CHUNK] for i in range(0, len(a), _CHUNK))
 
+
+def _fsum_chunks(chunks) -> complex:
+    """Exactly rounded sum of a stream of float64 or complex128 term arrays.
+
+    The real parts go to math.fsum as they come; the imaginary parts of
+    complex chunks are kept (8 B per term) and summed after them.  fsum
+    returns +0.0 for a zero sum, so the sign of a zero term never shows.
+    """
+    imag: list[np.ndarray] = []
+
+    def reals():
+        for chunk in chunks:
+            if chunk.dtype.kind == "c":
+                imag.append(chunk.imag.copy())
+                chunk = chunk.real
+            yield chunk.tolist()
+
+    real = math.fsum(chain.from_iterable(reals()))
+    return complex(real, math.fsum(chain.from_iterable(part.tolist() for part in imag)))
+
+
+def prime_window_sum(term: Callable[[np.ndarray], np.ndarray], x: float, y: float) -> complex:
+    """Exactly rounded sum of the terms of the primes x < p <= y.
+
+    term maps an int64 array of primes to their float64 or complex128 terms.
     The one loop behind every prime-window sum: distances, additive norms,
     concentration exponents and predicted additive means.
     """
-    return fsum_complex(_prime_terms(term, x, y)[1])
+    return _fsum_chunks(term(chunk) for chunk in _chunks(_prime_window(x, y)))
 
 
-def _distance_term(weight_at: Callable[[int], float], f, g) -> Callable[[int], float]:
-    """p -> c(p)/p * (1 - Re f(p) conj g(p)) for c = weight_at, 0.0 where c(p) = 0."""
+def _cmul(a, b) -> np.ndarray:
+    """a*b over complex arrays with CPython's rounding: the real part is
+    ar*br - ai*bi and the imaginary part ar*bi + ai*br, each product
+    rounded.  numpy's complex multiply may fuse them and move the last bit."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    def term(p: int) -> float:
-        c = weight_at(p)
-        return c / p * (1.0 - (f.at_prime(p) * g.at_prime(p).conjugate()).real) if c else 0.0
+
+def _prime_power_it(primes: np.ndarray, t: float) -> np.ndarray:
+    """p^{it} = cos(t ln p) + i sin(t ln p): the bits of
+    cmath.exp(1j * t * math.log(p)).  The logarithms come from math.log,
+    which np.log does not match at every prime."""
+    theta = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
+    theta *= t
+    out = np.empty(len(primes), dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _put_at_keys(out: np.ndarray, primes: np.ndarray, table: Mapping) -> np.ndarray:
+    """Write table[p] into out at the primes that are keys of table."""
+    keys = [k for k in table if 2 <= k <= CAPS.sieve_limit]
+    hits = np.flatnonzero(np.isin(primes, keys)) if keys else ()
+    if len(hits):
+        out[hits] = [table[p] for p in primes[hits].tolist()]
+    return out
+
+
+def prime_values(f: MultiplicativeFunction, primes: np.ndarray) -> np.ndarray:
+    """f at each prime of an int64 array, as complex128, read from f's hint.
+
+    Each value equals f.at_prime(p) up to the sign of a zero part, which no
+    sum of the prime-window terms can see.  Without a hint, f.at_prime is
+    called at each prime.
+    """
+    hint = f.hint
+    if hint is None:
+        return np.fromiter(map(f.at_prime, primes.tolist()), np.complex128, len(primes))
+    if hint.kind in ("one", "liouville"):
+        return np.full(len(primes), 1.0 if hint.kind == "one" else -1.0, dtype=np.complex128)
+    if hint.kind == "arch":
+        return _prime_power_it(primes, hint.t)
+    if hint.kind == "support":
+        return _put_at_keys(np.ones(len(primes), dtype=np.complex128), primes, hint.overrides)
+    out = _put_at_keys(hint.chi.value_array()[primes % hint.chi.q], primes, hint.overrides)
+    return _cmul(out, _prime_power_it(primes, hint.t)) if hint.t != 0.0 else out
+
+
+def _unit_weights(primes: np.ndarray) -> np.ndarray:
+    return np.ones(len(primes))
+
+
+def _root_count_weights(form) -> Callable[[np.ndarray], np.ndarray]:
+    """primes -> the local root counts of the form, as float64."""
+    from .quadforms import local_root_counts
+
+    return lambda primes: local_root_counts(form, primes).astype(np.float64)
+
+
+def _distance_term(weights: Callable[[np.ndarray], np.ndarray], f, g) -> Callable:
+    """primes -> c(p)/p * (1 - Re f(p) conj g(p)) for c = weights(primes),
+    0.0 where c(p) = 0."""
+
+    def term(primes: np.ndarray) -> np.ndarray:
+        c = weights(primes)
+        fv, gv = prime_values(f, primes), prime_values(g, primes)
+        # CPython's Re(f * conj g), fr*gr - fi*(-gi), bit for bit
+        re = fv.real * gv.real + fv.imag * gv.imag
+        return np.where(c != 0, c / primes * (1.0 - re), 0.0)
 
     return term
 
 
-def _distance(weight_at: Callable[[int], float], f, g, x: float, y: float) -> float:
-    return math.sqrt(max(0.0, prime_window_sum(_distance_term(weight_at, f, g), x, y).real))
+def _distance(weights, f, g, x: float, y: float) -> float:
+    return math.sqrt(max(0.0, prime_window_sum(_distance_term(weights, f, g), x, y).real))
 
 
 def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
     """Prime-sum distance: sqrt of sum over x < p <= y of (1 - Re f(p) conj g(p)) / p."""
-    return _distance(lambda p: 1.0, f, g, x, y)
-
-
-def _root_count_weight(form) -> Callable[[int], float]:
-    """p -> the local root count of the form mod p, as a float."""
-    from .quadforms import local_root_count, local_root_count_fast
-
-    count = local_root_count_fast if form.irreducible else local_root_count
-    return lambda p: float(count(form, p))
+    return _distance(_unit_weights, f, g, x, y)
 
 
 def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
     """Distance with each prime weighted by the local root count of the form."""
-    return _distance(_root_count_weight(form), f, g, x, y)
+    return _distance(_root_count_weights(form), f, g, x, y)
 
 
 def distance_weighted(
@@ -675,10 +773,13 @@ def distance_weighted(
 ) -> float:
     """Distance with arbitrary bounded nonnegative prime weights c(p)."""
     if isinstance(c, Mapping):
-        weight = lambda p: float(c.get(p, 0.0))
+        table = {p: float(v) for p, v in c.items()}
+        weights = lambda primes: _put_at_keys(np.zeros(len(primes)), primes, table)
     else:
-        weight = lambda p: float(c(p))
-    return _distance(weight, f, g, x, y)
+        weights = lambda primes: np.fromiter(
+            (float(c(p)) for p in primes.tolist()), np.float64, len(primes)
+        )
+    return _distance(weights, f, g, x, y)
 
 
 def distance_profile(
@@ -694,23 +795,40 @@ def distance_profile(
     honest finite substitute.  Bounded profiles suggest pretentious behavior,
     steadily growing ones suggest the opposite; no boolean is offered.
 
-    One pass: the terms up to the largest cutoff are computed once, and each
-    cutoff, in the given order, takes the exactly rounded sum of its prefix,
-    so every entry equals distance (or distance_form) at that cutoff.
+    One pass: the terms up to the largest cutoff are computed once into one
+    float64 array, and each cutoff, in the given order, takes the exactly
+    rounded sum of its prefix, so every entry equals distance (or
+    distance_form) at that cutoff.
     """
     ys = [float(y) for y in checkpoints]
     if not ys:
         return []
+    _check_cutoffs(*ys)
     if min(ys) < 1:
         raise DomainError("need x <= y")
-    weight = (lambda p: 1.0) if form is None else _root_count_weight(form)
-    primes, terms = _prime_terms(_distance_term(weight, f, g), 1, max(ys))
-    return [
-        (y, math.sqrt(max(0.0, math.fsum(islice(terms, bisect.bisect_right(primes, y))))))
-        for y in ys
-    ]
+    weights = _unit_weights if form is None else _root_count_weights(form)
+    term = _distance_term(weights, f, g)
+    primes = _prime_window(1, max(ys))
+    terms = np.empty(len(primes))
+    for i in range(0, len(primes), _CHUNK):
+        terms[i : i + _CHUNK] = term(primes[i : i + _CHUNK])
+    sums = (_fsum_chunks(_chunks(terms[: primes.searchsorted(math.floor(y), "right")])) for y in ys)
+    return [(y, math.sqrt(max(0.0, s.real))) for y, s in zip(ys, sums)]
+
+
+def _additive_term(h: AdditiveFunction, term: Callable[[int], complex]) -> Callable:
+    """primes -> term(p) where h(p) may be nonzero, 0 elsewhere.
+
+    term(p) must vanish where h(p) does.  It is called once for each member
+    of h's support, or at every prime when the support is not known.
+    """
+    if h.support is None:
+        return lambda primes: np.fromiter(map(term, primes.tolist()), np.complex128, len(primes))
+    table = {p: term(p) for p in h.support if 2 <= p <= CAPS.sieve_limit}
+    return lambda primes: _put_at_keys(np.zeros(len(primes), dtype=np.complex128), primes, table)
 
 
 def distance_additive(h: AdditiveFunction, x: float, y: float) -> float:
     """sqrt of sum over x < p <= y of |h(p)|^2 / p (the additive-function norm)."""
-    return math.sqrt(prime_window_sum(lambda p: abs(h.at_prime(p)) ** 2 / p, x, y).real)
+    term = _additive_term(h, lambda p: abs(h.at_prime(p)) ** 2 / p)
+    return math.sqrt(prime_window_sum(term, x, y).real)

@@ -16,6 +16,7 @@ from math import gcd
 from typing import Iterable, Mapping
 
 from .arith import (
+    _prime_array,
     crt,
     factorize,
     is_square,
@@ -243,6 +244,68 @@ def local_root_count_fast(form: BinaryQuadraticForm, p: int) -> int:
     return local_root_count(form, p)
 
 
+# Largest p with p*p < 2**63: Euler's criterion squares residues mod p in int64.
+_EULER_MAX = 3037000499
+
+
+def _residues(n: int, moduli):
+    """n mod m for each m of an int64 array of moduli below 2**32, exact for
+    any Python int n: Horner's rule over the 31-bit limbs of |n|."""
+    import numpy as np
+
+    out = np.zeros_like(moduli)
+    a = abs(n)
+    for shift in range(31 * ((a.bit_length() - 1) // 31), -1, -31):
+        out = (out * 2**31 + ((a >> shift) & (2**31 - 1))) % moduli
+    return (-out) % moduli if n < 0 else out
+
+
+def _euler_criterion(a, p):
+    """a**((p - 1)/2) mod p for int64 arrays with 0 <= a < p <= _EULER_MAX,
+    by square-and-multiply over the bits of each exponent, in place."""
+    import numpy as np
+
+    out = np.ones_like(p)
+    a = a.copy()
+    e = (p - 1) // 2
+    bit = np.empty(len(p), dtype=bool)
+    while True:
+        np.bitwise_and(e, 1, out=bit, casting="unsafe")
+        np.multiply(out, a, out=out, where=bit)
+        np.remainder(out, p, out=out, where=bit)
+        e >>= 1
+        if not e.any():
+            return out
+        np.multiply(a, a, out=a)
+        np.remainder(a, p, out=a)
+
+
+def local_root_counts(form: BinaryQuadraticForm, primes):
+    """omega(P, p) at each prime of an int64 array, as int64: the values of
+    local_root_count_fast for an irreducible form, of local_root_count for a
+    reducible one.
+
+    Away from p = 2 and the primes dividing 2*alpha*d*r, where d*r**2 is the
+    discriminant with d squarefree, the count is 2 when d is a square mod p
+    and 0 when not; Euler's criterion decides it in int64.  At p = 2 and at
+    those primes, local_root_count gives the count.
+    """
+    import numpy as np
+
+    primes = np.asarray(primes, dtype=np.int64)
+    if not form.irreducible:
+        counts = (local_root_count(form, p) for p in primes.tolist())
+        return np.fromiter(counts, np.int64, len(primes))
+    d, r = form.squarefree_disc
+    big = primes > _EULER_MAX
+    safe = np.where(big, 3, primes)
+    exceptional = big | (primes == 2) | (_residues(2 * form.alpha * d * r, safe) == 0)
+    counts = np.where(_euler_criterion(_residues(d, safe), safe) == 1, 2, 0)
+    for i in np.flatnonzero(exceptional).tolist():
+        counts[i] = local_root_count(form, int(primes[i]))
+    return counts
+
+
 def form_has_root(form: BinaryQuadraticForm, p: int) -> bool:
     """True iff P(m, 1) = 0 mod p is solvable (p belongs to the form's prime set)."""
     return local_root_count(form, p) > 0
@@ -290,16 +353,12 @@ def partner_prime_sets(
     if not (form1.irreducible and form2.irreducible):
         raise DomainError("both forms must be irreducible")
     skip = set(excluded)
-    first, second = [], []
-    for p in sieve_primes(max(2, bound)):
-        if p in skip:
-            continue
-        w1 = local_root_count_fast(form1, p)
-        w2 = local_root_count_fast(form2, p)
-        if w1 == 2 and w2 == 0:
-            first.append(p)
-        elif w1 == 0 and w2 == 2:
-            second.append(p)
+    primes = _prime_array(max(2, bound))
+    w1, w2 = local_root_counts(form1, primes), local_root_counts(form2, primes)
+    first, second = (
+        [p for p in primes[(a == 2) & (b == 0)].tolist() if p not in skip]
+        for a, b in ((w1, w2), (w2, w1))
+    )
     return first, second
 
 

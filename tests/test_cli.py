@@ -257,6 +257,10 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["ring", "count-ideals", "--d", "-1", "--k", "6"],
     ["tk", "form=[1,0,1]", "q=210", "k=0", "n=100", "h_primes=13"],
     ["tk", "form=[1,0,1]", "q=210", "k=-3", "n=100", "h_primes=13"],
+    ["distance", "--f", "liouville", "--y", "nan"],
+    ["distance", "--f", "liouville", "--profile", "1e3,nan"],
+    ["distance", "--f", "liouville", "--x", "nan", "--y", "100"],
+    ["distance", "--f", "liouville", "--y", "inf"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
