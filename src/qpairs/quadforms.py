@@ -19,8 +19,8 @@ from .arith import (
     _prime_array,
     crt,
     factorize,
+    is_prime,
     is_square,
-    jacobi,
     sieve_primes,
     sqrt_mod,
     squarefree_part,
@@ -44,14 +44,6 @@ class BinaryQuadraticForm:
     @cached_property
     def discriminant(self) -> int:
         return self.beta**2 - 4 * self.alpha * self.gamma
-
-    @cached_property
-    def squarefree_disc(self) -> tuple[int, int]:
-        """(d, r) with discriminant = d * r^2, d squarefree."""
-        sf = squarefree_part(self.discriminant) if self.discriminant != 0 else None
-        if sf is None:
-            return (0, 1)
-        return (sf.d, sf.r)
 
     @cached_property
     def norm_orientation(self) -> tuple[int, int]:
@@ -155,10 +147,11 @@ def parse_linear_form(text: str) -> LinearForm:
 
 
 def _roots_mod_prime(form: BinaryQuadraticForm, p: int) -> list[int]:
-    """Residues x mod p with P(x, 1) = 0 mod p, without scanning when possible."""
+    """Residues x mod p with P(x, 1) = 0 mod p, ascending: a scan at p = 2,
+    where 2*alpha has no inverse, and the quadratic formula at odd p."""
+    if p == 2:
+        return [x for x in range(2) if form.value(x, 1) % 2 == 0]
     a, b, c = form.alpha % p, form.beta % p, form.gamma % p
-    if p <= 1000:
-        return [x for x in range(p) if (form.alpha * x * x + form.beta * x + form.gamma) % p == 0]
     if a == 0:
         if b == 0:
             return list(range(p)) if c == 0 else []
@@ -203,12 +196,18 @@ def local_root_count(form: BinaryQuadraticForm, r: int) -> int:
     """Number of n mod r with P(n, 1) = 0 mod r.
 
     Exhaustive scan up to the scan cap; beyond it, multiplicative over the
-    prime powers of r with counts obtained by root lifting.
+    prime powers of r with counts obtained by root lifting.  A factor c of r
+    dividing every coefficient is taken out first: P = 0 mod r iff
+    P/c = 0 mod r/c, so the count is c times that of P/c mod r/c.
     """
     if r <= 0:
         raise DomainError("modulus must be positive")
     if r == 1:
         return 1
+    c = gcd(gcd(gcd(form.alpha, form.beta), form.gamma), r)
+    if c > 1:
+        reduced = BinaryQuadraticForm(form.alpha // c, form.beta // c, form.gamma // c)
+        return c * local_root_count(reduced, r // c)
     max_coeff = max(abs(form.alpha), abs(form.beta), abs(form.gamma))
     if r <= CAPS.root_scan_limit:
         if r <= 4096 or max_coeff * (r * r + r + 1) >= 2**62:
@@ -226,22 +225,6 @@ def local_root_count(form: BinaryQuadraticForm, r: int) -> int:
         if count == 0:
             return 0
     return count
-
-
-def local_root_count_fast(form: BinaryQuadraticForm, p: int) -> int:
-    """Root count at a prime via the quadratic-residue classification.
-
-    For p away from 2, alpha, and the squarefree discriminant data the count
-    is 2 or 0 according to whether the squarefree part of the discriminant is
-    a residue mod p; the finitely many exceptional primes fall back to the
-    exhaustive count.
-    """
-    if not form.irreducible:
-        raise DomainError("fast root count requires an irreducible form")
-    d, r = form.squarefree_disc
-    if p > 2 and (2 * form.alpha * d * r) % p != 0:
-        return 2 if jacobi(d, p) == 1 else 0
-    return local_root_count(form, p)
 
 
 # Largest p with p*p < 2**63: Euler's criterion squares residues mod p in int64.
@@ -281,29 +264,40 @@ def _euler_criterion(a, p):
 
 
 def local_root_counts(form: BinaryQuadraticForm, primes):
-    """omega(P, p) at each prime of an int64 array, as int64: the values of
-    local_root_count_fast for an irreducible form, of local_root_count for a
-    reducible one.
+    """omega(P, p), the number of roots of P(x, 1) mod p, at each prime of an
+    int64 array, as int64, for any form.
 
-    Away from p = 2 and the primes dividing 2*alpha*d*r, where d*r**2 is the
-    discriminant with d squarefree, the count is 2 when d is a square mod p
-    and 0 when not; Euler's criterion decides it in int64.  At p = 2 and at
-    those primes, local_root_count gives the count.
+    With D = beta**2 - 4*alpha*gamma:
+      - odd p not dividing alpha: 1 + (D/p), i.e. 1 if p | D, else 2 or 0 as
+        Euler's criterion finds D a square mod p or not (in int64);
+      - odd p dividing alpha: P(x, 1) is linear mod p, so 1 if p does not
+        divide beta, p if p divides beta and gamma, 0 otherwise;
+      - p = 2: [gamma even] + [alpha + beta + gamma even];
+      - p > _EULER_MAX: local_root_count.
     """
     import numpy as np
 
     primes = np.asarray(primes, dtype=np.int64)
-    if not form.irreducible:
-        counts = (local_root_count(form, p) for p in primes.tolist())
-        return np.fromiter(counts, np.int64, len(primes))
-    d, r = form.squarefree_disc
     big = primes > _EULER_MAX
-    safe = np.where(big, 3, primes)
-    exceptional = big | (primes == 2) | (_residues(2 * form.alpha * d * r, safe) == 0)
-    counts = np.where(_euler_criterion(_residues(d, safe), safe) == 1, 2, 0)
-    for i in np.flatnonzero(exceptional).tolist():
+    p = np.where(big | (primes == 2), 3, primes)
+    a, b, c, d = (_residues(v, p) for v in (form.alpha, form.beta, form.gamma, form.discriminant))
+    counts = np.where(d == 0, 1, np.where(_euler_criterion(d, p) == 1, 2, 0))
+    counts = np.where(a == 0, np.where(b != 0, 1, np.where(c == 0, p, 0)), counts)
+    counts[primes == 2] = (form.gamma % 2 == 0) + ((form.alpha + form.beta + form.gamma) % 2 == 0)
+    for i in np.flatnonzero(big).tolist():
         counts[i] = local_root_count(form, int(primes[i]))
     return counts
+
+
+def local_root_count_fast(form: BinaryQuadraticForm, p: int) -> int:
+    """omega(P, p) at one prime p, by the rule of local_root_counts: 1 + (D/p)
+    at odd p not dividing alpha, the linear count at p | alpha, two parity
+    tests at p = 2.  A p that is not prime is refused."""
+    if not is_prime(p):
+        raise DomainError(f"fast root count needs a prime modulus, got {p}")
+    if p > _EULER_MAX:
+        return local_root_count(form, p)
+    return int(local_root_counts(form, [p])[0])
 
 
 def form_has_root(form: BinaryQuadraticForm, p: int) -> bool:
@@ -352,8 +346,10 @@ def partner_prime_sets(
         raise DomainError("the two forms must be distinct")
     if not (form1.irreducible and form2.irreducible):
         raise DomainError("both forms must be irreducible")
+    if bound < 2:
+        return [], []
     skip = set(excluded)
-    primes = _prime_array(max(2, bound))
+    primes = _prime_array(bound)
     w1, w2 = local_root_counts(form1, primes), local_root_counts(form2, primes)
     first, second = (
         [p for p in primes[(a == 2) & (b == 0)].tolist() if p not in skip]

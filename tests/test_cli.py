@@ -261,11 +261,28 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["distance", "--f", "liouville", "--profile", "1e3,nan"],
     ["distance", "--f", "liouville", "--x", "nan", "--y", "100"],
     ["distance", "--f", "liouville", "--y", "inf"],
+    # the residue count is taken at primes only
+    *(["omega", "--form", "[1,0,1]", "--modulus", m, "--fast"] for m in ("9", "21", "1", "4")),
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("args, row", [
+    (["omega", "--form", "[1,0,-4]", "--modulus", "7", "--fast"],
+     {"quantity": "local_root_count", "count": 2, "method": "residue"}),
+    (["omega", "--form", "[1,0,1]", "--modulus", "13", "--fast"],
+     {"quantity": "local_root_count", "count": 2, "method": "residue"}),
+    (["omega", "--form", "[1,1,2]", "--partner", "[1,1,1]", "--modulus", "1"],
+     {"quantity": "partner_prime_sets", "set1": [], "set2": []}),
+])
+def test_omega_rows(args, row, capsys):
+    code, out, _ = run_cli(args, capsys)
+    got = json.loads(out)
+    del got["run_id"]
+    assert code == 0 and got == row
 
 
 def test_coefficient_overflow_exit_3(capsys):

@@ -4,10 +4,12 @@ Every prime-window sum computes its terms as arrays and feeds them to
 math.fsum.  The oracles here are the per-prime loops of the scalar code,
 kept verbatim: one term per sieved prime p <= y, 0.0 outside x < p <= y,
 summed by fsum over a Python list.  Results are compared with == and repr,
-so a single moved bit fails.
+so a single moved bit fails.  Root counts at primes are checked against a
+scan of every residue.
 """
 
 import cmath
+import functools
 import math
 from itertools import combinations
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpairs import arith
-from qpairs.arith import fsum_complex, sieve_primes
+from qpairs.arith import fsum_complex, is_prime, jacobi, sieve_primes
 from qpairs.errors import DomainError, ResourceError
 from qpairs.experiments import (
     concentration_exponent,
@@ -38,8 +40,8 @@ from qpairs.multfunc import (
     prime_values,
 )
 from qpairs.quadforms import (
+    _EULER_MAX,
     BinaryQuadraticForm,
-    local_root_count,
     local_root_count_fast,
     local_root_counts,
     partner_prime_sets,
@@ -94,11 +96,35 @@ def scalar_window_sum(term, x, y):
     return fsum_complex([term(p) if x < p <= y else 0.0 for p in oracle_primes(max(2, int(y)))])
 
 
+# the largest prime at which scan_roots tries every residue
+SCAN_LIMIT = 5000
+
+
+def legendre_roots(form, p):
+    """omega(P, p) at an odd prime too large to scan: linear when p | alpha,
+    else the number of y with y**2 = D mod p (complete the square), from the
+    Jacobi symbol."""
+    if form.alpha % p == 0:
+        return 1 if form.beta % p else (p if form.gamma % p == 0 else 0)
+    return 1 + jacobi(form.discriminant % p, p)
+
+
+@functools.cache
+def scan_roots(form, p):
+    """omega(P, p) at a prime p: the residues x mod p with P(x, 1) = 0 mod p,
+    counted by trying each one up to SCAN_LIMIT; past it, where a scan is
+    too slow for the million-prime windows, legendre_roots."""
+    if p > SCAN_LIMIT:
+        return legendre_roots(form, p)
+    a, b, c = form.alpha % p, form.beta % p, form.gamma % p
+    x = np.arange(p, dtype=np.int64)
+    return int(np.count_nonzero((a * x * x + b * x + c) % p == 0))
+
+
 def scalar_weight(form):
     if form is None:
         return lambda p: 1.0
-    count = local_root_count_fast if form.irreducible else local_root_count
-    return lambda p: float(count(form, p))
+    return lambda p: float(scan_roots(form, p))
 
 
 def scalar_distance(weight, f, g, x, y):
@@ -251,21 +277,52 @@ ROOT_FORMS = [BinaryQuadraticForm(*c) for c in (
 
 @pytest.mark.parametrize("form", ROOT_FORMS, ids=str)
 def test_local_root_counts_match_scalar(form):
-    primes = arith._prime_array(3000 if form.irreducible else 400)
-    want = [(local_root_count_fast if form.irreducible else local_root_count)(form, p)
-            for p in primes.tolist()]
+    primes = arith._prime_array(3000)
+    want = [scan_roots(form, p) for p in primes.tolist()]
     got = local_root_counts(form, primes)
     assert got.dtype == np.int64
     assert got.tolist() == want
+    assert [local_root_count_fast(form, p) for p in primes[:40].tolist()] == want[:40]
+
+
+# the first prime past _EULER_MAX, where local_root_counts leaves int64
+BIG_PRIME = next(p for p in range(_EULER_MAX + 1, _EULER_MAX + 1000) if is_prime(p))
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-30, 30),  # p | alpha, p | beta and p | D at small primes
+    st.integers(-2**70, 2**70),
+    st.sampled_from([2**31 - 1, 2**31, -2**31 - 5, 2**63 - 1, 2**63, -2**63 - 1, 2**64 + 13]),
+    st.sampled_from([30030, 2**32 * 3**20, BIG_PRIME, -2 * BIG_PRIME]),  # many p | alpha
+)
+ROOT_COUNT_FORMS = st.one_of(
+    st.tuples(COEFFICIENTS, COEFFICIENTS, COEFFICIENTS),
+    st.sampled_from([  # D = 0, reducible, alpha = 0 or beta = 0, p | alpha and p | gamma
+        (1, 2, 1), (4, 4, 1), (9, -6, 1), (3, 0, -12), (0, 2, 0), (6, 0, 0), (0, 0, 5),
+        (0, 3, -7), (15, 0, 10), (1, 0, -4), (2, 5, 2), (1, 0, 1), (BIG_PRIME, 0, 3),
+        (BIG_PRIME, 0, -2 * BIG_PRIME),
+    ]),
+).filter(any).map(lambda c: BinaryQuadraticForm(*c))
+
+
+@settings(settings.get_profile("oracle"), max_examples=200)
+@given(ROOT_COUNT_FORMS)
+def test_local_root_counts_match_scan_for_any_form(form):
+    """Every prime below 3000, and one prime past _EULER_MAX, for forms of
+    every shape and coefficients past int64."""
+    primes = np.append(arith._prime_array(3000), BIG_PRIME)
+    want = [scan_roots(form, p) for p in primes.tolist()]
+    assert local_root_counts(form, primes).tolist() == want
+    assert local_root_count_fast(form, BIG_PRIME) == want[-1]
 
 
 def scalar_partner_sets(form1, form2, bound, excluded=()):
     skip = set(excluded)
     first, second = [], []
-    for p in oracle_primes(max(2, bound)):
+    for p in oracle_primes(bound):
         if p in skip:
             continue
-        w1, w2 = local_root_count_fast(form1, p), local_root_count_fast(form2, p)
+        w1, w2 = scan_roots(form1, p), scan_roots(form2, p)
         if w1 == 2 and w2 == 0:
             first.append(p)
         elif w1 == 0 and w2 == 2:

@@ -36,7 +36,6 @@ def test_eval_form():
 
 def test_form_derived_data():
     assert P11.discriminant == -4
-    assert P11.squarefree_disc == (-1, 2)
     assert P11.norm_orientation == (1, 2)
     assert P11.irreducible
     assert not BinaryQuadraticForm(0, 2, 0).irreducible  # 2mn
@@ -101,9 +100,14 @@ def test_local_root_count_examples():
 def test_local_root_count_fast_examples():
     assert local_root_count_fast(P11, 13) == scan_roots(P11, 13) == 2
     assert local_root_count_fast(P11, 7) == scan_roots(P11, 7) == 0
-    assert local_root_count_fast(P12, 2) == scan_roots(P12, 2) == 1  # exceptional prime
-    with pytest.raises(DomainError):
-        local_root_count_fast(BinaryQuadraticForm(0, 2, 0), 5)
+    assert local_root_count_fast(P12, 2) == scan_roots(P12, 2) == 1
+    # reducible forms: 2mn, (m - 2n)(m + 2n), and 3m^2 - 12n^2 at p | alpha
+    assert local_root_count_fast(BinaryQuadraticForm(0, 2, 0), 5) == 1
+    assert local_root_count_fast(BinaryQuadraticForm(1, 0, -4), 7) == 2
+    assert local_root_count_fast(BinaryQuadraticForm(3, 0, -12), 3) == 3
+    for composite in (1, 4, 9, 21, 0, -5):
+        with pytest.raises(DomainError):
+            local_root_count_fast(P11, composite)
 
 
 def _random_irreducible(rng):
@@ -157,6 +161,10 @@ def test_beyond_scan_cap_uses_lifting():
     # r = 5^9 > 10^6: multiplicative path, checked against the lift structure
     assert local_root_count(P11, 5**9) == 2
     assert local_root_count(P11, 3 * 5**9) == 0
+    # p | every coefficient: all p residues, counted without listing them
+    p = 3037000507
+    assert local_root_count(BinaryQuadraticForm(p, 0, -2 * p), p) == p
+    assert local_root_count(BinaryQuadraticForm(3 * p, 0, 0), 9 * p**2) == 3 * p
 
 
 FORMS = st.one_of(
