@@ -13,19 +13,24 @@ stripe buffer that its worker thread reuses for every stripe of the
 reduction (`StripeTiles`).  The stripe's sum is then one `np.sum` over the
 whole buffer, so per-stripe sums do not depend on the tile size: tiles
 change where the elementwise values are computed, not their bits or the
-summation tree.
+summation tree.  Every lattice grid average sets up its lattice through
+`_lattice`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .arith import fsum_complex
-from .errors import DomainError
+from .caps import caps
+from .errors import DomainError, ResourceError
+from .multfunc import MultiplicativeFunction, prime_value_table
+from .quadforms import BinaryQuadraticForm, needs_bigint, shifted_value_bound
 
 _DEFAULT_STRIPE = 128
 _TILE_POINTS = 1 << 16
@@ -52,8 +57,12 @@ def striped_complex_mean(
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # on use: a slow import
 
+        # A worker thread starts in an empty context, so each block runs in a
+        # copy of this thread's, where it reads this run's caps.  One copy per
+        # block: a context can be entered by one thread at a time.
+        contexts = [contextvars.copy_context() for _ in blocks]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(row_block_sum, blocks))
+            sums = list(pool.map(lambda ctx, ms: ctx.run(row_block_sum, ms), contexts, blocks))
     else:
         sums = [row_block_sum(b) for b in blocks]
     return tuple(
@@ -86,3 +95,34 @@ class StripeTiles:
         count, step = len(ms), max(1, _TILE_POINTS // self.n)
         tiles = [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
         return tiles, [buf[:count] for buf in buffers]
+
+
+def _lattice_coords(q: int, shift: int, xs: np.ndarray, big: bool) -> np.ndarray:
+    """q * xs + shift as int64, or as Python ints when the grid needs them."""
+    if big:
+        return np.array([q * int(x) + shift for x in xs], dtype=object)
+    return (q * xs + shift).astype(np.int64)
+
+
+def _lattice(
+    fs: Sequence[MultiplicativeFunction],
+    forms: Sequence[BinaryQuadraticForm],
+    q: int,
+    a: int,
+    b: int,
+    n: int,
+) -> tuple[bool, np.ndarray]:
+    """Set up the lattice (Qm+a, Qn+b) over [n]^2 for the forms.
+
+    Checks the grid cap, chooses int64 or Python ints (big) by the 2**62
+    guard, builds the value tables of fs once at the grid's bound, and
+    returns (big, w) with w the column coordinates Qn+b as a (1, n) row.
+    """
+    if n > caps().grid_n:
+        raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
+    big = any(needs_bigint(form, q, a, b, n) for form in forms)
+    if not big:
+        bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
+        for f in fs:
+            prime_value_table(f, bound)
+    return big, _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]

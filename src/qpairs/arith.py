@@ -12,8 +12,9 @@ import math
 import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import Iterator
 
-from .caps import CAPS
+from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
@@ -102,8 +103,8 @@ def _prime_array(limit: int):
     global _sieve_cache
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
-    if limit > CAPS.sieve_limit:
-        raise ResourceError(f"sieve limit {limit} exceeds cap {CAPS.sieve_limit}")
+    if limit > caps().sieve_limit:
+        raise ResourceError(f"sieve limit {limit} exceeds cap {caps().sieve_limit}")
     cache_limit, primes = _sieve_cache
     if limit > cache_limit:
         with _sieve_lock:
@@ -294,23 +295,23 @@ def crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     return r, m
 
 
+def primes_in_class(a: int, q: int, limit: int) -> Iterator[int]:
+    """The primes p <= limit with p = a (mod q), ascending."""
+    if q <= 0 or limit <= 0:
+        raise DomainError("q and limit must be positive")
+    if gcd(a, q) != 1:
+        raise DomainError(f"gcd({a}, {q}) != 1: the class contains at most one prime")
+    a %= q
+    return (p for p in sieve_primes(max(2, limit)) if p <= limit and p % q == a)
+
+
 def find_prime_in_class(a: int, q: int, limit: int) -> int | None:
     """Smallest prime p <= limit with p = a (mod q), or None if none exists.
 
     None is a value, not an error: existence is only guaranteed
     asymptotically, so an exhausted limit is an ordinary outcome.
     """
-    if q <= 0 or limit <= 0:
-        raise DomainError("q and limit must be positive")
-    if gcd(a, q) != 1:
-        raise DomainError(f"gcd({a}, {q}) != 1: the class contains at most one prime")
-    a %= q
-    for p in sieve_primes(max(2, limit)):
-        if p > limit:
-            break
-        if p % q == a:
-            return p
-    return None
+    return next(primes_in_class(a, q, limit), None)
 
 
 def sqrt_mod(a: int, p: int) -> int | None:

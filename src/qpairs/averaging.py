@@ -24,12 +24,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._grid import StripeTiles, striped_complex_mean
+from ._grid import StripeTiles, _lattice, _lattice_coords, striped_complex_mean
 from .arith import factorize, fsum_complex, sieve_primes
-from .caps import CAPS
+from .caps import caps
 from .errors import DomainError, ResourceError
 from .multfunc import MultiplicativeFunction, evaluate_on_exponents
-from .quadforms import BinaryQuadraticForm, exceptional_primes, local_root_count, needs_bigint
+from .quadforms import BinaryQuadraticForm, exceptional_primes, local_root_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -116,8 +116,8 @@ def mu_estimate(spec: WeightSpec, n: int, threads: int = 1) -> MuEstimate:
     scale-invariant integrand over the unit square at the same resolution."""
     if n < 100:
         raise DomainError("need n >= 100 for a stable estimate")
-    if n > CAPS.grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
+    if n > caps().grid_n:
+        raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
     cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
     mids = (cols - 0.5) / n
     tiles = StripeTiles(n, np.float64, np.float64)
@@ -140,8 +140,8 @@ def weight_stability(
 
     Diagnostic for replacing the shifted weight by the unshifted one.
     """
-    if n > CAPS.grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
+    if n > caps().grid_n:
+        raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
     cols = np.arange(1, n + 1, dtype=np.int64)
     tiles = StripeTiles(n, np.float64)
 
@@ -188,9 +188,9 @@ def folner_enumerate(k: int) -> list[FolnerElement]:
     """The full box over primes <= k with exponents in (k, 2k]."""
     if k < 2:
         raise DomainError("need k >= 2")
-    if k > CAPS.folner_k:
+    if k > caps().folner_k:
         raise ResourceError(
-            f"K = {k} gives K^pi(K) elements, beyond the cap {CAPS.folner_k}; use folner_sample"
+            f"K = {k} gives K^pi(K) elements, beyond the cap {caps().folner_k}; use folner_sample"
         )
     primes = sieve_primes(k)
     ranges = [range(k + 1, 2 * k + 1)] * len(primes)
@@ -255,20 +255,20 @@ def _divisor_frequency(
     form: BinaryQuadraticForm, q: int, a: int, b: int, n: int, hit, threads: int = 1
 ) -> float:
     """Frequency over [n]^2 of hit(P(q*m+a, q*n+b)), where hit maps an int64
-    array of form values to a boolean mask; with an overflow guard."""
-    if n > CAPS.divisor_grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {CAPS.divisor_grid_n}")
-    if needs_bigint(form, q, a, b, n):
+    array of form values to a boolean mask; a grid whose values need Python
+    ints is refused."""
+    big, w = _lattice([], [form], q, a, b, n)
+    if big:
         raise ResourceError("form values would overflow the fast integer path")
-    w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
     tiles = StripeTiles(n)  # exact integer counts: no stripe buffer needed
 
     def block(ms: np.ndarray) -> tuple[int]:
         parts, _ = tiles(ms)
-        return (sum(
-            int(np.count_nonzero(hit(form.grid_values((q * ms[rows] + a)[:, None], w))))
-            for rows in parts
-        ),)
+        count = 0
+        for rows in parts:
+            u = _lattice_coords(q, a, ms[rows], big)[:, None]
+            count += int(np.count_nonzero(hit(form.grid_values(u, w))))
+        return (count,)
 
     return striped_complex_mean(block, n, threads)[0]
 

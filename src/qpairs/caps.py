@@ -1,14 +1,22 @@
-"""Resource caps.
+"""Resource caps, per run.
 
 Every potentially unbounded computation checks one of these before
-allocating.  The CLI can tighten or relax them via --cap-n; tests use the
-defaults.
+allocating.  The caps in force are a frozen `Caps` held in a context
+variable: code reads them through `caps()`, and `override(**fields)`
+replaces some fields for the body of a `with` block, as `cli.main` does for
+--cap-n.  So a run's caps are seen by that run only, never by another
+thread, and they end with the block.  Stripe worker threads run each block
+in a copy of the submitting thread's context (`_grid.striped_complex_mean`),
+so they read the caps of the run that started them.  Tests use the defaults.
 """
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 
-@dataclass
+@dataclass(frozen=True)
 class Caps:
     # Largest prime table.  Sieving takes 1/2 B per integer (a bool per odd
     # integer) and the table keeps 8 B per prime: about 96 MB at once at
@@ -21,13 +29,27 @@ class Caps:
     # shifted_value_bound([1,0,2], 1, 0, 0, 10**4) is 3e8.
     value_sieve_limit: int = 4 * 10**8
     dirichlet_modulus: int = 10**4
-    root_scan_limit: int = 10**6      # exhaustive residue scans mod r
     box_count_n: int = 10**4          # lattice box half-width for norm counting
     enumerate_bound: int = 10**4      # solution enumeration in x, y
     folner_k: int = 7                 # full Folner enumeration
     grid_n: int = 10**4               # grid averages [N]^2
-    divisor_grid_n: int = 5000
     lift_work: int = 10**6            # root-lifting work per prime power
 
 
-CAPS = Caps()
+_current: ContextVar[Caps] = ContextVar("qpairs_caps", default=Caps())
+
+
+def caps() -> Caps:
+    """The caps in force in the calling context."""
+    return _current.get()
+
+
+@contextmanager
+def override(**fields: int) -> Iterator[None]:
+    """Run the with-body under the current caps with the given fields
+    replaced; the caps in force before are back when the block exits."""
+    token = _current.set(replace(_current.get(), **fields))
+    try:
+        yield
+    finally:
+        _current.reset(token)

@@ -31,7 +31,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from . import averaging, experiments, multfunc, quadrings, regularity
-from .caps import CAPS
+from . import caps
 from .errors import DomainError, InvariantError, ResourceError
 from .multfunc import TwistData, dirichlet_characters, function_from_name
 from .quadforms import (
@@ -613,18 +613,15 @@ def _runs(args) -> list[tuple[str, dict[str, str], dict[str, str]]]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    saved_caps = (CAPS.grid_n, CAPS.divisor_grid_n, CAPS.enumerate_bound)
-    if args.cap_n is not None:
-        CAPS.grid_n = args.cap_n
-        CAPS.divisor_grid_n = args.cap_n
-        CAPS.enumerate_bound = args.cap_n
+    capped = {} if args.cap_n is None else {"grid_n": args.cap_n, "enumerate_bound": args.cap_n}
     try:
-        # every spec of a sweep resolves before the first one runs
-        specs = [(sub, *resolve_spec(sub, raw), extra) for sub, raw, extra in _runs(args)]
-        rows = [{"run_id": run_id, **row, **extra}
-                for sub, values, _, run_id, extra in specs
-                for row in COMMANDS[sub].handler(values, args.threads)]
-        emit(rows, args.format, args.out)
+        with caps.override(**capped):
+            # every spec of a sweep resolves before the first one runs
+            specs = [(sub, *resolve_spec(sub, raw), extra) for sub, raw, extra in _runs(args)]
+            rows = [{"run_id": run_id, **row, **extra}
+                    for sub, values, _, run_id, extra in specs
+                    for row in COMMANDS[sub].handler(values, args.threads)]
+            emit(rows, args.format, args.out)
         return 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -635,8 +632,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    finally:
-        CAPS.grid_n, CAPS.divisor_grid_n, CAPS.enumerate_bound = saved_caps
 
 
 if __name__ == "__main__":

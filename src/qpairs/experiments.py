@@ -14,8 +14,8 @@ in cache-sized row tiles written into stripe buffers that each worker thread
 reuses (`_grid.StripeTiles`).  The weight grid depends only on (m, n), so
 the weighted averages over several moduli Q (the Folner probe) share one
 pass: each stripe's weights are computed once and reused for every Q.  Each
-average sets up its lattice through `_lattice`, which checks the grid cap,
-chooses int64 or Python ints and builds the value tables.
+average sets up its lattice through `_grid._lattice`, which checks the grid
+cap, chooses int64 or Python ints and builds the value tables.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._grid import StripeTiles, striped_complex_mean
+from ._grid import StripeTiles, _lattice, _lattice_coords, striped_complex_mean
 from .arith import fsum_complex, sieve_primes
-from .caps import CAPS
 from .errors import DomainError, InvariantError, ResourceError
 from .multfunc import (
     AdditiveFunction,
@@ -43,7 +42,6 @@ from .multfunc import (
     dirichlet_characters,
     distance_additive,
     evaluate_many,
-    prime_value_table,
     prime_values,
     prime_window_sum,
 )
@@ -52,8 +50,6 @@ from .quadforms import (
     BinaryQuadraticForm,
     LinearForm,
     form_has_root,
-    needs_bigint,
-    shifted_value_bound,
     _roots_mod_prime_power,
 )
 
@@ -166,37 +162,6 @@ class ConcentrationSetup:
 def concentration_setup(form, f, twist, q, a, b, c, k, n) -> ConcentrationSetup:
     """Build a setup; q may be an integer or an exponent assignment."""
     return ConcentrationSetup(form, f, twist, _expand_q(q), a, b, c, k, n)
-
-
-def _lattice_coords(q: int, shift: int, xs: np.ndarray, big: bool) -> np.ndarray:
-    """q * xs + shift as int64, or as Python ints when the grid needs them."""
-    if big:
-        return np.array([q * int(x) + shift for x in xs], dtype=object)
-    return (q * xs + shift).astype(np.int64)
-
-
-def _lattice(
-    fs: Sequence[MultiplicativeFunction],
-    forms: Sequence[BinaryQuadraticForm],
-    q: int,
-    a: int,
-    b: int,
-    n: int,
-) -> tuple[bool, np.ndarray]:
-    """Set up the lattice (Qm+a, Qn+b) over [n]^2 for the forms.
-
-    Checks the grid cap, chooses int64 or Python ints (big) by the 2**62
-    guard, builds the value tables of fs once at the grid's bound, and
-    returns (big, w) with w the column coordinates Qn+b as a (1, n) row.
-    """
-    if n > CAPS.grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {CAPS.grid_n}")
-    big = any(needs_bigint(form, q, a, b, n) for form in forms)
-    if not big:
-        bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
-        for f in fs:
-            prime_value_table(f, bound)
-    return big, _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
 
 
 def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:

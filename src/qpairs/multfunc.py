@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .arith import _prime_array, factorize, sieve_primes
-from .caps import CAPS
+from .caps import caps
 from .errors import DomainError, ResourceError
 
 # --------------------------------------------------------------------------
@@ -110,8 +110,8 @@ def dirichlet_characters(q: int) -> list[DirichletCharacter]:
     """
     if q <= 0:
         raise DomainError("modulus must be positive")
-    if q > CAPS.dirichlet_modulus:
-        raise ResourceError(f"modulus {q} exceeds cap {CAPS.dirichlet_modulus}")
+    if q > caps().dirichlet_modulus:
+        raise ResourceError(f"modulus {q} exceeds cap {caps().dirichlet_modulus}")
     gens = _unit_group_generators(q)
     orders = [s for _, s in gens]
 
@@ -348,15 +348,15 @@ def _liouville_sieve(limit: int) -> np.ndarray:
     table = _liouville_table
     if table is not None and len(table) > limit:
         return table
-    if limit > CAPS.value_sieve_limit:
-        raise ResourceError(f"value sieve {limit} exceeds cap {CAPS.value_sieve_limit}")
+    if limit > caps().value_sieve_limit:
+        raise ResourceError(f"value sieve {limit} exceeds cap {caps().value_sieve_limit}")
     with _liouville_lock:
         old = _liouville_table
         if old is not None and len(old) > limit:
             return old
         done = 0 if old is None else len(old)
         if old is not None:
-            limit = min(max(limit, 2 * done), CAPS.value_sieve_limit)
+            limit = min(max(limit, 2 * done), caps().value_sieve_limit)
         table = np.empty(limit + 1, dtype=np.int8)
         if old is not None:
             table[:done] = old
@@ -633,7 +633,7 @@ def _prime_window(x: float, y: float) -> np.ndarray:
     _check_cutoffs(x, y)
     if x > y:
         raise DomainError("need x <= y")
-    if y > CAPS.sieve_limit:
+    if y > caps().sieve_limit:
         raise ResourceError("upper range exceeds the sieve cap")
     primes = _prime_array(max(2, int(y)))
     lo, hi = (primes.searchsorted(max(1, math.floor(c)), "right") for c in (x, y))
@@ -698,7 +698,8 @@ def _prime_power_it(primes: np.ndarray, t: float) -> np.ndarray:
 
 def _put_at_keys(out: np.ndarray, primes: np.ndarray, table: Mapping) -> np.ndarray:
     """Write table[p] into out at the primes that are keys of table."""
-    keys = [k for k in table if 2 <= k <= CAPS.sieve_limit]
+    limit = caps().sieve_limit
+    keys = [k for k in table if 2 <= k <= limit]
     hits = np.flatnonzero(np.isin(primes, keys)) if keys else ()
     if len(hits):
         out[hits] = [table[p] for p in primes[hits].tolist()]
@@ -824,7 +825,8 @@ def _additive_term(h: AdditiveFunction, term: Callable[[int], complex]) -> Calla
     """
     if h.support is None:
         return lambda primes: np.fromiter(map(term, primes.tolist()), np.complex128, len(primes))
-    table = {p: term(p) for p in h.support if 2 <= p <= CAPS.sieve_limit}
+    limit = caps().sieve_limit
+    table = {p: term(p) for p in h.support if 2 <= p <= limit}
     return lambda primes: _put_at_keys(np.zeros(len(primes), dtype=np.complex128), primes, table)
 
 

@@ -25,7 +25,7 @@ from .arith import (
     sqrt_mod,
     squarefree_part,
 )
-from .caps import CAPS
+from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 
 
@@ -173,6 +173,7 @@ def _roots_mod_prime_power(form: BinaryQuadraticForm, p: int, k: int) -> list[in
     value already vanishes one level up.  Work is capped to keep degenerate
     forms from exploding.
     """
+    work = caps().lift_work
     roots = _roots_mod_prime(form, p)
     pe = p
     for _ in range(k - 1):
@@ -185,7 +186,7 @@ def _roots_mod_prime_power(form: BinaryQuadraticForm, p: int, k: int) -> list[in
                 lifted.append(x + t * pe)
             elif fx % (pe * p) == 0:
                 lifted.extend(x + t * pe for t in range(p))
-            if len(lifted) > CAPS.lift_work:
+            if len(lifted) > work:
                 raise ResourceError("root lifting exceeded the work cap")
         roots = lifted
         pe *= p
@@ -195,10 +196,10 @@ def _roots_mod_prime_power(form: BinaryQuadraticForm, p: int, k: int) -> list[in
 def local_root_count(form: BinaryQuadraticForm, r: int) -> int:
     """Number of n mod r with P(n, 1) = 0 mod r.
 
-    Exhaustive scan up to the scan cap; beyond it, multiplicative over the
-    prime powers of r with counts obtained by root lifting.  A factor c of r
-    dividing every coefficient is taken out first: P = 0 mod r iff
-    P/c = 0 mod r/c, so the count is c times that of P/c mod r/c.
+    Multiplicative over the prime powers of r, with the roots mod each
+    obtained by lifting.  A factor c of r dividing every coefficient is taken
+    out first: P = 0 mod r iff P/c = 0 mod r/c, so the count is c times that
+    of P/c mod r/c.
     """
     if r <= 0:
         raise DomainError("modulus must be positive")
@@ -208,17 +209,6 @@ def local_root_count(form: BinaryQuadraticForm, r: int) -> int:
     if c > 1:
         reduced = BinaryQuadraticForm(form.alpha // c, form.beta // c, form.gamma // c)
         return c * local_root_count(reduced, r // c)
-    max_coeff = max(abs(form.alpha), abs(form.beta), abs(form.gamma))
-    if r <= CAPS.root_scan_limit:
-        if r <= 4096 or max_coeff * (r * r + r + 1) >= 2**62:
-            return sum(
-                1 for x in range(r) if (form.alpha * x * x + form.beta * x + form.gamma) % r == 0
-            )
-        import numpy as np
-
-        x = np.arange(r, dtype=np.int64)
-        vals = (form.alpha * x * x + form.beta * x + form.gamma) % r
-        return int(np.count_nonzero(vals == 0))
     count = 1
     for p, e in factorize(r).factors:
         count *= len(_roots_mod_prime_power(form, p, e))

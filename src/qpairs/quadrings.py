@@ -16,7 +16,7 @@ from math import isqrt
 import numpy as np
 
 from .arith import factorize, kronecker, pell_fundamental_pm
-from .caps import CAPS
+from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 from .quadforms import BinaryQuadraticForm
 
@@ -138,36 +138,26 @@ def count_norm_solutions(d: int, k: int, box: int) -> int:
     """Lattice points m, n in [-box, box] with norm(m + n*tau_d) = k.
 
     Scans n and solves the quadratic in m by integer square root; exact.
+    With the norm form [1, beta, gamma] and D = beta^2 - 4*gamma,
+    (2m + beta*n)^2 = 4k + D*n^2.
     """
     if k == 0:
         raise DomainError("k must be nonzero")
-    if box > CAPS.box_count_n:
-        raise ResourceError(f"box {box} exceeds cap {CAPS.box_count_n}")
-    ring = QuadraticRing(d)
+    if box > caps().box_count_n:
+        raise ResourceError(f"box {box} exceeds cap {caps().box_count_n}")
+    form = QuadraticRing(d).norm_form
+    beta, disc = form.beta, form.discriminant
     count = 0
-    if ring.half_integer:
-        # (2m + n)^2 = 4k - d n^2
-        for n in range(-box, box + 1):
-            s = 4 * k - d * n * n
-            if s < 0:
-                continue
-            y = isqrt(s)
-            if y * y != s:
-                continue
-            for yy in {y, -y}:
-                if (yy - n) % 2 == 0 and abs((yy - n) // 2) <= box:
-                    count += 1
-    else:
-        for n in range(-box, box + 1):
-            s = k - d * n * n
-            if s < 0:
-                continue
-            m = isqrt(s)
-            if m * m != s:
-                continue
-            for mm in {m, -m}:
-                if abs(mm) <= box:
-                    count += 1
+    for n in range(-box, box + 1):
+        s = 4 * k + disc * n * n
+        if s < 0:
+            continue
+        y = isqrt(s)
+        if y * y != s:
+            continue
+        for yy in {y, -y}:
+            if (yy - beta * n) % 2 == 0 and abs((yy - beta * n) // 2) <= box:
+                count += 1
     return count
 
 
@@ -288,8 +278,8 @@ def is_regular(z: RingElement, c_bound, n_max: int) -> bool:
     """
     if z.m == 0 and z.n == 0:
         raise DomainError("z must be nonzero")
-    if n_max > CAPS.box_count_n:
-        raise ResourceError(f"box {n_max} exceeds cap {CAPS.box_count_n}")
+    if n_max > caps().box_count_n:
+        raise ResourceError(f"box {n_max} exceeds cap {caps().box_count_n}")
     c_frac = Fraction(c_bound)
     if c_frac <= 0:
         raise DomainError("C must be positive")

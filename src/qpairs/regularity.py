@@ -14,8 +14,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .arith import crt, find_prime_in_class, is_prime, is_square, jacobi, sieve_primes
-from .caps import CAPS
+from .arith import crt, is_prime, is_square, jacobi, primes_in_class, sieve_primes
+from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 
 
@@ -360,14 +360,14 @@ def find_split_prime(
     """A prime p making every element of f1 a residue and every element of f2
     a nonresidue mod p (elements are primes or -1).
 
-    Builds the CRT class dictated by quadratic reciprocity, takes the
-    smallest prime in it, and verifies the split before returning.
+    Builds the CRT class dictated by quadratic reciprocity and returns the
+    smallest prime in it, up to limit, that passes the split check.
     """
     s1, s2 = set(f1), set(f2)
     if s1 & s2:
         raise DomainError("the two sets must be disjoint")
     for v in s1 | s2:
-        if v != -1 and (v < 2 or any(v % d == 0 for d in range(2, isqrt(v) + 1))):
+        if v != -1 and not is_prime(v):
             raise DomainError(f"{v} is neither -1 nor a prime")
     odd = sorted(q for q in (s1 | s2) if q not in (-1, 2))
 
@@ -388,26 +388,17 @@ def find_split_prime(
             congruences.append((_residue_class(q, want_residue), q))
 
     residue, modulus = crt(congruences)
-    p = find_prime_in_class(residue, modulus, limit)
-    while p is not None:
-        ok = all(jacobi(v, p) == 1 for v in s1) and all(jacobi(v, p) == -1 for v in s2)
-        if ok:
-            return p
-        p = _next_prime_in_class(residue, modulus, p, limit)  # pragma: no cover
-    return None
+    return next(
+        (p for p in primes_in_class(residue, modulus, limit)
+         if all(jacobi(v, p) == 1 for v in s1) and all(jacobi(v, p) == -1 for v in s2)),
+        None,
+    )
 
 
 def _residue_class(q: int, want_residue: bool) -> int:
     if want_residue:
         return 1
     return next(i for i in range(2, q) if jacobi(i, q) == -1)
-
-
-def _next_prime_in_class(a: int, q: int, after: int, limit: int) -> Optional[int]:
-    for p in sieve_primes(max(2, limit)):  # pragma: no cover
-        if p > after and p % q == a % q:
-            return p
-    return None  # pragma: no cover
 
 
 # --------------------------------------------------------------------------
@@ -426,8 +417,8 @@ def enumerate_solutions(t: EquationTriple, bound: int) -> list[tuple[int, int, i
     """
     if bound < 1:
         raise DomainError("bound must be positive")
-    if bound > CAPS.enumerate_bound:
-        raise ResourceError(f"bound {bound} exceeds cap {CAPS.enumerate_bound}")
+    if bound > caps().enumerate_bound:
+        raise ResourceError(f"bound {bound} exceeds cap {caps().enumerate_bound}")
     g = gcd(t.a, t.b, t.c)  # dividing it out leaves the solutions unchanged
     a, b, c = t.a // g, t.b // g, t.c // g
     largest = (abs(a) + abs(b)) * bound * bound

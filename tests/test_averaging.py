@@ -162,6 +162,15 @@ def test_divisor_stat_exact_examples():
     assert abs(val - 0.256 * (288 / 2197)) <= 0.01
 
 
+def test_divisor_stat_refuses_python_int_grids():
+    """A grid whose values need Python ints is refused; the grid cap is
+    checked first."""
+    with pytest.raises(ResourceError, match="overflow the fast integer path"):
+        divisor_stat_exact(P11, 10**9, 1, 0, 5, 5, 200)
+    with pytest.raises(ResourceError, match="grid 10001 exceeds cap 10000"):
+        divisor_stat_exact(P11, 10**9, 1, 0, 5, 5, 10**4 + 1)
+
+
 def test_divisor_stat_predicted_values():
     assert divisor_stat_predicted(P11, 5, 5) == pytest.approx(32 / 125)
     assert divisor_stat_predicted(P11, 13, 13) == pytest.approx(288 / 2197)

@@ -163,6 +163,7 @@ def test_resource_cap_exit_3(capsys):
     ["concentrate", "form=[1,0,1]", "f=principal", "q=6", "k=3", "n=200"],
     ["correlate", "factors=liouville@[1,0]", "form=[1,0,1]", "n=200"],
     ["tk", "form=[1,0,1]", "q=210", "k=10", "n=200", "h_primes=13"],
+    ["divstat", "--form", "[1,0,1]", "--primes", "5", "--n", "200"],
 ])
 def test_grid_cap_exit_3(args, capsys):
     code, out, err = run_cli(["--cap-n", "100", *args], capsys)

@@ -289,7 +289,7 @@ def test_object_path_matches_int64(monkeypatch):
         "concentration_lhs": lambda: concentration_lhs(setup),
     }
     fast = {name: repr(run()) for name, run in runs.items()}
-    monkeypatch.setattr(experiments, "needs_bigint", lambda *args: True)
+    monkeypatch.setattr(_grid, "needs_bigint", lambda *args: True)
     for name, run in runs.items():
         assert repr(run()) == fast[name], name
 
