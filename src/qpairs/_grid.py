@@ -13,8 +13,12 @@ stripe buffer that its worker thread reuses for every stripe of the
 reduction (`StripeTiles`).  The stripe's sum is then one `np.sum` over the
 whole buffer, so per-stripe sums do not depend on the tile size: tiles
 change where the elementwise values are computed, not their bits or the
-summation tree.  Every lattice grid average sets up its lattice through
-`_lattice`.
+summation tree, as long as no complex product swaps its operands or runs in
+place on one element: numpy's complex multiply is not bitwise commutative,
+its temporary elision evaluates `x * f()` as `f() * x` from 256 KiB, and a
+one-element in-place product takes another kernel.  Such products are
+`np.multiply(left, right)` calls.  Every lattice grid average sets up its
+lattice through `_lattice`.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ _SIEVE_SEGMENT = 1 << 20
 _sieve_cache: tuple = (0, None)
 _sieve_lock = threading.Lock()
 
+_WALK_CHUNK = 1 << 12  # primes per chunk of a residue-class walk
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -296,13 +298,21 @@ def crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
 
 
 def primes_in_class(a: int, q: int, limit: int) -> Iterator[int]:
-    """The primes p <= limit with p = a (mod q), ascending."""
-    if q <= 0 or limit <= 0:
-        raise DomainError("q and limit must be positive")
+    """The primes p <= limit with p = a (mod q), ascending, read from the
+    shared prime array in chunks: a search that stops early converts no more.
+    A limit of 1 holds no primes; a limit <= 0 is an error."""
+    if limit <= 0:
+        raise DomainError(f"prime limit must be positive, got {limit}")
+    if q <= 0:
+        raise DomainError(f"modulus {q} of the residue class must be positive")
     if gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) != 1: the class contains at most one prime")
     a %= q
-    return (p for p in sieve_primes(max(2, limit)) if p <= limit and p % q == a)
+    primes = _prime_array(limit) if limit >= 2 else ()
+    for i in range(0, len(primes), _WALK_CHUNK):
+        chunk = primes[i : i + _WALK_CHUNK]
+        # for q > limit, p % q == p, and q need not fit in int64
+        yield from chunk[(chunk % q if q <= limit else chunk) == a].tolist()
 
 
 def find_prime_in_class(a: int, q: int, limit: int) -> int | None:

@@ -33,13 +33,13 @@ from .errors import DomainError, InvariantError, ResourceError
 from .multfunc import (
     AdditiveFunction,
     MultiplicativeFunction,
+    TRIVIAL_CHARACTER,
     TwistData,
     _additive_term,
     _cmul,
     _prime_power_it,
     _root_count_weights,
     _unit_weights,
-    dirichlet_characters,
     distance_additive,
     evaluate_many,
     prime_values,
@@ -59,7 +59,7 @@ from .quadforms import (
 
 
 def principal_twist() -> TwistData:
-    return TwistData(t=0.0, chi=dirichlet_characters(1)[0])
+    return TwistData(t=0.0, chi=TRIVIAL_CHARACTER)
 
 
 def _concentration_term(weights, f: MultiplicativeFunction, twist: TwistData):
@@ -208,7 +208,8 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
             if twist.t != 0.0:
                 u0 = _lattice_coords(q, 0, ms[rows], big)[:, None]
                 base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
-                target = target * np.exp(1j * twist.t * np.log(base))
+                # not `target0 * array`, whose operands numpy may swap (see _grid)
+                target = np.multiply(np.exp(1j * twist.t * np.log(base)), target0)
             np.abs(fv - target, out=dev[rows])
         return (float(np.sum(dev)),)
 

@@ -8,9 +8,9 @@ and safe to share across threads.
 
 Evaluation hints: grid experiments need f at millions of form values, where
 per-value factorization is hopeless.  Each built-in carries a structural hint
-(constant one / Liouville sign sieve / periodic character times n^{it} with
-finitely many prime overrides / finite prime support / pure Archimedean) that
-`evaluate_many` dispatches on.  It returns the Liouville function as int8
+of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
+finitely many prime values replaced (the constant one, n^{it}, characters,
+twists and prime patches).  `evaluate_many` returns the Liouville function as int8
 (the cached table's entries) and every other function as complex128.  The
 prime-window sums read f at whole arrays of primes from the same hints
 (`prime_values`).  Hints are an optimization only; the scalar path never
@@ -157,6 +157,9 @@ def dirichlet_characters(q: int) -> list[DirichletCharacter]:
     return chars
 
 
+TRIVIAL_CHARACTER = dirichlet_characters(1)[0]  # the character mod 1: chi(n) = 1
+
+
 @dataclass(frozen=True)
 class TwistData:
     """An Archimedean exponent together with a Dirichlet character."""
@@ -176,25 +179,20 @@ class EvalHint:
     scalar results.
 
     kind:
-      'one'        constant 1
       'liouville'  completely multiplicative +-1 sign, sieveable
-      'periodic'   chi(n) * n^{it} with finitely many prime overrides
-      'support'    1 except on finitely many primes (completely multiplicative)
-      'arch'       pure n^{it}
+      'periodic'   chi(n) * n^{it} with overrides at finitely many primes
     """
 
     kind: str
-    chi: Optional[DirichletCharacter] = None
+    chi: DirichletCharacter = TRIVIAL_CHARACTER
     t: float = 0.0
     overrides: Mapping[int, complex] = field(default_factory=dict)
-    support: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class MultiplicativeFunction:
     description: str
     prime_power_rule: Callable[[int, int], complex]
-    completely_multiplicative: bool = False
     direct_rule: Optional[Callable[[int], complex]] = None
     hint: Optional[EvalHint] = None
 
@@ -231,7 +229,7 @@ def evaluate_on_exponents(f: MultiplicativeFunction, exponents: Mapping[int, int
     for p, e in exponents.items():
         if e < 1:
             raise DomainError("exponents must be >= 1")
-    if f.hint is not None and f.hint.kind == "arch":
+    if f.hint is not None and f.hint == EvalHint("periodic", t=f.hint.t):  # n^{it}
         logn = math.fsum(e * math.log(p) for p, e in exponents.items())
         return cmath.exp(1j * f.hint.t * logn)
     out = 1 + 0j
@@ -378,7 +376,7 @@ def _strip_valuations(values: np.ndarray, p: int, val: complex) -> tuple[np.ndar
     mask = w % p == 0
     while mask.any():
         w[mask] = w[mask] // p
-        corr[mask] *= val
+        corr[mask] = np.multiply(corr[mask], val)  # not in place: see _grid
         mask = w % p == 0
     return w, corr
 
@@ -417,30 +415,26 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
         vmax = int(absv.max()) if absv.size else 0
         return _liouville_sieve(max(2, vmax))[absv.astype(np.int64, copy=False)]
 
+    # chi(n) * n^{it} with overrides, in stages: strip the overrides, gather
+    # chi, multiply by n^{it}; a stage whose data asks for nothing is skipped.
+    # Products are np.multiply calls with fixed operands and fresh outputs,
+    # so no bit depends on the batch size (see _grid).
     flat = absv.reshape(-1)
-    if hint.kind == "one":
-        out = np.ones(flat.shape, dtype=np.complex128)
-    elif hint.kind == "arch":
-        out = _unit_power(flat, hint.t)
-    elif hint.kind in ("periodic", "support"):
+    w, out = flat, None
+    if hint.overrides:
         # zeros would never leave the stripping loop; they are masked to 0 below
-        safe_flat = np.where(flat == 0, 1, flat)
-        w = safe_flat.astype(object) if flat.dtype == object else safe_flat.astype(np.int64)
-        corr = np.ones(flat.shape, dtype=np.complex128)
+        w = np.where(flat == 0, 1, flat).astype(object if flat.dtype == object else np.int64)
+        out = np.ones(flat.shape, dtype=np.complex128)
         for p, val in sorted(hint.overrides.items()):
             w, c = _strip_valuations(w, p, val)
-            corr *= c
-        if hint.kind == "periodic":
-            chi = hint.chi
-            res = (w % chi.q).astype(np.int64)
-            out = chi.value_array()[res] * corr
-            if hint.t != 0.0:
-                out = out * _unit_power(flat, hint.t)
-        else:
-            out = corr
-    else:  # pragma: no cover
-        raise DomainError(f"unknown evaluation hint {hint.kind}")
-    out = out.reshape(absv.shape)
+            out = np.multiply(out, c)
+    if hint.chi.q != 1:
+        vals = hint.chi.value_array()[(w % hint.chi.q).astype(np.int64)]
+        out = vals if out is None else np.multiply(vals, out)
+    if hint.t != 0.0:
+        power = _unit_power(flat, hint.t)
+        out = power if out is None else np.multiply(out, power)
+    out = (np.ones(flat.shape, dtype=np.complex128) if out is None else out).reshape(absv.shape)
     out[absv == 0] = 0j
     return out
 
@@ -454,7 +448,6 @@ def liouville() -> MultiplicativeFunction:
     return MultiplicativeFunction(
         description="liouville",
         prime_power_rule=lambda p, k: (-1.0) ** k,
-        completely_multiplicative=True,
         hint=EvalHint(kind="liouville"),
     )
 
@@ -464,8 +457,7 @@ def one() -> MultiplicativeFunction:
     return MultiplicativeFunction(
         description="principal",
         prime_power_rule=lambda p, k: 1 + 0j,
-        completely_multiplicative=True,
-        hint=EvalHint(kind="one"),
+        hint=EvalHint(kind="periodic"),
     )
 
 
@@ -478,9 +470,8 @@ def archimedean(t: float) -> MultiplicativeFunction:
     return MultiplicativeFunction(
         description=f"arch:{t}",
         prime_power_rule=lambda p, k: cmath.exp(1j * t * k * math.log(p)),
-        completely_multiplicative=True,
         direct_rule=lambda n: cmath.exp(1j * t * math.log(n)) if n != 0 else 0j,
-        hint=EvalHint(kind="arch", t=t),
+        hint=EvalHint(kind="periodic", t=t),
     )
 
 
@@ -488,7 +479,6 @@ def character_function(chi: DirichletCharacter) -> MultiplicativeFunction:
     return MultiplicativeFunction(
         description=chi.label,
         prime_power_rule=lambda p, k: chi(p) ** k,
-        completely_multiplicative=True,
         direct_rule=lambda n: chi(n),
         hint=EvalHint(kind="periodic", chi=chi),
     )
@@ -503,7 +493,6 @@ def twisted(chi: DirichletCharacter, t: float) -> MultiplicativeFunction:
     return MultiplicativeFunction(
         description=f"twisted:{chi.q}:{chi.label.rsplit(':', 1)[-1]}:{t}",
         prime_power_rule=rule,
-        completely_multiplicative=True,
         direct_rule=lambda n: chi(n) * cmath.exp(1j * t * math.log(n)) if n != 0 else 0j,
         hint=EvalHint(kind="periodic", chi=chi, t=t),
     )
@@ -525,7 +514,6 @@ def character_extended(
     return MultiplicativeFunction(
         description=f"{chi.label}+overrides",
         prime_power_rule=rule,
-        completely_multiplicative=True,
         hint=EvalHint(kind="periodic", chi=chi, t=t, overrides=ov),
     )
 
@@ -535,18 +523,16 @@ def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     if abs(value) > 1 + 1e-12:
         raise DomainError("values must stay in the unit disk")
     primes = _prime_array(max(2, hi))
-    support = tuple(primes[(lo < primes) & (primes <= hi)].tolist())
-    sset = set(support)
     value = complex(value)
+    overrides = {p: value for p in primes[(lo < primes) & (primes <= hi)].tolist()}
 
     def rule(p: int, k: int) -> complex:
-        return value**k if p in sset else 1 + 0j
+        return value**k if p in overrides else 1 + 0j
 
     return MultiplicativeFunction(
         description=f"prime-patch:{lo}:{hi}:{value}",
         prime_power_rule=rule,
-        completely_multiplicative=True,
-        hint=EvalHint(kind="support", overrides={p: value for p in support}, support=support),
+        hint=EvalHint(kind="periodic", overrides=overrides),
     )
 
 
@@ -716,12 +702,8 @@ def prime_values(f: MultiplicativeFunction, primes: np.ndarray) -> np.ndarray:
     hint = f.hint
     if hint is None:
         return np.fromiter(map(f.at_prime, primes.tolist()), np.complex128, len(primes))
-    if hint.kind in ("one", "liouville"):
-        return np.full(len(primes), 1.0 if hint.kind == "one" else -1.0, dtype=np.complex128)
-    if hint.kind == "arch":
-        return _prime_power_it(primes, hint.t)
-    if hint.kind == "support":
-        return _put_at_keys(np.ones(len(primes), dtype=np.complex128), primes, hint.overrides)
+    if hint.kind == "liouville":
+        return np.full(len(primes), -1.0, dtype=np.complex128)
     out = _put_at_keys(hint.chi.value_array()[primes % hint.chi.q], primes, hint.overrides)
     return _cmul(out, _prime_power_it(primes, hint.t)) if hint.t != 0.0 else out
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .arith import crt, is_prime, is_square, jacobi, primes_in_class, sieve_primes
+from .arith import crt, is_prime, is_square, jacobi, primes_in_class
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 
@@ -344,7 +344,7 @@ def find_qr_obstruction(t: EquationTriple, prime_limit: int = 10**5) -> Optional
     targets = (a * c, b * c, (a + b) * c)
     if any(v >= 0 and is_square(v) for v in targets):
         return None
-    for p in sieve_primes(max(2, prime_limit)):
+    for p in primes_in_class(0, 1, prime_limit):
         if p == 2 or (2 * a * b * c) % p == 0:
             continue
         if all(jacobi(v, p) == -1 for v in targets):

@@ -1,7 +1,8 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qpairs.arith import (
     crt,
@@ -10,6 +11,7 @@ from qpairs.arith import (
     is_square,
     jacobi,
     pell_fundamental,
+    primes_in_class,
     sieve_primes,
     squarefree_part,
     sqrt_mod,
@@ -174,6 +176,34 @@ def test_find_prime_in_class():
 def test_find_prime_in_class_bad_gcd():
     with pytest.raises(DomainError):
         find_prime_in_class(2, 4, 100)
+
+
+@settings(max_examples=60)
+@given(st.integers(-10**4, 10**4), st.integers(1, 10**4), st.integers(1, 3 * 10**4))
+def test_primes_in_class_matches_list_filter(a, q, limit):
+    """The chunked walk against a filter over the whole prime list, across
+    chunk boundaries and with moduli above the limit."""
+    if gcd(a, q) != 1:
+        return
+    expected = [p for p in sieve_primes(max(2, limit)) if p <= limit and p % q == a % q]
+    assert list(primes_in_class(a, q, limit)) == expected
+
+
+def test_primes_in_class_modulus_past_int64():
+    q = 8 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43 * 47 * 53 * 59
+    assert q > 2**63
+    assert list(primes_in_class(97, q, 1000)) == [97]
+    assert list(primes_in_class(97 + q, q, 1000)) == [97]
+    assert list(primes_in_class(1009, q, 1000)) == []
+
+
+def test_primes_in_class_limits():
+    assert list(primes_in_class(1, 3, 1)) == []  # an exhausted search, not an error
+    for bad in (0, -5):
+        with pytest.raises(DomainError, match="prime limit"):
+            find_prime_in_class(1, 3, bad)
+        with pytest.raises(DomainError, match="modulus"):
+            find_prime_in_class(1, bad, 100)
 
 
 # --- pell ----------------------------------------------------------------------

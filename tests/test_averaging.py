@@ -134,7 +134,6 @@ def test_folner_average_factors_per_prime():
     f = MultiplicativeFunction(
         description="zeta2",
         prime_power_rule=lambda p, k: zeta**k if p == 2 else 1.0,
-        completely_multiplicative=True,
     )
     for k in (3, 4, 5):
         per_prime = sum(zeta**a for a in range(k + 1, 2 * k + 1)) / k

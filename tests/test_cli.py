@@ -25,6 +25,27 @@ def test_classify_verdict_json(capsys):
     assert row["witness_coloring"] == "two-adic"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["classify", "1", "1", "3", "--prime-limit", "0"],
+        ["obstruct", "--split", "-1", "2", "--prime-limit", "0"],
+        ["obstruct", "1", "1", "3", "--prime-limit", "0"],
+        ["obstruct", "1", "1", "3", "--prime-limit", "-5"],
+    ],
+)
+def test_nonpositive_prime_limit_is_usage_error(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, "")
+    assert "prime limit must be positive" in err
+
+
+@pytest.mark.parametrize("args", [["obstruct", "--split", "-1", "2"], ["obstruct", "1", "1", "3"]])
+def test_prime_limit_one_is_exhausted_search(args, capsys):
+    code, out, _ = run_cli([*args, "--prime-limit", "1"], capsys)
+    assert code == 0 and json.loads(out)["prime"] is None
+
+
 def test_classify_golden_rows(capsys):
     for triple, status in ((["1", "2", "1"], "PR_UNCONDITIONAL"),
                            (["1", "17", "34"], "UNKNOWN")):

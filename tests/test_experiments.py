@@ -80,7 +80,6 @@ def test_concentration_exponent_real_part_nonpositive():
         f = MultiplicativeFunction(
             description="rand",
             prime_power_rule=lambda p, k, v=values: v.get(p, 1.0) ** k,
-            completely_multiplicative=True,
         )
         assert concentration_exponent_form(P11, f, tw, 3, 200).real <= 1e-15
 

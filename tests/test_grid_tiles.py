@@ -265,6 +265,30 @@ def test_tiles_match_whole_stripes(n, tile_points, monkeypatch):
         assert _outcome(tiled) == _outcome(whole), name
 
 
+def test_twisted_concentration_independent_of_tile_size(monkeypatch):
+    """The stripe sums of |f - chi(P(a, b)) * |P|^{it} * exp(G)| are the same
+    at 1000-point tiles as at the default, whose 1 MB temporaries numpy
+    would elide by swapping a product's operands.  With a = 3 the constant
+    chi(9) is not real, so the swap moves bits."""
+    chi = dirichlet_characters(7)[2]
+    setup = concentration_setup(P11, twisted(chi, 0.5), TwistData(0.5, chi), 42, 3, 0, 1, 3, 300)
+    assert chi(9).imag != 0.0
+
+    def stripe_sums():
+        sums = []
+        run = _grid.striped_complex_mean
+
+        def recording(block, n, threads=1):
+            return run(lambda ms: sums.append(block(ms)) or sums[-1], n, threads)
+
+        monkeypatch.setattr(experiments, "striped_complex_mean", recording)
+        return concentration_lhs(setup), sums
+
+    default = stripe_sums()
+    monkeypatch.setattr(_grid, "_TILE_POINTS", 1000)
+    assert stripe_sums() == default
+
+
 def test_weights_readme_golden():
     """The digits README's `weights ... --n 1500` has printed since the
     striped reducer landed."""

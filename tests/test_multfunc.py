@@ -8,7 +8,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpairs import arith, multfunc
 from qpairs.arith import is_prime, sieve_primes
@@ -193,9 +193,7 @@ def _random_unit_function(rng):
     def rule(p, k):
         return values.get(p, 1.0) ** k
 
-    return MultiplicativeFunction(
-        description="random-unit", prime_power_rule=rule, completely_multiplicative=True
-    )
+    return MultiplicativeFunction(description="random-unit", prime_power_rule=rule)
 
 
 def test_triangle_and_product_inequalities():
@@ -213,7 +211,6 @@ def test_triangle_and_product_inequalities():
             return MultiplicativeFunction(
                 description="prod",
                 prime_power_rule=lambda p, k: u.prime_power_rule(p, k) * v.prime_power_rule(p, k),
-                completely_multiplicative=True,
             )
 
         lhs = distance_form(P, prod(f, f2), prod(g, g2), 1, 100)
@@ -240,6 +237,38 @@ def test_evaluate_many_matches_scalar():
         assert bulk.dtype == (np.int8 if f.hint.kind == "liouville" else np.complex128)
         for v, got in zip(values, bulk):
             assert abs(got - evaluate(f, int(v))) < 1e-12, (f.description, v)
+
+
+# Every function_from_name built-in, and chi * n^{it} with overrides.
+BATCH_FUNCTIONS = [
+    "liouville", "principal", "char:7:2", "arch:2.0", "twisted:7:2:0.5", "prime-patch:10:100:-1",
+]
+
+
+def _batch_functions():
+    ext = character_extended(dirichlet_characters(7)[1], {2: 0.5j, 3: -1.0, 5: 0.6 + 0.8j}, t=0.7)
+    return [function_from_name(name) for name in BATCH_FUNCTIONS] + [ext]
+
+
+@settings(settings.get_profile("oracle"), max_examples=6)
+@example(seed=0, size=40_000, cuts=list(range(1000, 40_000, 1000)))
+@example(seed=1, size=2_000, cuts=[3, 4, 5, 6, 7])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 40_000),
+    cuts=st.lists(st.integers(0, 40_000), max_size=5),
+)
+def test_evaluate_many_independent_of_batch_split(seed, size, cuts):
+    """The bytes of evaluate_many over an array equal those of its pieces,
+    concatenated.  numpy swaps a product's operands when it elides a large
+    temporary, and multiplies one element in place with another kernel."""
+    values = np.random.default_rng(seed).integers(-10**6, 10**6, size)
+    bounds = [0, *sorted(min(c, size) for c in cuts), size]
+    for f in _batch_functions():
+        for batch in (values, values.astype(object)):
+            whole = evaluate_many(f, batch)
+            pieces = [evaluate_many(f, batch[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            assert whole.tobytes() == np.concatenate(pieces).tobytes(), (f.description, batch.dtype)
 
 
 def test_liouville_sieve_against_factorization():
