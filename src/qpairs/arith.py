@@ -297,12 +297,17 @@ def crt(congruences: list[tuple[int, int]]) -> tuple[int, int]:
     return r, m
 
 
+def check_prime_limit(limit: int) -> None:
+    """Refuse a prime search limit <= 0; a limit of 1 holds no primes."""
+    if limit <= 0:
+        raise DomainError(f"prime limit must be positive, got {limit}")
+
+
 def primes_in_class(a: int, q: int, limit: int) -> Iterator[int]:
     """The primes p <= limit with p = a (mod q), ascending, read from the
     shared prime array in chunks: a search that stops early converts no more.
     A limit of 1 holds no primes; a limit <= 0 is an error."""
-    if limit <= 0:
-        raise DomainError(f"prime limit must be positive, got {limit}")
+    check_prime_limit(limit)
     if q <= 0:
         raise DomainError(f"modulus {q} of the residue class must be positive")
     if gcd(a, q) != 1:

@@ -13,9 +13,12 @@ order, so results are independent of the thread count.  A stripe is computed
 in cache-sized row tiles written into stripe buffers that each worker thread
 reuses (`_grid.StripeTiles`).  The weight grid depends only on (m, n), so
 the weighted averages over several moduli Q (the Folner probe) share one
-pass: each stripe's weights are computed once and reused for every Q.  Each
-average sets up its lattice through `_grid._lattice`, which checks the grid
-cap, chooses int64 or Python ints and builds the value tables.
+pass: each stripe's weights are computed once and reused for every Q.  f is
+evaluated there only on each tile's column span of nonzero weight, which is
+exact because every f is finite with |f| <= 1, so a zero weight gives a term
+of +-0.  Each average sets up its lattice through `_grid._lattice`, which
+checks the grid cap, chooses int64 or Python ints and builds the value
+tables.
 """
 
 from __future__ import annotations
@@ -257,7 +260,7 @@ def turan_kubilius_variance(
             raise DomainError(f"h({p}) != 0 but the form has no root mod {p}")
         if h.prime_power_rule(p, 2) != 0:
             raise DomainError("h must vanish on higher prime powers")
-        if abs(hp) > 1 + 1e-12:
+        if not abs(hp) <= 1 + 1e-12:  # NaN compares False
             raise DomainError("h must be bounded by 1 on primes")
         if q % p == 0 or (2 * form.alpha * form.discriminant) % p == 0:
             raise DomainError(f"support prime {p} collides with Q or the form data")
@@ -361,6 +364,14 @@ def _weighted_pair_averages(
     The weight does not depend on Q: each stripe fills its weight buffer
     once, then one complex buffer with w * f(P1) * conj(f(P2)) for each Q in
     turn, so memory does not grow with the number of moduli.
+
+    f is evaluated only on each tile's column span, the first through the
+    last column with a nonzero weight in any of the tile's rows; the rest of
+    the complex buffer holds zeros, and a tile without weight evaluates
+    nothing.  This is exact because every f here is finite with |f| <= 1: a
+    zero weight gives a term of +-0, which leaves every nonzero partial sum
+    of the stripe's np.sum unchanged, and math.fsum of the stripe sums turns
+    a zero of either sign into +0.
     """
     lattices = [(q, *_lattice([f], [form1, form2], q, a, b, n)) for q in qs]
     spec = WeightSpec(delta, form1, form2)
@@ -369,17 +380,21 @@ def _weighted_pair_averages(
 
     def block(ms: np.ndarray) -> tuple:
         parts, (wgt, prod) = tiles(ms)
+        prod.fill(0)
+        spans = []
         for rows in parts:
             wgt[rows] = weight_grid(spec, ms[rows, None], cols[None, :])
+            nz = np.flatnonzero(wgt[rows].any(axis=0))
+            if len(nz):
+                spans.append((rows, slice(nz[0], nz[-1] + 1)))
         sums = [float(np.sum(wgt))]
         for q, big, w in lattices:
-            for rows in parts:
+            for rows, span in spans:
                 u = _lattice_coords(q, a, ms[rows], big)[:, None]
-                f1 = evaluate_many(f, form1.grid_values(u, w))
-                f2 = evaluate_many(f, form2.grid_values(u, w))
-                out = prod[rows]
-                np.multiply(wgt[rows], f1, out=out)
-                out *= np.conj(f2, out=f2)
+                f1 = evaluate_many(f, form1.grid_values(u, w[:, span]))
+                f2 = evaluate_many(f, form2.grid_values(u, w[:, span]))
+                # not in place, whose one-element product takes another kernel (see _grid)
+                np.multiply(np.multiply(wgt[rows, span], f1), np.conj(f2), out=prod[rows, span])
             sums.append(complex(np.sum(prod)))
         return tuple(sums)
 

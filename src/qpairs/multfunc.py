@@ -520,7 +520,7 @@ def character_extended(
 
 def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     """value at primes in (lo, hi], 1 elsewhere; completely multiplicative."""
-    if abs(value) > 1 + 1e-12:
+    if not abs(value) <= 1 + 1e-12:  # NaN compares False
         raise DomainError("values must stay in the unit disk")
     primes = _prime_array(max(2, hi))
     value = complex(value)

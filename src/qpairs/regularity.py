@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .arith import crt, is_prime, is_square, jacobi, primes_in_class
+from .arith import check_prime_limit, crt, is_prime, is_square, jacobi, primes_in_class
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 
@@ -268,8 +268,10 @@ def classify(t: EquationTriple, pair: str = "xy", prime_limit: int = 10**5) -> V
     Order: pair transformation, unconditional square tests, the conditional
     (a+b)c test (zero counts as a square), then the obstruction tests.  The
     two-adic and dyadic witnesses are checked before quadratic-residue
-    obstruction primes so verdicts stay reproducible.
+    obstruction primes so verdicts stay reproducible.  A prime limit <= 0 is
+    refused whichever test decides.
     """
+    check_prime_limit(prime_limit)
     base = _transform_for_pair(t, pair)
     a, b, c = base.a, base.b, base.c
     ac, bc, sc = a * c, b * c, (a + b) * c
@@ -338,8 +340,10 @@ def find_qr_obstruction(t: EquationTriple, prime_limit: int = 10**5) -> Optional
     nonresidues mod p, or None.
 
     A square value (including (a+b)c = 0) is a residue mod every prime, so in
-    that case no witness exists at any limit and None is returned at once.
+    that case no witness exists at any limit and None is returned at once,
+    after a limit <= 0 is refused.
     """
+    check_prime_limit(prime_limit)
     a, b, c = t.a, t.b, t.c
     targets = (a * c, b * c, (a + b) * c)
     if any(v >= 0 and is_square(v) for v in targets):

@@ -32,6 +32,10 @@ def test_classify_verdict_json(capsys):
         ["obstruct", "--split", "-1", "2", "--prime-limit", "0"],
         ["obstruct", "1", "1", "3", "--prime-limit", "0"],
         ["obstruct", "1", "1", "3", "--prime-limit", "-5"],
+        # decided before any prime walk: two-adic verdict, PR verdict, square target
+        ["classify", "1", "2", "6", "--prime-limit", "0"],
+        ["classify", "1", "1", "1", "--prime-limit", "-3"],
+        ["obstruct", "1", "1", "1", "--prime-limit", "0"],
     ],
 )
 def test_nonpositive_prime_limit_is_usage_error(args, capsys):
@@ -283,6 +287,9 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["distance", "--f", "liouville", "--profile", "1e3,nan"],
     ["distance", "--f", "liouville", "--x", "nan", "--y", "100"],
     ["distance", "--f", "liouville", "--y", "inf"],
+    # NaN fails every bound: |f| <= 1 and |h(p)| <= 1 must refuse it
+    ["ldelta", "f=prime-patch:10:100:nan", "p1=[1,0,2]", "p2=[0,2,0]", "delta=0.05", "n=500"],
+    ["tk", "form=[1,0,1]", "q=210", "k=10", "n=100", "h_primes=13", "h_value=nan"],
     # the residue count is taken at primes only
     *(["omega", "--form", "[1,0,1]", "--modulus", m, "--fast"] for m in ("9", "21", "1", "4")),
 ])

@@ -361,7 +361,7 @@ def test_pair_correlation_unweighted():
 
 def test_thread_determinism():
     """Every striped grid average prints the same bytes on 1, 2 and 4 threads
-    (n = 300 gives three stripes)."""
+    (n = 300 gives three stripes, n = 513 five)."""
     chi = dirichlet_characters(4)[1]
     setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, 3, 300)
     tk_setup = concentration_setup(P11, one(), principal_twist(), 6, 1, 2, 1, 3, 300)
@@ -377,6 +377,9 @@ def test_thread_determinism():
             archimedean(2.0), P12, PMN, 0.2, 2, 300, threads=t),
         "nonnegativity_probe k=3": lambda t: nonnegativity_probe(
             archimedean(2.0), P12, PMN, 0.2, 3, 300, threads=t),
+        # weight on one narrow column span of the first stripe only
+        "nonnegativity_probe sparse": lambda t: nonnegativity_probe(
+            archimedean(2.0), P12, PMN, 0.05, 2, 513, threads=t),
         "pair_correlation": lambda t: pair_correlation(
             liouville(), P11, P12, 1, 1, 0, 300, threads=t),
         "correlation_probe": lambda t: correlation_probe(

@@ -222,6 +222,18 @@ def _weighted_pairs(label, forms, n):
         (label + "nonnegativity_probe k=2",
          lambda: nonnegativity_probe(archimedean(2.0), *forms, 0.2, 2, n),
          lambda: probe_whole(archimedean(2.0), *forms, 0.2, 2, n)),
+        # delta = 0.05, where f is evaluated on few columns: for (P12, PMN)
+        # only row 1 has weight at n = 513 (one narrow span, every other tile
+        # without weight) and none at n <= 300, where both sides raise
+        (label + "weighted_pair_average liouville delta=0.05",
+         lambda: weighted_pair_average(liouville(), *forms, 0.05, 3, 2, 1, n),
+         lambda: weighted_whole(liouville(), *forms, 0.05, 3, 2, 1, n)),
+        (label + "weighted_pair_average arch delta=0.05",
+         lambda: weighted_pair_average(archimedean(1.5), *forms, 0.05, 7, 3, 2, n),
+         lambda: weighted_whole(archimedean(1.5), *forms, 0.05, 7, 3, 2, n)),
+        (label + "nonnegativity_probe k=2 delta=0.05",
+         lambda: nonnegativity_probe(archimedean(2.0), *forms, 0.05, 2, n),
+         lambda: probe_whole(archimedean(2.0), *forms, 0.05, 2, n)),
     ]
     return out
 
@@ -254,11 +266,12 @@ def _pairs(n):
     return out
 
 
-@pytest.mark.parametrize("tile_points", [None, 1000])
+@pytest.mark.parametrize("tile_points", [None, 1000, 37])
 @pytest.mark.parametrize("n", [1, 7, 129, 300, 513])
 def test_tiles_match_whole_stripes(n, tile_points, monkeypatch):
     """== against the whole-stripe oracles.  The default tile gives 127 + 1
-    rows per stripe at n = 513; 1000 points give 1 to 142 rows per tile."""
+    rows per stripe at n = 513; 1000 points give 1 to 142 rows per tile, 37
+    points 1 to 5."""
     if tile_points is not None:
         monkeypatch.setattr(_grid, "_TILE_POINTS", tile_points)
     for name, tiled, whole in _pairs(n):
