@@ -23,7 +23,7 @@ class Caps:
     # 10**8, whose 5,761,455 primes then take 46 MB.
     sieve_limit: int = 10**8
     # Largest completely-multiplicative value table.  The Liouville table costs
-    # 1 B per entry (about 0.4 GB here), built in segments of 2**20 entries
+    # 1 bit per entry (about 50 MB here), built in segments of 2**20 entries
     # whose working arrays take 3 MB; growing it briefly holds the old table
     # too.  4e8 covers grid_n for the README forms:
     # shifted_value_bound([1,0,2], 1, 0, 0, 10**4) is 3e8.

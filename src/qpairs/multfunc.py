@@ -11,10 +11,10 @@ per-value factorization is hopeless.  Each built-in carries a structural hint
 of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
 finitely many prime values replaced (the constant one, n^{it}, characters,
 twists and prime patches).  `evaluate_many` returns the Liouville function as int8
-(the cached table's entries) and every other function as complex128.  The
-prime-window sums read f at whole arrays of primes from the same hints
-(`prime_values`).  Hints are an optimization only; the scalar path never
-consults them.
+(unpacked from the cached table of signs, one bit per entry) and every other
+function as complex128.  The prime-window sums read f at whole arrays of
+primes from the same hints (`prime_values`).  Hints are an optimization
+only; the scalar path never consults them.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from itertools import chain
@@ -244,7 +245,8 @@ def evaluate_on_exponents(f: MultiplicativeFunction, exponents: Mapping[int, int
 
 # Entries per segment of the Liouville sieve: a segment's int16 accumulator
 # (2 MB) and its bool mask stay near the L2 cache, and each prime power costs
-# one slice update per segment.
+# one slice update per segment.  A multiple of 8, so that every segment fills
+# whole bytes of the packed table.
 _LIOUVILLE_SEGMENT = 1 << 20
 
 # Scale S of the rounded base-2 logarithms that the sieve sums.
@@ -256,6 +258,8 @@ _WHEEL_POWERS = {2: 4, 3: 2, 5: 1, 7: 1, 11: 1}
 _WHEEL = math.prod(p**e for p, e in _WHEEL_POWERS.items())  # 55,440
 _wheel: np.ndarray | None = None  # two periods as int16, built by the first sieve
 
+# The signs of lambda, packed: bit n % 8 of byte n // 8 is set exactly where
+# lambda(n) = -1.  It covers 8 * len(table) entries.
 _liouville_table: np.ndarray | None = None
 _liouville_lock = threading.Lock()
 
@@ -279,15 +283,18 @@ def _wheel_pattern() -> np.ndarray:
 
 
 def _liouville_segments(out: np.ndarray, start: int, primes: Sequence[int]) -> None:
-    """Write lambda(n) into out[n - start] for start <= n < start + len(out),
-    with 0 at n = 0, in segments aligned to multiples of _LIOUVILLE_SEGMENT.
+    """Pack the signs of lambda(n) for start <= n < start + 8 * len(out) into
+    the uint8 array out: bit (n - start) % 8 of out[(n - start) // 8] is 1
+    exactly where lambda(n) = -1, and 0 at n = 0.  Sieved in segments aligned
+    to multiples of _LIOUVILLE_SEGMENT.
 
-    primes must hold every prime <= isqrt(start + len(out) - 1), ascending,
-    and start + len(out) must not exceed 2**63.  In a segment [lo, hi), each
-    power p**e < hi of a prime p <= isqrt(hi - 1) adds _log_term(p) to the
-    int16 accumulator of its multiples; the wheel's powers come prefilled.
-    A sum is 2*A + Omega over the sieved prime factors of n, with A within
-    Omega/2 of S*log2 of their product m, so its low bit is their parity.
+    start must be a multiple of 8, primes must hold every prime
+    <= isqrt(start + 8 * len(out) - 1), ascending, and start + 8 * len(out)
+    must not exceed 2**63.  In a segment [lo, hi), each power p**e < hi of a
+    prime p <= isqrt(hi - 1) adds _log_term(p) to the int16 accumulator of
+    its multiples; the wheel's powers come prefilled.  A sum is
+    2*A + Omega over the sieved prime factors of n, with A within Omega/2 of
+    S*log2 of their product m, so its low bit is their parity.
 
     What the sieve leaves of n is 1 or one prime P > isqrt(hi - 1) >= sqrt(n),
     so m = n or m < sqrt(n).  For n in [2**k, 2**(k+1)), m = n puts half the
@@ -300,10 +307,10 @@ def _liouville_segments(out: np.ndarray, start: int, primes: Sequence[int]) -> N
     """
     wheel = _wheel_pattern()
     terms = [_log_term(p) for p in primes]
-    size = min(len(out), _LIOUVILLE_SEGMENT)
+    end = start + 8 * len(out)
+    size = min(end - start, _LIOUVILLE_SEGMENT)
     acc = np.empty(size, dtype=np.int16)
     flips = np.empty(size, dtype=bool)
-    end = start + len(out)
     lo = start
     while lo < end:
         hi = min(end, lo - lo % _LIOUVILLE_SEGMENT + _LIOUVILLE_SEGMENT)
@@ -325,40 +332,41 @@ def _liouville_segments(out: np.ndarray, start: int, primes: Sequence[int]) -> N
             np.less(seg[n - lo : top - lo], 2 * (_LOG_SCALE - 1) * k, out=flip[n - lo : top - lo])
             n = top
         seg += flip
-        seg &= 1
-        lam = out[lo - start : hi - start]
-        np.multiply(seg, -2, out=lam, casting="unsafe")
-        lam += 1
+        np.bitwise_and(seg, 1, out=flip, casting="unsafe")  # packbits is fastest on bool
+        out[(lo - start) // 8 : (hi - start) // 8] = np.packbits(flip, bitorder="little")
         lo = hi
     if start == 0 and len(out):
-        out[0] = 0
+        out[0] &= 0xFE  # lambda(0) = 0 is not -1
 
 
 def _liouville_sieve(limit: int) -> np.ndarray:
-    """lambda(n) for n <= limit as int8, by a segmented prime-power sieve.
+    """The packed signs of lambda (see _liouville_segments) for n <= limit,
+    as a uint8 table of limit // 8 + 1 bytes or more, by a segmented
+    prime-power sieve.
 
-    The table grows geometrically and is kept; growth sieves only the new
+    The table grows geometrically and is kept; growth copies the old bytes,
+    holding both tables until the new one is filled, and sieves only the new
     entries.  Grid experiments call `prime_value_table` once with their value
     bound up front, so their stripes only read it.  Reads of a long enough
     table take no lock; growth is serialized.
     """
     global _liouville_table
     table = _liouville_table
-    if table is not None and len(table) > limit:
+    if table is not None and 8 * len(table) > limit:
         return table
     if limit > caps().value_sieve_limit:
         raise ResourceError(f"value sieve {limit} exceeds cap {caps().value_sieve_limit}")
     with _liouville_lock:
         old = _liouville_table
-        if old is not None and len(old) > limit:
+        if old is not None and 8 * len(old) > limit:
             return old
         done = 0 if old is None else len(old)
         if old is not None:
-            limit = min(max(limit, 2 * done), caps().value_sieve_limit)
-        table = np.empty(limit + 1, dtype=np.int8)
+            limit = min(max(limit, 16 * done), caps().value_sieve_limit)
+        table = np.empty(limit // 8 + 1, dtype=np.uint8)
         if old is not None:
             table[:done] = old
-        _liouville_segments(table[done:], done, sieve_primes(max(2, math.isqrt(limit))))
+        _liouville_segments(table[done:], 8 * done, sieve_primes(max(2, math.isqrt(8 * len(table) - 1))))
         _liouville_table = table
     return table
 
@@ -401,8 +409,9 @@ def _unit_power(flat: np.ndarray, t: float) -> np.ndarray:
 def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     """Vectorized f over an integer array (any sign; zeros map to 0).
 
-    Liouville values come back as int8 (the table's own entries, 0 at 0),
-    every other function's as complex128.  Uses the structural hint when
+    Liouville values come back as int8, +-1 and 0 at 0: each is one bit of
+    the packed sign table, gathered by byte and shifted out.  Every other
+    function's come back as complex128.  Uses the structural hint when
     present; otherwise falls back to per-value factorization, which is only
     viable for small batches.
     """
@@ -412,8 +421,16 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     if hint is None:
         return np.array([evaluate(f, int(v)) for v in values], dtype=np.complex128)
     if hint.kind == "liouville":
-        vmax = int(absv.max()) if absv.size else 0
-        return _liouville_sieve(max(2, vmax))[absv.astype(np.int64, copy=False)]
+        idx = absv.astype(np.int64, copy=False)
+        table = _liouville_sieve(max(2, int(idx.max()) if idx.size else 0))
+        bits = table[idx >> 3]
+        np.right_shift(bits, np.bitwise_and(idx, 7, dtype=np.uint8, casting="unsafe"), out=bits)
+        bits &= 1
+        lam = bits.view(np.int8)
+        lam *= -2  # 1 where lambda = 1, -1 where lambda = -1
+        lam += 1
+        lam[idx == 0] = 0
+        return lam
 
     # chi(n) * n^{it} with overrides, in stages: strip the overrides, gather
     # chi, multiply by n^{it}; a stage whose data asks for nothing is skipped.
@@ -461,12 +478,20 @@ def one() -> MultiplicativeFunction:
     )
 
 
+def _check_exponent(t: float) -> None:
+    """Refuse a t for which t*ln n is not finite at some float n: every
+    float n has ln n < 710."""
+    if not (math.isfinite(t) and abs(t) * 710 <= sys.float_info.max):
+        raise DomainError(f"t must be finite with |t| * 710 <= {sys.float_info.max}, got {t}")
+
+
 def archimedean(t: float) -> MultiplicativeFunction:
     """n^{it}, evaluated by a direct complex exponential of t*ln n.
 
     The direct rule avoids accumulating rounding across prime factors and is
     what makes the concentration identities exact.
     """
+    _check_exponent(t)
     return MultiplicativeFunction(
         description=f"arch:{t}",
         prime_power_rule=lambda p, k: cmath.exp(1j * t * k * math.log(p)),
@@ -486,6 +511,7 @@ def character_function(chi: DirichletCharacter) -> MultiplicativeFunction:
 
 def twisted(chi: DirichletCharacter, t: float) -> MultiplicativeFunction:
     """chi * n^{it}; value 0 at primes dividing the modulus (chi = 0 there)."""
+    _check_exponent(t)
 
     def rule(p: int, k: int) -> complex:
         return (chi(p) * cmath.exp(1j * t * math.log(p))) ** k

@@ -323,9 +323,22 @@ def _liouville_whole_array(limit, start=0):
     return table
 
 
+def _unpack(packed, start=0):
+    """lambda(n) for start <= n < start + 8 * len(packed) as int8, read from
+    packed signs: bit n % 8 of byte n // 8 is set where lambda(n) = -1.  With
+    start = 0, n = 0 reads 0 if its bit is clear and -1 if it is set."""
+    bits = np.unpackbits(packed, bitorder="little")
+    lam = 1 - 2 * bits.astype(np.int8)
+    if start == 0 and len(lam) and bits[0] == 0:
+        lam[0] = 0
+    return lam
+
+
 @pytest.fixture(scope="module")
 def liouville_oracle():
-    return _liouville_whole_array(SPAN)
+    """lambda(n) for n <= SPAN | 7, the last entry of the packed table
+    _liouville_sieve(SPAN) builds."""
+    return _liouville_whole_array(SPAN | 7)
 
 
 @pytest.fixture
@@ -338,22 +351,76 @@ def fresh_caches(monkeypatch):
 
 def test_segmented_liouville_matches_whole_array(fresh_caches, liouville_oracle):
     table = multfunc._liouville_sieve(SPAN)
-    assert table.dtype == np.int8 and len(table) == SPAN + 1
-    assert np.array_equal(table, liouville_oracle)
+    assert table.dtype == np.uint8 and 8 * len(table) == (SPAN | 7) + 1
+    assert np.array_equal(_unpack(table), liouville_oracle)
 
 
 def test_liouville_growth_equals_fresh_build(fresh_caches, liouville_oracle):
     small = multfunc._liouville_sieve(1000).copy()
-    middle = multfunc._liouville_sieve(SEGMENT + 5).copy()  # grows from 1001, not a boundary
-    grown = multfunc._liouville_sieve(SPAN)  # grows from SEGMENT + 6
-    assert (len(small), len(middle), len(grown)) == (1001, SEGMENT + 6, SPAN + 1)
-    assert np.array_equal(grown, liouville_oracle)
+    middle = multfunc._liouville_sieve(SEGMENT + 5).copy()  # grows from 1008, not a boundary
+    grown = multfunc._liouville_sieve(SPAN)  # grows from SEGMENT + 8
+    assert (8 * len(small), 8 * len(middle), 8 * len(grown)) == (1008, SEGMENT + 8, (SPAN | 7) + 1)
+    assert np.array_equal(_unpack(small), liouville_oracle[:1008])
+    assert np.array_equal(_unpack(middle), liouville_oracle[: SEGMENT + 8])
+    assert np.array_equal(_unpack(grown), liouville_oracle)
     fresh_caches.setattr(multfunc, "_liouville_table", None)
-    assert np.array_equal(grown, multfunc._liouville_sieve(SPAN))
+    assert np.array_equal(_unpack(grown), _unpack(multfunc._liouville_sieve(SPAN)))
+
+
+@pytest.mark.parametrize("first, limits", [
+    (None, (2, 7, 8, 9, 1000, 1009**2 - 1, SEGMENT - 1, SEGMENT, SEGMENT + 5, SPAN)),
+    # growth from 1008 and from SEGMENT + 8 entries, neither a segment boundary
+    (1000, (2016, 2017, 1021**2 - 1, SEGMENT + 5, 3 * SEGMENT + 1)),
+    (SEGMENT + 5, (2 * SEGMENT + 16, 1601**2 - 1, SPAN)),
+])
+def test_liouville_table_covers_limit_plus_at_most_8(fresh_caches, first, limits):
+    """_liouville_sieve(L) ends its table within one byte past L, both
+    fresh and when it grows, at L >= twice the old entries, from a length
+    that is not on a segment boundary; below that it doubles.  The entries
+    past L are exact too: at L = p**2 - 1 for an odd prime p, the last byte
+    holds p**2, which only the prime p sieves."""
+    for limit in limits:
+        fresh_caches.setattr(multfunc, "_liouville_table", None)
+        if first is not None:
+            old = 8 * len(multfunc._liouville_sieve(first))
+            assert old % SEGMENT != 0 and limit >= 2 * old
+        table = multfunc._liouville_sieve(limit)
+        size = 8 * len(table)
+        assert limit + 1 <= size <= limit + 8, limit
+        tail = [(-1) ** sum(e for _, e in trial_factor(n)) if n else 0 for n in range(size - 8, size)]
+        assert _unpack(table[-1:], size - 8).tolist() == tail, limit
+    fresh_caches.setattr(multfunc, "_liouville_table", None)
+    old = 8 * len(multfunc._liouville_sieve(1000))
+    assert 8 * len(multfunc._liouville_sieve(old)) == 2 * old + 8  # covers 2 * old
+
+
+def test_evaluate_many_reads_packed_table(fresh_caches, liouville_oracle):
+    """Liouville values from the packed table, as int8 with 0 at 0, at both
+    signs, across byte boundaries, at the table's last entry and one past it,
+    which grows the table."""
+    lam = liouville()
+    size = 8 * len(multfunc._liouville_sieve(SEGMENT + 100))
+    near = np.arange(-40, 41)
+    points = np.concatenate([
+        near,
+        *(b + near for b in (8 * 12_345, SEGMENT, size - 41)),
+        np.arange(7, size, 8 * 4099),
+        [size - 1, 1 - size],
+    ]).astype(np.int64)
+    table = multfunc._liouville_table
+    got = evaluate_many(lam, points)
+    assert multfunc._liouville_table is table  # size - 1 is the last entry
+    assert got.dtype == np.int8
+    assert np.array_equal(got, liouville_oracle[np.abs(points)])
+    assert np.array_equal(evaluate_many(lam, np.stack([points, -points])), np.stack([got, got]))
+    beyond = np.array([[size, -size], [size + 1, 0]])
+    got = evaluate_many(lam, beyond)
+    assert 8 * len(multfunc._liouville_table) > size + 1
+    assert got.dtype == np.int8 and np.array_equal(got, liouville_oracle[np.abs(beyond)])
 
 
 def test_liouville_at_segment_boundaries(fresh_caches):
-    table = multfunc._liouville_sieve(SPAN)
+    table = _unpack(multfunc._liouville_sieve(SPAN))
     boundaries = range(SEGMENT, SPAN + 1, SEGMENT)
     points = {b + d for b in boundaries for d in (-1, 0, 1)}
     prime_squares = [p * p for p in sieve_primes(math.isqrt(SPAN) + 1000)]
@@ -369,9 +436,12 @@ def test_liouville_at_segment_boundaries(fresh_caches):
 
 
 def _window(start, length):
-    out = np.full(length, 7, dtype=np.int8)
-    multfunc._liouville_segments(out, start, sieve_primes(max(2, math.isqrt(start + length - 1))))
-    return out
+    """lambda on [start, start + length), read from the packed sieve of the
+    enclosing window whose ends are multiples of 8."""
+    lo = start - start % 8
+    out = np.full((start + length - lo + 7) // 8, 0x5A, dtype=np.uint8)
+    multfunc._liouville_segments(out, lo, sieve_primes(max(2, math.isqrt(lo + 8 * len(out) - 1))))
+    return _unpack(out, lo)[start - lo : start - lo + length]
 
 
 # 2**17 entries across 2**31, and around the square of 316241, the first
@@ -433,7 +503,7 @@ def test_concurrent_first_touch_of_both_caches(fresh_caches):
         else:
             table = multfunc._liouville_sieve(table_limit)
             primes = sieve_primes(prime_limit)
-        results[i] = (primes, table[: table_limit + 1].copy())
+        results[i] = (primes, _unpack(table)[: table_limit + 1])
 
     threads = [threading.Thread(target=work, args=(i, *lim)) for i, lim in enumerate(limits)]
     interval = sys.getswitchinterval()
@@ -451,7 +521,7 @@ def test_concurrent_first_touch_of_both_caches(fresh_caches):
         fresh_caches.setattr(multfunc, "_liouville_table", None)
         fresh_caches.setattr(arith, "_sieve_cache", (0, []))
         assert results[i][0] == sieve_primes(prime_limit)
-        assert np.array_equal(results[i][1], multfunc._liouville_sieve(table_limit))
+        assert np.array_equal(results[i][1], _unpack(multfunc._liouville_sieve(table_limit))[: table_limit + 1])
 
 
 def test_function_from_name_round_trip():
