@@ -18,7 +18,9 @@ place on one element: numpy's complex multiply is not bitwise commutative,
 its temporary elision evaluates `x * f()` as `f() * x` from 256 KiB, and a
 one-element in-place product takes another kernel.  Such products are
 `np.multiply(left, right)` calls.  Every lattice grid average sets up its
-lattice through `_lattice`.
+lattice through `_lattice`, and those that are a mean of weight * product
+of factors (the weighted and plain pair correlations, the Folner probe and
+the multilinear probe) share one block, `experiments._striped_products`.
 """
 
 from __future__ import annotations
@@ -119,14 +121,14 @@ def _lattice(
     """Set up the lattice (Qm+a, Qn+b) over [n]^2 for the forms.
 
     Checks the grid cap, chooses int64 or Python ints (big) by the 2**62
-    guard, builds the value tables of fs once at the grid's bound, and
+    guard, builds the value tables of fs once at the grid's bound, big or
+    not, so that a table past its cap is refused before any allocation, and
     returns (big, w) with w the column coordinates Qn+b as a (1, n) row.
     """
     if n > caps().grid_n:
         raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
     big = any(needs_bigint(form, q, a, b, n) for form in forms)
-    if not big:
-        bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
-        for f in fs:
-            prime_value_table(f, bound)
+    bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
+    for f in fs:
+        prime_value_table(f, bound)
     return big, _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]

@@ -359,41 +359,38 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-def _sqrt_cf_unit(d: int) -> tuple[int, int, int]:
-    """Minimal (x, y, s) with x**2 - d*y**2 = s in {1, -1}, x, y >= 1.
+def _cf_unit(d: int, p0: int = 0, q0: int = 1) -> tuple[int, int, int]:
+    """Minimal (x, y, s) with x, y >= 1 and (x - y*xi)(x - y*xi') = s in
+    {1, -1}, for xi = (p0 + sqrt(d))/q0 and its conjugate xi'.
 
-    Continued-fraction expansion of sqrt(d): the convergent just before the
-    first period ends has norm (-1)**period.
+    Continued-fraction expansion of xi: at the k-th convergent x/y that
+    product is (-1)**(k+1) * Q/q0, with (P + sqrt(d))/Q the next complete
+    quotient, so the first return of Q to q0 gives the unit.  Needs q0 > 0
+    dividing d - p0**2, xi > 1 and xi' < 0, as for sqrt(d) and for
+    (1 + sqrt(d))/2 with d = 1 mod 4; every later quotient is then reduced,
+    so Q stays positive.
     """
-    a0 = isqrt(d)
-    if a0 * a0 == d:
+    r = isqrt(d)
+    if r * r == d:
         raise DomainError(f"{d} is a perfect square")
-    m, den, a = 0, 1, a0
-    p_prev, q_prev = 1, 0
-    p, q = a0, 1
-    period = 0
+    big_p, big_q, s = p0, q0, 1
+    p_prev, p, q_prev, q = 0, 1, 1, 0
     while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        period += 1
-        if a == 2 * a0:
-            break
+        a = (big_p + r) // big_q
         p, p_prev = a * p + p_prev, p
         q, q_prev = a * q + q_prev, q
-    return p, q, (1 if period % 2 == 0 else -1)
-
-
-def pell_fundamental_pm(d: int) -> tuple[int, int, int]:
-    """Minimal positive (x, y) with x**2 - d*y**2 = +-1, plus the sign attained."""
-    return _sqrt_cf_unit(d)
+        big_p = a * big_q - big_p
+        big_q = (d - big_p * big_p) // big_q
+        s = -s
+        if big_q == q0:
+            return p, q, s
 
 
 def pell_fundamental(d: int) -> tuple[int, int]:
     """Minimal positive solution of x**2 - d*y**2 = 1 (d >= 2, nonsquare)."""
     if d < 2:
         raise DomainError("need d >= 2")
-    x, y, s = _sqrt_cf_unit(d)
+    x, y, s = _cf_unit(d)
     if s == -1:
         # square the norm -1 unit: (x + y sqrt(d))**2
         x, y = x * x + d * y * y, 2 * x * y

@@ -228,27 +228,33 @@ def _jsonable(value):
     return value
 
 
-def emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
+def _format_rows(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        text = "\n".join(json.dumps(_jsonable(r), sort_keys=True) for r in rows) + "\n"
-    else:
-        buf = io.StringIO()
-        fields = list(dict.fromkeys(k for r in rows for k in r))
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for r in rows:
-            flat = {}
-            for k, v in r.items():
-                if isinstance(v, complex):
-                    flat[k] = repr(v.real) + "+" + repr(v.imag) + "j"
-                elif isinstance(v, float):
-                    flat[k] = repr(v)
-                elif isinstance(v, (dict, list, tuple)):
-                    flat[k] = json.dumps(_jsonable(v), sort_keys=True)
-                else:
-                    flat[k] = v
-            writer.writerow(flat)
-        text = buf.getvalue()
+        return "\n".join(json.dumps(_jsonable(r), sort_keys=True) for r in rows) + "\n"
+    buf = io.StringIO()
+    fields = list(dict.fromkeys(k for r in rows for k in r))
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+    writer.writeheader()
+    for r in rows:
+        flat = {}
+        for k, v in r.items():
+            if isinstance(v, complex):
+                flat[k] = repr(v.real) + "+" + repr(v.imag) + "j"
+            elif isinstance(v, float):
+                flat[k] = repr(v)
+            elif isinstance(v, (dict, list, tuple)):
+                flat[k] = json.dumps(_jsonable(v), sort_keys=True)
+            else:
+                flat[k] = v
+        writer.writerow(flat)
+    return buf.getvalue()
+
+
+def emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
+    try:
+        text = _format_rows(rows, fmt)
+    except ValueError as exc:  # an int past Python's limit on decimal digits
+        raise ResourceError(f"cannot print the result: {exc}") from exc
     if out_path:
         directory = os.path.dirname(os.path.abspath(out_path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qpairs-")

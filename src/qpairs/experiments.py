@@ -11,12 +11,12 @@ Every grid average runs through `_grid.striped_complex_mean`: disjoint row
 stripes with per-stripe sums merged by exactly rounded summation in stripe
 order, so results are independent of the thread count.  A stripe is computed
 in cache-sized row tiles written into stripe buffers that each worker thread
-reuses (`_grid.StripeTiles`).  The weight grid depends only on (m, n), so
-the weighted averages over several moduli Q (the Folner probe) share one
-pass: each stripe's weights are computed once and reused for every Q.  f is
-evaluated there only on each tile's column span of nonzero weight, which is
-exact because every f is finite with |f| <= 1, so a zero weight gives a term
-of +-0.  Each average sets up its lattice through `_grid._lattice`, which
+reuses (`_grid.StripeTiles`).  The weighted and unweighted pair
+correlations, the Folner probe and the multilinear probe are all a mean of
+weight * prod factor over lattices (Qm+a, Qn+b), computed by one pass
+(`_striped_products`): each stripe's weights are computed once for every Q,
+and the factors are evaluated only on each tile's column span of nonzero
+weight.  Each average sets up its lattice through `_grid._lattice`, which
 checks the grid cap, chooses int64 or Python ints and builds the value
 tables.
 """
@@ -26,7 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import reduce
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -197,16 +198,9 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
         parts, (dev,) = tiles(ms)
         for rows in parts:
             vals = form.grid_values(_lattice_coords(q, a, ms[rows], big)[:, None], w)
-            if big:
-                flat = vals.reshape(-1)
-                if any(int(v) % c for v in flat):
-                    raise InvariantError("c does not divide a lattice value")
-                vc = np.array([int(v) // c for v in flat], dtype=object).reshape(vals.shape)
-            else:
-                if np.any(vals % c):
-                    raise InvariantError("c does not divide a lattice value")
-                vc = vals // c
-            fv = evaluate_many(f, vc)
+            if np.any(vals % c):
+                raise InvariantError("c does not divide a lattice value")
+            fv = evaluate_many(f, vals // c)
             target = target0
             if twist.t != 0.0:
                 u0 = _lattice_coords(q, 0, ms[rows], big)[:, None]
@@ -323,8 +317,80 @@ class TkReport:
 
 
 # --------------------------------------------------------------------------
-# weighted pair averages
+# product averages on lattices
 # --------------------------------------------------------------------------
+
+
+def _striped_products(
+    fs: Sequence[MultiplicativeFunction],
+    forms: Sequence[BinaryQuadraticForm],
+    qs: Sequence[int],
+    a: int,
+    b: int,
+    n: int,
+    factors: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    weight: Optional[WeightSpec],
+    threads: int,
+) -> list:
+    """E w~(m, n) * prod factor(u, w) over [n]^2, u = Qm+a, w = Qn+b, for
+    each Q in qs, in one striped pass; w~ is the weight over its own grid
+    mean, or 1 without a weight.
+
+    fs, forms, qs, a, b and n set up each lattice (`_grid._lattice`).  A
+    factor maps rows u (rows, 1) and columns w (1, cols) to values.  A tile
+    evaluates every factor, then multiplies out of place (see _grid) from
+    the weight or the first factor, in factor order.  A stripe fills its
+    weights once for every Q, and evaluates the factors only on each tile's
+    span of columns with a nonzero weight in any of its rows.  That is exact
+    as every factor is finite with modulus at most 1: a zero weight gives a
+    term of +-0, which leaves every nonzero partial sum of the stripe's
+    np.sum as it is, and math.fsum of the stripe sums turns a zero of either
+    sign into +0.
+    """
+    lattices = [(q, *_lattice(fs, forms, q, a, b, n)) for q in qs]
+    cols = np.arange(1, n + 1, dtype=np.int64)
+    tiles = StripeTiles(n, np.complex128, *([] if weight is None else [np.float64]))
+
+    def block(ms: np.ndarray) -> tuple:
+        parts, (prod, *weights) = tiles(ms)
+        sums, spans = [], [(rows, slice(None)) for rows in parts]
+        if weight is not None:
+            wgt, spans = weights[0], []
+            prod.fill(0)
+            for rows in parts:
+                wgt[rows] = weight_grid(weight, ms[rows, None], cols[None, :])
+                nz = np.flatnonzero(wgt[rows].any(axis=0))
+                if len(nz):
+                    spans.append((rows, slice(nz[0], nz[-1] + 1)))
+            sums.append(float(np.sum(wgt)))
+        for q, big, w in lattices:
+            for rows, span in spans:
+                u, ws = _lattice_coords(q, a, ms[rows], big)[:, None], w[:, span]
+                # rebound before the factors run, so no tile's values outlive it
+                values = [] if weight is None else [wgt[rows, span]]
+                values += [factor(u, ws) for factor in factors]
+                np.multiply(reduce(np.multiply, values[:-1]), values[-1], out=prod[rows, span])
+            sums.append(complex(np.sum(prod)))
+        return tuple(sums)
+
+    means = striped_complex_mean(block, n, threads)
+    if weight is None:
+        return list(means)
+    mu, *totals = means
+    if mu <= 0:
+        raise DomainError("the weight vanishes on this grid; nothing to normalize")
+    return [total / mu for total in totals]
+
+
+def _values_of(f: MultiplicativeFunction, form):
+    """The factor f(form(u, w))."""
+    return lambda u, w: evaluate_many(f, form.grid_values(u, w))
+
+
+def _pair_averages(f, form1, form2, weight, qs, a, b, n, threads) -> list[complex]:
+    """E w~ f(P1) conj(f(P2)) on the lattice for each Q in qs."""
+    factors = [_values_of(f, form1), lambda u, w: np.conj(v := _values_of(f, form2)(u, w), out=v)]
+    return _striped_products([f], [form1, form2], qs, a, b, n, factors, weight, threads)
 
 
 def weighted_pair_average(
@@ -342,66 +408,9 @@ def weighted_pair_average(
     E w~(m,n) f(P1(Qm+a, Qn+b)) conj(f(P2(Qm+a, Qn+b))) over [n]^2.
 
     The weight is normalized by its own grid mean at the same n, so the
-    constant function averages to exactly 1; one striped pass computes each
-    stripe's weights once and sums both the weights and the correlation.
+    constant function averages to exactly 1.
     """
-    return _weighted_pair_averages(f, form1, form2, delta, [q], a, b, n, threads)[0]
-
-
-def _weighted_pair_averages(
-    f: MultiplicativeFunction,
-    form1: BinaryQuadraticForm,
-    form2: BinaryQuadraticForm,
-    delta: float,
-    qs: Sequence[int],
-    a: int,
-    b: int,
-    n: int,
-    threads: int,
-) -> list[complex]:
-    """weighted_pair_average for each modulus in qs, in one striped pass.
-
-    The weight does not depend on Q: each stripe fills its weight buffer
-    once, then one complex buffer with w * f(P1) * conj(f(P2)) for each Q in
-    turn, so memory does not grow with the number of moduli.
-
-    f is evaluated only on each tile's column span, the first through the
-    last column with a nonzero weight in any of the tile's rows; the rest of
-    the complex buffer holds zeros, and a tile without weight evaluates
-    nothing.  This is exact because every f here is finite with |f| <= 1: a
-    zero weight gives a term of +-0, which leaves every nonzero partial sum
-    of the stripe's np.sum unchanged, and math.fsum of the stripe sums turns
-    a zero of either sign into +0.
-    """
-    lattices = [(q, *_lattice([f], [form1, form2], q, a, b, n)) for q in qs]
-    spec = WeightSpec(delta, form1, form2)
-    cols = np.arange(1, n + 1, dtype=np.int64)
-    tiles = StripeTiles(n, np.float64, np.complex128)
-
-    def block(ms: np.ndarray) -> tuple:
-        parts, (wgt, prod) = tiles(ms)
-        prod.fill(0)
-        spans = []
-        for rows in parts:
-            wgt[rows] = weight_grid(spec, ms[rows, None], cols[None, :])
-            nz = np.flatnonzero(wgt[rows].any(axis=0))
-            if len(nz):
-                spans.append((rows, slice(nz[0], nz[-1] + 1)))
-        sums = [float(np.sum(wgt))]
-        for q, big, w in lattices:
-            for rows, span in spans:
-                u = _lattice_coords(q, a, ms[rows], big)[:, None]
-                f1 = evaluate_many(f, form1.grid_values(u, w[:, span]))
-                f2 = evaluate_many(f, form2.grid_values(u, w[:, span]))
-                # not in place, whose one-element product takes another kernel (see _grid)
-                np.multiply(np.multiply(wgt[rows, span], f1), np.conj(f2), out=prod[rows, span])
-            sums.append(complex(np.sum(prod)))
-        return tuple(sums)
-
-    mu, *totals = striped_complex_mean(block, n, threads)
-    if mu <= 0:
-        raise DomainError("the weight vanishes on this grid; nothing to normalize")
-    return [total / mu for total in totals]
+    return _pair_averages(f, form1, form2, WeightSpec(delta, form1, form2), [q], a, b, n, threads)[0]
 
 
 def pair_correlation(
@@ -415,19 +424,7 @@ def pair_correlation(
     threads: int = 1,
 ) -> complex:
     """Unweighted E f(P1(Qm+a, Qn+b)) conj(f(P2(Qm+a, Qn+b)))."""
-    big, w = _lattice([f], [form1, form2], q, a, b, n)
-    tiles = StripeTiles(n, np.complex128)
-
-    def block(ms: np.ndarray) -> tuple[complex]:
-        parts, (prod,) = tiles(ms)
-        for rows in parts:
-            u = _lattice_coords(q, a, ms[rows], big)[:, None]
-            f1 = evaluate_many(f, form1.grid_values(u, w))
-            f2 = evaluate_many(f, form2.grid_values(u, w))
-            np.multiply(f1, np.conj(f2, out=f2), out=prod[rows])
-        return (complex(np.sum(prod)),)
-
-    return striped_complex_mean(block, n, threads)[0]
+    return _pair_averages(f, form1, form2, None, [q], a, b, n, threads)[0]
 
 
 def nonnegativity_probe(
@@ -440,11 +437,11 @@ def nonnegativity_probe(
     threads: int = 1,
 ) -> float:
     """Mean over the Folner box at level K of Re of the normalized weighted
-    correlation with the lattice Qm+1, Qn."""
+    correlation with the lattice Qm+1, Qn, in one pass for all the moduli."""
     if k > 4:
         raise ResourceError("probe limited to K <= 4: Q already has hundreds of digits beyond")
     qs = [elem.integer_value() for elem in folner_enumerate(k)]
-    values = _weighted_pair_averages(f, form1, form2, delta, qs, 1, 0, n, threads)
+    values = _pair_averages(f, form1, form2, WeightSpec(delta, form1, form2), qs, 1, 0, n, threads)
     return float(np.mean([value.real for value in values]))
 
 
@@ -495,21 +492,9 @@ def correlation_probe(
     for _, lj in factors[1:]:
         if not l1.independent(lj):
             raise DomainError(f"forms {l1} and {lj} are dependent")
-    big, w = _lattice([fj for fj, _ in factors] + [g], [form], q, a, b, n)
-    tiles = StripeTiles(n, np.complex128)
-
-    def block(ms: np.ndarray) -> tuple[complex]:
-        parts, (prod,) = tiles(ms)
-        for rows in parts:
-            u = _lattice_coords(q, a, ms[rows], big)[:, None]
-            vals = prod[rows]
-            vals[...] = region.mask(u, w)
-            for fj, lj in factors:
-                vals *= evaluate_many(fj, lj.grid_values(u, w))
-            vals *= evaluate_many(g, form.grid_values(u, w))
-        return (complex(np.sum(prod)),)
-
-    return striped_complex_mean(block, n, threads)[0]
+    fs = [fj for fj, _ in factors] + [g]
+    terms = [region.mask, *(_values_of(fj, lj) for fj, lj in factors), _values_of(g, form)]
+    return _striped_products(fs, [form], [q], a, b, n, terms, None, threads)[0]
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from math import isqrt
 
 import numpy as np
 
-from .arith import factorize, kronecker, pell_fundamental_pm
+from .arith import _cf_unit, factorize, kronecker
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 from .quadforms import BinaryQuadraticForm
@@ -185,30 +185,19 @@ def count_ideals(d: int, k: int) -> int:
 def fundamental_unit(d: int) -> tuple[RingElement, int]:
     """Generator u > 1 of the unit group mod torsion (real case d < 0).
 
-    For d = 1, 2 mod 4 this is the continued-fraction solution of
-    x^2 - |d| y^2 = +-1; for d = 3 mod 4 the minimal solution of
-    x^2 - |d| y^2 = +-4 with x = y mod 2, found by an ascending scan in y
-    (first hit is minimal since (x + y sqrt(|d|))/2 increases with y).
+    From the continued fraction of tau, sqrt(|d|) for d = 1, 2 mod 4 and
+    (1 + sqrt(|d|))/2 for d = 3 mod 4: its first convergent x/y with
+    (x - y*tau)(x - y*conj(tau)) = +-1 gives u = x - y*conj(tau).
     Returns (unit, norm).
     """
     if d >= 0:
         raise DomainError("only real rings (d < 0) have infinite unit groups")
     ring = QuadraticRing(d)
-    dd = -d
     if not ring.half_integer:
-        x, y, s = pell_fundamental_pm(dd)
-        u = ring.element(x, y)
-        return u, s
-    for y in range(1, 10**6):
-        for target in (-4, 4):
-            s = dd * y * y + target
-            if s <= 0:
-                continue
-            x = isqrt(s)
-            if x * x == s and (x - y) % 2 == 0:
-                u = ring.element((x - y) // 2, y)
-                return u, target // 4
-    raise ResourceError(f"fundamental unit of d={d} not found within the scan cap")
+        x, y, s = _cf_unit(-d)
+        return ring.element(x, y), s
+    x, y, s = _cf_unit(-d, 1, 2)
+    return ring.element(x - y, y), s  # conj(tau) = 1 - tau
 
 
 def real_count_log_diagnostic(d: int, k_max: int, box: int) -> float:

@@ -196,6 +196,27 @@ def test_grid_cap_exit_3(args, capsys):
     assert "exceeds cap 100" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["ldelta", "f=liouville", "p1=[1,0,2]", "p2=[0,2,0]", "q=1000000000", "n=10"],
+    ["concentrate", "form=[1,0,1]", "f=liouville", "q=10000000000", "k=2", "n=10"],
+])
+def test_liouville_past_int64_exit_3(args, capsys):
+    """λ on a lattice whose values pass the 2^62 guard needs a table past
+    the value cap: refused before any allocation, not an OverflowError."""
+    code, out, err = run_cli(args, capsys)
+    assert code == 3 and out == ""
+    assert "value sieve" in err and "exceeds cap" in err
+
+
+@pytest.mark.parametrize("d", ["-1000000006", "-1000000009"])
+def test_unprintable_unit_exit_3(d, capsys):
+    """Units of tens of thousands of digits, past Python's limit on decimal
+    conversion, for both the sqrt(|d|) and the (1 + sqrt(|d|))/2 expansion."""
+    code, out, err = run_cli(["ring", "unit", "--d", d], capsys)
+    assert code == 3 and out == ""
+    assert "cannot print the result" in err
+
+
 def test_run_id_stability():
     values1, canon1, rid1 = resolve_spec("ldelta",
                                          {"f": "liouville", "p1": "[1,0,2]",

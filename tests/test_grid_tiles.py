@@ -260,8 +260,14 @@ def _pairs(n):
         ("concentration_lhs", lambda: concentration_lhs(setup()), lambda: concentration_whole(setup())),
         ("pair_correlation", lambda: pair_correlation(liouville(), P11, P12, 3, 2, 1, n),
          lambda: pair_whole(liouville(), P11, P12, 3, 2, 1, n)),
+        ("pair_correlation twisted",
+         lambda: pair_correlation(twisted(chi, 0.5), P11, P12, 3, 2, 1, n),
+         lambda: pair_whole(twisted(chi, 0.5), P11, P12, 3, 2, 1, n)),
         ("correlation_probe", lambda: correlation_probe(factors, liouville(), P11, REGION, 1, 1, 2, n),
          lambda: correlation_whole(factors, liouville(), P11, REGION, 1, 1, 2, n)),
+        ("correlation_probe q=3 arch",
+         lambda: correlation_probe(factors, archimedean(0.7), P11, REGION, 3, 2, 1, n),
+         lambda: correlation_whole(factors, archimedean(0.7), P11, REGION, 3, 2, 1, n)),
     ]
     return out
 

@@ -143,6 +143,42 @@ def _scan_fundamental(d):
     return (best.m, best.n)
 
 
+def _scan_half_integer_unit(d, y_max):
+    """The ascending scan in y that found the units of d = 3 mod 4 before the
+    continued fraction: the first x^2 - |d| y^2 = -4, then +4, with x = y
+    mod 2, as (m, n, norm); None up to y_max."""
+    for y in range(1, y_max + 1):
+        for target in (-4, 4):
+            s = -d * y * y + target
+            x = math.isqrt(max(s, 0))
+            if s > 0 and x * x == s and (x - y) % 2 == 0:
+                return (x - y) // 2, y, target // 4
+    return None
+
+
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, math.isqrt(n) + 1))
+
+
+def test_half_integer_units_match_scan():
+    """Every squarefree |d| = 1 mod 4 below 3000 whose unit has y <= 20000
+    (the scan's answers), and units the scan never reached: d = -241 has
+    y = 9,148,450, past the scan's 10^6."""
+    checked = 0
+    for dd in range(5, 3000, 4):
+        if not _squarefree(dd):
+            continue
+        u, nrm = fundamental_unit(-dd)
+        assert u.norm() == nrm and nrm in (1, -1) and u.m >= 0 and u.n >= 1, dd
+        if u.n <= 20000:
+            assert _scan_half_integer_unit(-dd, u.n) == (u.m, u.n, nrm), dd
+            checked += 1
+    assert checked == 301
+    u, nrm = fundamental_unit(-241)
+    assert (u.m, u.n, nrm) == (66436843, 9148450, -1) and u.norm() == -1
+    assert _scan_half_integer_unit(-241, 1000) is None
+
+
 def test_unit_inverse():
     for d in (-2, -3, -5, -7):
         u, nrm = fundamental_unit(d)

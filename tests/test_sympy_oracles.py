@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpairs.arith import factorize, jacobi, sqrt_mod
 from qpairs.multfunc import _unit_group_generators, dirichlet_characters
+from qpairs.quadrings import fundamental_unit
 
 sympy = pytest.importorskip("sympy")
 
@@ -64,3 +65,25 @@ def test_character_orders_match_unit_orders():
         units = [u for u in range(1, q) if sympy.gcd(u, q) == 1]
         expected = sorted(sympy.n_order(u, q) for u in units)
         assert sorted(chi.order for chi in dirichlet_characters(q)) == expected, q
+
+
+def test_fundamental_units_match_diop_dn():
+    """The unit (x + y sqrt(D))/2 of Z[(1 + sqrt(D))/2], D = 1 mod 4
+    squarefree, has the least y >= 1 among sympy's solutions of
+    x^2 - D y^2 = +-4 with x = y mod 2, for D below 1000 and a few past the
+    old scan's y < 10^6."""
+    from sympy.solvers.diophantine.diophantine import diop_DN
+
+    for dd in [*range(5, 1000, 4), 241, 1009, 2029, 4597]:
+        if not sympy.ntheory.factor_.core(dd) == dd:
+            continue
+        u, nrm = fundamental_unit(-dd)
+        x, y = 2 * u.m + u.n, u.n
+        assert x * x - dd * y * y == 4 * nrm, dd
+        sols = [
+            (abs(a), abs(b), target // 4)
+            for target in (-4, 4)
+            for a, b in diop_DN(dd, target)
+            if b != 0 and (a - b) % 2 == 0
+        ]
+        assert min(sols, key=lambda t: t[1]) == (x, y, nrm), dd
