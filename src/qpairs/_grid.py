@@ -17,8 +17,9 @@ summation tree, as long as no complex product swaps its operands or runs in
 place on one element: numpy's complex multiply is not bitwise commutative,
 its temporary elision evaluates `x * f()` as `f() * x` from 256 KiB, and a
 one-element in-place product takes another kernel.  Such products are
-`np.multiply(left, right)` calls.  Every lattice grid average sets up its
-lattice through `_lattice`, and those that are a mean of weight * product
+`np.multiply(left, right)` calls.  Every grid average sets up its lattice
+through `_lattice`, the one place that picks int64 or Python-int
+coordinates for a grid, and those that are a mean of weight * product
 of factors (the weighted and plain pair correlations, the Folner probe and
 the multilinear probe) share one block, `experiments._striped_products`.
 """
@@ -36,14 +37,14 @@ from .arith import fsum_complex
 from .caps import caps
 from .errors import DomainError, ResourceError
 from .multfunc import MultiplicativeFunction, prime_value_table
-from .quadforms import BinaryQuadraticForm, needs_bigint, shifted_value_bound
+from .quadforms import BinaryQuadraticForm, LinearForm, needs_bigint, shifted_value_bound
 
-_DEFAULT_STRIPE = 128
+_STRIPE = 128
 _TILE_POINTS = 1 << 16
 
 
-def stripe_ranges(n: int, stripe: int = _DEFAULT_STRIPE) -> list[tuple[int, int]]:
-    return [(lo, min(lo + stripe, n + 1)) for lo in range(1, n + 1, stripe)]
+def stripe_ranges(n: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _STRIPE, n + 1)) for lo in range(1, n + 1, _STRIPE)]
 
 
 def striped_complex_mean(
@@ -96,39 +97,36 @@ class StripeTiles:
         cut to the contiguous (len(ms), n) arrays the tiles are written into."""
         buffers = getattr(self._local, "buffers", None)
         if buffers is None:
-            rows = min(_DEFAULT_STRIPE, self.n)
+            rows = min(_STRIPE, self.n)
             buffers = self._local.buffers = [np.empty((rows, self.n), dt) for dt in self._dtypes]
         count, step = len(ms), max(1, _TILE_POINTS // self.n)
         tiles = [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
         return tiles, [buf[:count] for buf in buffers]
 
 
-def _lattice_coords(q: int, shift: int, xs: np.ndarray, big: bool) -> np.ndarray:
-    """q * xs + shift as int64, or as Python ints when the grid needs them."""
-    if big:
-        return np.array([q * int(x) + shift for x in xs], dtype=object)
-    return (q * xs + shift).astype(np.int64)
-
-
 def _lattice(
     fs: Sequence[MultiplicativeFunction],
-    forms: Sequence[BinaryQuadraticForm],
+    forms: Sequence[BinaryQuadraticForm | LinearForm],
     q: int,
     a: int,
     b: int,
     n: int,
-) -> tuple[bool, np.ndarray]:
+) -> tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
     """Set up the lattice (Qm+a, Qn+b) over [n]^2 for the forms.
 
-    Checks the grid cap, chooses int64 or Python ints (big) by the 2**62
-    guard, builds the value tables of fs once at the grid's bound, big or
-    not, so that a table past its cap is refused before any allocation, and
-    returns (big, w) with w the column coordinates Qn+b as a (1, n) row.
+    Checks the grid cap, builds the value tables of fs once at the grid's
+    bound, so that a table past its cap is refused before any allocation,
+    and returns (rows, w): w holds the column coordinates Qn+b as a (1, n)
+    row, and rows(ms) the row coordinates Qm+a of the m-values ms as a
+    (len(ms), 1) column.  Both are int64, or Python ints when the bound
+    fails the 2**62 guard (`needs_bigint`); this is the one place a grid
+    average picks between them.
     """
     if n > caps().grid_n:
         raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
-    big = any(needs_bigint(form, q, a, b, n) for form in forms)
     bound = max(shifted_value_bound(form, q, a, b, n) for form in forms)
     for f in fs:
         prime_value_table(f, bound)
-    return big, _lattice_coords(q, b, np.arange(1, n + 1, dtype=np.int64), big)[None, :]
+    dtype = object if needs_bigint(bound) else np.int64
+    w = (q * np.arange(1, n + 1).astype(dtype) + b)[None, :]
+    return lambda ms: (q * ms.astype(dtype) + a)[:, None], w

@@ -9,10 +9,11 @@ the forms allow it, and that constant normalizes the correlation averages in
 
 Every grid average here (mean weights, weight stability, divisor
 frequencies) is a striped reduction through `_grid.striped_complex_mean`, so
-results do not depend on the thread count.  Each stripe is computed in
-cache-sized row tiles (`_grid.StripeTiles`) written into stripe buffers that
-each worker thread reuses, so memory stays at those buffers plus one tile's
-temporaries.
+results do not depend on the thread count, over coordinates from
+`_grid._lattice`: int64, or Python ints where form values may pass 2**62.
+Each stripe is computed in cache-sized row tiles (`_grid.StripeTiles`)
+written into stripe buffers that each worker thread reuses, so memory stays
+at those buffers plus one tile's temporaries.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._grid import StripeTiles, _lattice, _lattice_coords, striped_complex_mean
+from ._grid import StripeTiles, _lattice, striped_complex_mean
 from .arith import factorize, fsum_complex, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
@@ -116,16 +117,14 @@ def mu_estimate(spec: WeightSpec, n: int, threads: int = 1) -> MuEstimate:
     scale-invariant integrand over the unit square at the same resolution."""
     if n < 100:
         raise DomainError("need n >= 100 for a stable estimate")
-    if n > caps().grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
-    cols = np.arange(1, n + 1, dtype=np.int64)[None, :]
-    mids = (cols - 0.5) / n
+    u_of, w = _lattice([], [spec.form1, spec.form2], 1, 0, 0, n)
+    mids = (np.arange(1, n + 1)[None, :] - 0.5) / n
     tiles = StripeTiles(n, np.float64, np.float64)
 
     def block(ms: np.ndarray) -> tuple[float, float]:
         parts, (grid, riemann) = tiles(ms)
         for rows in parts:
-            grid[rows] = weight_grid(spec, ms[rows, None], cols)
+            grid[rows] = weight_grid(spec, u_of(ms[rows]), w)
             riemann[rows] = weight_grid(spec, ((ms[rows] - 0.5) / n)[:, None], mids)
         return float(np.sum(grid)), float(np.sum(riemann))
 
@@ -140,20 +139,19 @@ def weight_stability(
 
     Diagnostic for replacing the shifted weight by the unshifted one.
     """
-    if n > caps().grid_n:
-        raise ResourceError(f"grid {n} exceeds cap {caps().grid_n}")
-    cols = np.arange(1, n + 1, dtype=np.int64)
+    forms = [spec.form1, spec.form2]
+    base_of, base_w = _lattice([], forms, 1, 0, 0, n)
+    lattices = [_lattice([], forms, q, a, b, n) for q in range(1, q_max + 1)]
     tiles = StripeTiles(n, np.float64)
 
     def block(ms: np.ndarray) -> tuple[float]:
         parts, (worst,) = tiles(ms)
         for rows in parts:
-            tile = ms[rows]
-            base = weight_grid(spec, tile[:, None], cols[None, :])
+            base = weight_grid(spec, base_of(ms[rows]), base_w)
             out = worst[rows]
             out.fill(0.0)
-            for q in range(1, q_max + 1):
-                shifted = weight_grid(spec, (q * tile + a)[:, None], (q * cols + b)[None, :])
+            for u_of, w in lattices:
+                shifted = weight_grid(spec, u_of(ms[rows]), w)
                 np.maximum(out, np.abs(shifted - base), out=out)
         return (float(np.sum(worst)),)
 
@@ -254,20 +252,17 @@ def folner_average(f: MultiplicativeFunction, k: int) -> complex:
 def _divisor_frequency(
     form: BinaryQuadraticForm, q: int, a: int, b: int, n: int, hit, threads: int = 1
 ) -> float:
-    """Frequency over [n]^2 of hit(P(q*m+a, q*n+b)), where hit maps an int64
-    array of form values to a boolean mask; a grid whose values need Python
-    ints is refused."""
-    big, w = _lattice([], [form], q, a, b, n)
-    if big:
-        raise ResourceError("form values would overflow the fast integer path")
+    """Frequency over [n]^2 of hit(P(q*m+a, q*n+b)), where hit maps an array
+    of form values, int64 or Python ints as `_grid._lattice` picks, to a
+    boolean mask."""
+    u_of, w = _lattice([], [form], q, a, b, n)
     tiles = StripeTiles(n)  # exact integer counts: no stripe buffer needed
 
     def block(ms: np.ndarray) -> tuple[int]:
         parts, _ = tiles(ms)
         count = 0
         for rows in parts:
-            u = _lattice_coords(q, a, ms[rows], big)[:, None]
-            count += int(np.count_nonzero(hit(form.grid_values(u, w))))
+            count += int(np.count_nonzero(hit(form.grid_values(u_of(ms[rows]), w))))
         return (count,)
 
     return striped_complex_mean(block, n, threads)[0]

@@ -16,9 +16,8 @@ correlations, the Folner probe and the multilinear probe are all a mean of
 weight * prod factor over lattices (Qm+a, Qn+b), computed by one pass
 (`_striped_products`): each stripe's weights are computed once for every Q,
 and the factors are evaluated only on each tile's column span of nonzero
-weight.  Each average sets up its lattice through `_grid._lattice`, which
-checks the grid cap, chooses int64 or Python ints and builds the value
-tables.
+weight.  Each average sets up its lattice, int64 or Python ints, through
+`_grid._lattice`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._grid import StripeTiles, _lattice, _lattice_coords, striped_complex_mean
+from ._grid import StripeTiles, _lattice, striped_complex_mean
 from .arith import fsum_complex, sieve_primes
 from .errors import DomainError, InvariantError, ResourceError
 from .multfunc import (
@@ -54,6 +53,7 @@ from .quadforms import (
     BinaryQuadraticForm,
     LinearForm,
     form_has_root,
+    needs_bigint,
     _roots_mod_prime_power,
 )
 
@@ -187,7 +187,7 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
         setup.k,
         setup.n,
     )
-    big, w = _lattice([f], [form], q, a, b, n)
+    u_of, w = _lattice([f], [form], q, a, b, n)
     w0 = w - b
     g_val = cmath.exp(concentration_exponent_form(form, f, twist, k, n))
     chi0 = twist.chi(form.value(a, b) // c)
@@ -197,14 +197,14 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
     def block(ms: np.ndarray) -> tuple[float]:
         parts, (dev,) = tiles(ms)
         for rows in parts:
-            vals = form.grid_values(_lattice_coords(q, a, ms[rows], big)[:, None], w)
+            u = u_of(ms[rows])
+            vals = form.grid_values(u, w)
             if np.any(vals % c):
                 raise InvariantError("c does not divide a lattice value")
             fv = evaluate_many(f, vals // c)
             target = target0
             if twist.t != 0.0:
-                u0 = _lattice_coords(q, 0, ms[rows], big)[:, None]
-                base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
+                base = np.abs(form.grid_values(u - a, w0).astype(np.float64)) / c
                 # not `target0 * array`, whose operands numpy may swap (see _grid)
                 target = np.multiply(np.exp(1j * twist.t * np.log(base)), target0)
             np.abs(fv - target, out=dev[rows])
@@ -230,7 +230,8 @@ def turan_kubilius_variance(
     dividing w = Qn+b, p^e divides P(Qm+a, w) exactly when Qm+a = r*w
     (mod p^e) for a root r of P(x, 1) mod p^e: one residue class of rows per
     column, root and p^e.  Each stripe adds h(p) at the hits of the classes
-    mod p and subtracts it at those mod p^2, in (p, p^e, root) order.
+    mod p and subtracts it at those mod p^2, in (p, p^e, root) order.  Start
+    rows are int64 on a Python-int lattice too.
     """
     form, q, a, b, c, k, n = (
         setup.form,
@@ -260,10 +261,7 @@ def turan_kubilius_variance(
             raise DomainError(f"support prime {p} collides with Q or the form data")
         support.append((p, hp))
 
-    big, w = _lattice([], [form], q, a, b, n)
-    if big:
-        raise ResourceError("lattice values overflow the fast integer path")
-    ws = w[0]
+    ws = _lattice([], [form], q, a, b, n)[1][0]  # the columns Qn+b
     # per (p, p^e, root), in that order: the columns j with p not dividing w_j,
     # sorted by start_j in [1, p^e], where their hit rows start_j + t * p^e
     # begin; a stripe finds the hits of each shift t * p^e by binary search
@@ -275,7 +273,7 @@ def turan_kubilius_variance(
             wmod = ws[keep] % modulus
             qinv = pow(q, -1, modulus)
             for r in _roots_mod_prime_power(form, p, e):
-                starts = ((r * wmod - a) % modulus * qinv - 1) % modulus + 1
+                starts = (((r * wmod - a) % modulus * qinv - 1) % modulus + 1).astype(np.int64)
                 order = np.argsort(starts)
                 classes.append((modulus, sign * hp, starts[order], keep[order]))
     mean_pred = predicted_additive_mean(h, k, n)
@@ -347,8 +345,9 @@ def _striped_products(
     np.sum as it is, and math.fsum of the stripe sums turns a zero of either
     sign into +0.
     """
-    lattices = [(q, *_lattice(fs, forms, q, a, b, n)) for q in qs]
-    cols = np.arange(1, n + 1, dtype=np.int64)
+    lattices = [_lattice(fs, forms, q, a, b, n) for q in qs]
+    if weight is not None:
+        weight_of, weight_w = _lattice([], [weight.form1, weight.form2], 1, 0, 0, n)
     tiles = StripeTiles(n, np.complex128, *([] if weight is None else [np.float64]))
 
     def block(ms: np.ndarray) -> tuple:
@@ -358,14 +357,14 @@ def _striped_products(
             wgt, spans = weights[0], []
             prod.fill(0)
             for rows in parts:
-                wgt[rows] = weight_grid(weight, ms[rows, None], cols[None, :])
+                wgt[rows] = weight_grid(weight, weight_of(ms[rows]), weight_w)
                 nz = np.flatnonzero(wgt[rows].any(axis=0))
                 if len(nz):
                     spans.append((rows, slice(nz[0], nz[-1] + 1)))
             sums.append(float(np.sum(wgt)))
-        for q, big, w in lattices:
+        for u_of, w in lattices:
             for rows, span in spans:
-                u, ws = _lattice_coords(q, a, ms[rows], big)[:, None], w[:, span]
+                u, ws = u_of(ms[rows]), w[:, span]
                 # rebound before the factors run, so no tile's values outlive it
                 values = [] if weight is None else [wgt[rows, span]]
                 values += [factor(u, ws) for factor in factors]
@@ -494,7 +493,8 @@ def correlation_probe(
             raise DomainError(f"forms {l1} and {lj} are dependent")
     fs = [fj for fj, _ in factors] + [g]
     terms = [region.mask, *(_values_of(fj, lj) for fj, lj in factors), _values_of(g, form)]
-    return _striped_products(fs, [form], [q], a, b, n, terms, None, threads)[0]
+    lines = [lj for _, lj in factors] + [LinearForm(*h) for h in region.halfplanes]
+    return _striped_products(fs, [form, *lines], [q], a, b, n, terms, None, threads)[0]
 
 
 # --------------------------------------------------------------------------
@@ -577,7 +577,8 @@ def level_set_search(
                 pairs.append((m, n, v1, v2))
     if not pairs:
         return None
-    arr = np.array([(v1, v2) for _, _, v1, v2 in pairs], dtype=np.int64)
+    values = [(v1, v2) for _, _, v1, v2 in pairs]
+    arr = np.array(values, object if needs_bigint(k_max * max(map(max, values))) else np.int64)
     for k in range(1, k_max + 1):
         # as complex128: numpy takes the phase of int8 values in float16
         z1 = evaluate_many(spec.f, k * arr[:, 0]).astype(np.complex128, copy=False)

@@ -421,8 +421,8 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     if hint is None:
         return np.array([evaluate(f, int(v)) for v in values], dtype=np.complex128)
     if hint.kind == "liouville":
+        table = _liouville_sieve(max(2, int(absv.max()) if absv.size else 0))
         idx = absv.astype(np.int64, copy=False)
-        table = _liouville_sieve(max(2, int(idx.max()) if idx.size else 0))
         bits = table[idx >> 3]
         np.right_shift(bits, np.bitwise_and(idx, 7, dtype=np.uint8, casting="unsafe"), out=bits)
         bits &= 1

@@ -111,15 +111,19 @@ class LinearForm:
         return f"[{self.u},{self.v}]"
 
 
-def shifted_value_bound(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> int:
-    """A bound on |P(q*m + a, q*k + b)| over 1 <= m, k <= n."""
+def shifted_value_bound(
+    form: BinaryQuadraticForm | LinearForm, q: int, a: int, b: int, n: int
+) -> int:
+    """A bound on |P(q*m + a, q*k + b)| over 1 <= m, k <= n, P quadratic or linear."""
     hi = q * n + max(abs(a), abs(b))
+    if isinstance(form, LinearForm):
+        return (abs(form.u) + abs(form.v)) * hi
     return (abs(form.alpha) + abs(form.beta) + abs(form.gamma)) * hi * hi
 
 
-def needs_bigint(form: BinaryQuadraticForm, q: int, a: int, b: int, n: int) -> bool:
-    """True when those values may overflow int64 arithmetic (the 2**62 guard)."""
-    return shifted_value_bound(form, q, a, b, n) >= 2**62
+def needs_bigint(bound: int) -> bool:
+    """True when values up to bound may overflow int64 arithmetic (the one 2**62 guard)."""
+    return bound >= 2**62
 
 
 def parse_form(text: str) -> BinaryQuadraticForm:
@@ -166,12 +170,20 @@ def _roots_mod_prime(form: BinaryQuadraticForm, p: int) -> list[int]:
     return sorted({((-b + s) * inv2a) % p, ((-b - s) * inv2a) % p})
 
 
-def _roots_mod_prime_power(form: BinaryQuadraticForm, p: int, k: int) -> list[int]:
-    """All residues mod p^k where P(x, 1) vanishes, by stepwise lifting.
+def _lift_root(form: BinaryQuadraticForm, p: int, pe: int, x: int) -> list[int]:
+    """The roots x + t*pe mod p*pe of P(x, 1) above a root x mod pe, a power
+    of p: one if x is nonsingular (Hensel), else all p or none, as the value
+    vanishes mod p*pe or not."""
+    fx = form.alpha * x * x + form.beta * x + form.gamma
+    dfx = (2 * form.alpha * x + form.beta) % p
+    if dfx != 0:
+        return [x + (-(fx // pe) * pow(dfx, -1, p)) % p * pe]
+    return [x + t * pe for t in range(p)] if fx % (pe * p) == 0 else []
 
-    Simple roots lift uniquely; singular roots branch into p children when the
-    value already vanishes one level up.  Work is capped to keep degenerate
-    forms from exploding.
+
+def _roots_mod_prime_power(form: BinaryQuadraticForm, p: int, k: int) -> list[int]:
+    """All residues mod p^k where P(x, 1) vanishes, by stepwise lifting
+    (`_lift_root`).  Work is capped to keep degenerate forms from exploding.
     """
     work = caps().lift_work
     roots = _roots_mod_prime(form, p)
@@ -179,13 +191,7 @@ def _roots_mod_prime_power(form: BinaryQuadraticForm, p: int, k: int) -> list[in
     for _ in range(k - 1):
         lifted: list[int] = []
         for x in roots:
-            fx = form.alpha * x * x + form.beta * x + form.gamma
-            dfx = (2 * form.alpha * x + form.beta) % p
-            if dfx != 0:
-                t = (-(fx // pe) * pow(dfx, -1, p)) % p
-                lifted.append(x + t * pe)
-            elif fx % (pe * p) == 0:
-                lifted.extend(x + t * pe for t in range(p))
+            lifted += _lift_root(form, p, pe, x)
             if len(lifted) > work:
                 raise ResourceError("root lifting exceeded the work cap")
         roots = lifted
@@ -306,10 +312,7 @@ def hensel_lift(form: BinaryQuadraticForm, p: int, root: int, k: int) -> int:
     x = root % p
     pe = p
     for _ in range(k - 1):
-        fx = form.alpha * x * x + form.beta * x + form.gamma
-        dfx = (2 * form.alpha * x + form.beta) % p
-        t = (-(fx // pe) * pow(dfx, -1, p)) % p
-        x += t * pe
+        (x,) = _lift_root(form, p, pe, x)  # the derivative stays nonzero mod p
         pe *= p
     if form.value(x, 1) % p**k != 0:  # pragma: no cover
         raise InvariantError("Hensel lift failed verification")

@@ -18,7 +18,7 @@ import numpy as np
 from .arith import _cf_unit, factorize, kronecker
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
-from .quadforms import BinaryQuadraticForm
+from .quadforms import BinaryQuadraticForm, needs_bigint
 
 
 @dataclass(frozen=True)
@@ -286,7 +286,7 @@ def is_regular(z: RingElement, c_bound, n_max: int) -> bool:
     # Every intermediate (adj(M) (m, n), a*h, the row progressions) stays
     # below this bound; past the 2**62 guard the same walk runs on Python ints.
     bound = 2 * (max(abs(p), abs(q), abs(r), abs(s)) + k) * (n_max + 1)
-    dtype = object if bound >= 2**62 else np.int64
+    dtype = object if needs_bigint(bound) else np.int64
     # limit[b]: largest coord allowed in box b, coord^2 * k * den^2 <= num^2 * b^2;
     # no coord reaches the bound, so clipping there keeps the comparison exact.
     num2, den2 = c_frac.numerator**2, c_frac.denominator**2

@@ -17,6 +17,7 @@ import numpy as np
 from .arith import check_prime_limit, crt, is_prime, is_square, jacobi, primes_in_class
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
+from .quadforms import needs_bigint
 
 
 @dataclass(frozen=True)
@@ -426,7 +427,7 @@ def enumerate_solutions(t: EquationTriple, bound: int) -> list[tuple[int, int, i
     g = gcd(t.a, t.b, t.c)  # dividing it out leaves the solutions unchanged
     a, b, c = t.a // g, t.b // g, t.c // g
     largest = (abs(a) + abs(b)) * bound * bound
-    if largest >= 2**62:
+    if needs_bigint(largest):
         raise ResourceError(
             f"a*x^2 + b*y^2 with (a, b) = ({a}, {b}) overflows int64 at bound {bound}"
         )

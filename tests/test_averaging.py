@@ -161,13 +161,18 @@ def test_divisor_stat_exact_examples():
     assert abs(val - 0.256 * (288 / 2197)) <= 0.01
 
 
-def test_divisor_stat_refuses_python_int_grids():
-    """A grid whose values need Python ints is refused; the grid cap is
-    checked first."""
-    with pytest.raises(ResourceError, match="overflow the fast integer path"):
-        divisor_stat_exact(P11, 10**9, 1, 0, 5, 5, 200)
+def test_divisor_stat_python_int_grid_is_exact():
+    """A grid whose values need Python ints (Q = 10^9) counts exactly what a
+    Python-int loop counts; the grid cap is checked first."""
+    q, n = 10**9, 200
+    values = [P11.value(q * m + 1, q * k) for m in range(1, n + 1) for k in range(1, n + 1)]
+    for p, p2 in ((13, 13), (13, 17), (5, 13)):
+        hits = sum(all(v % r == 0 and v % (r * r) for r in {p, p2}) for v in values)
+        assert divisor_stat_exact(P11, q, 1, 0, p, p2, n) == hits / n**2, (p, p2)
+        if (p, p2) == (13, 13):
+            assert hits / n**2 == 0.13095
     with pytest.raises(ResourceError, match="grid 10001 exceeds cap 10000"):
-        divisor_stat_exact(P11, 10**9, 1, 0, 5, 5, 10**4 + 1)
+        divisor_stat_exact(P11, q, 1, 0, 5, 5, 10**4 + 1)
 
 
 def test_divisor_stat_predicted_values():

@@ -1,5 +1,7 @@
+import cmath
 import csv
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -199,6 +201,7 @@ def test_grid_cap_exit_3(args, capsys):
 @pytest.mark.parametrize("args", [
     ["ldelta", "f=liouville", "p1=[1,0,2]", "p2=[0,2,0]", "q=1000000000", "n=10"],
     ["concentrate", "form=[1,0,1]", "f=liouville", "q=10000000000", "k=2", "n=10"],
+    ["levelset", "f=liouville", "arc=0.3", "p1=[3000000000000000000,0,1]", "p2=[1,2,-1]"],
 ])
 def test_liouville_past_int64_exit_3(args, capsys):
     """λ on a lattice whose values pass the 2^62 guard needs a table past
@@ -206,6 +209,63 @@ def test_liouville_past_int64_exit_3(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 3 and out == ""
     assert "value sieve" in err and "exceeds cap" in err
+
+
+def test_weights_past_int64_exact(capsys):
+    """P1 = 10^13 m^2 + n^2 passes 2^63 at n = 1000: on Python ints the grid
+    mean meets the Riemann sum, where wrapped int64 values missed it by 0.018."""
+    code, out, _ = run_cli(["weights", "--p1", "[10000000000000,0,1]", "--p2", "[0,2,0]",
+                            "--delta", "0.3", "--n", "1000"], capsys)
+    assert code == 0 and json.loads(out)["agreement"] <= 8 / 1000
+
+
+def test_levelset_past_int64(capsys):
+    """Form values past 2^63 are searched on Python ints, not refused with an
+    OverflowError; the hit's values and f at k * value check by hand."""
+    code, out, _ = run_cli(["levelset", "f=arch:0.7", "arc=0.3",
+                            "p1=[3000000000000000000,0,1]", "p2=[1,2,-1]"], capsys)
+    row = json.loads(out)
+    assert code == 0 and row["found"]
+    k, m, n = row["k"], row["m"], row["n"]
+    assert (row["value1"], row["value2"]) == (3 * 10**18 * m * m + n * n, m * m + 2 * m * n - n * n)
+    for value, got in ((row["value1"], row["f_at_k1"]), (row["value2"], row["f_at_k2"])):
+        want = cmath.exp(0.7j * math.log(k * value))
+        assert got["re"] == pytest.approx(want.real, abs=1e-12)
+        assert got["im"] == pytest.approx(want.imag, abs=1e-12)
+        assert abs(cmath.phase(want)) < 0.3
+
+
+BIG_Q = 9261000000  # 2^6 3^3 5^6 7^3: P(Qm+1, Qn) passes 2^62 at every n
+
+
+def test_divstat_big_lattice_matches_brute_force(capsys):
+    n = 60
+    code, out, _ = run_cli(["divstat", "--form", "[1,0,1]", "--primes", "13,17",
+                            "--q", str(BIG_Q), "--a", "1", "--n", str(n)], capsys)
+    assert code == 0
+    values = [(BIG_Q * m + 1) ** 2 + (BIG_Q * k) ** 2
+              for m in range(1, n + 1) for k in range(1, n + 1)]
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [(r["p"], r["q"]) for r in rows] == [(13, 13), (13, 17), (17, 17)]
+    for r in rows:
+        hits = sum(all(v % p == 0 and v % (p * p) for p in {r["p"], r["q"]}) for v in values)
+        assert r["exact"] == hits / n**2
+    assert 0 < rows[0]["exact"] < 1
+
+
+def test_tk_big_lattice_matches_brute_force(capsys):
+    n, primes = 60, (13, 17, 29, 37, 41)
+    code, out, _ = run_cli(["tk", "form=[1,0,1]", f"q={BIG_Q}", "k=10", f"n={n}",
+                            "h_primes=" + ",".join(map(str, primes))], capsys)
+    assert code == 0
+    row = json.loads(out)
+    mean = row["predicted_mean"]["re"]
+    dev = []
+    for m in range(1, n + 1):
+        for k in range(1, n + 1):
+            v = (BIG_Q * m + 1) ** 2 + (BIG_Q * k) ** 2
+            dev.append((sum(v % p == 0 and v % (p * p) != 0 for p in primes) - mean) ** 2)
+    assert row["variance"] == pytest.approx(math.fsum(dev) / n**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", ["-1000000006", "-1000000009"])

@@ -5,8 +5,9 @@ builds the temporaries of its whole (rows, n) stripe at once and sums them,
 and the Folner probe makes one weighted pass per modulus.  The tiled blocks
 must reproduce them bit for bit, at grid sizes that give partial last tiles
 and stripes, and with a small tile size that puts many tile boundaries in
-every stripe.  Also here: the big-integer grid path against the int64 path,
-and the cos/sin evaluation of n^{it} against the complex exponential.
+every stripe.  Also here: the big-integer grid path against the int64 path
+and, past 2^63, against Python-int sums, and the cos/sin evaluation of
+n^{it} against the complex exponential.
 """
 
 import cmath
@@ -26,6 +27,7 @@ from qpairs.averaging import (
     folner_enumerate,
     mu_estimate,
     trapezoid_bump,
+    weight,
     weight_stability,
 )
 from qpairs.experiments import (
@@ -37,15 +39,18 @@ from qpairs.experiments import (
     level_set_search,
     nonnegativity_probe,
     pair_correlation,
+    turan_kubilius_variance,
     weighted_pair_average,
 )
 from qpairs.multfunc import (
     TwistData,
+    additive_from_prime_values,
     archimedean,
     character_function,
     dirichlet_characters,
     evaluate_many,
     liouville,
+    one,
     twisted,
 )
 from qpairs.quadforms import BinaryQuadraticForm, LinearForm
@@ -323,7 +328,14 @@ def test_object_path_matches_int64(monkeypatch):
     chi = dirichlet_characters(4)[1]
     setup = concentration_setup(P11, liouville(), TwistData(0.5, chi), 12, 1, 0, 1, 3, n)
     factors = [(liouville(), LinearForm(1, 0)), (archimedean(1.0), LinearForm(1, 1))]
+    tk_setup = concentration_setup(P11, one(), experiments.principal_twist(), 210, 1, 0, 1, 10, n)
+    h = additive_from_prime_values({13: 1, 17: 0.5j, 29: -1})
     runs = {
+        "mu_estimate": lambda: mu_estimate(WeightSpec(0.3, P12, PMN), n),
+        "weight_stability": lambda: weight_stability(WeightSpec(0.3, *MIXED), 1, 2, 5, n),
+        "turan_kubilius_variance": lambda: turan_kubilius_variance(tk_setup, h),
+        "divisor_stat_exact": lambda: divisor_stat_exact(P11, 12, 1, 2, 5, 13, n),
+        "divisor_bound_probe": lambda: divisor_bound_probe(P12, 3, 2, 1, 33, n),
         "weighted liouville": lambda: weighted_pair_average(liouville(), P12, PMN, 0.3, 3, 2, 1, n),
         "weighted arch": lambda: weighted_pair_average(archimedean(1.5), P12, PMN, 0.3, 7, 3, 2, n),
         "pair_correlation": lambda: pair_correlation(liouville(), P11, P12, 3, 2, 1, n),
@@ -335,6 +347,43 @@ def test_object_path_matches_int64(monkeypatch):
     monkeypatch.setattr(_grid, "needs_bigint", lambda *args: True)
     for name, run in runs.items():
         assert repr(run()) == fast[name], name
+
+
+def test_weights_past_int64_match_python_ints():
+    """P1 = 10^15 m^2 + n^2 passes 2^63 on this grid: the mean weight and the
+    weighted average equal sums over Python-int values (scalar weight, f by
+    cmath), which int64 weights missed by wrapping."""
+    p1, n, t = BinaryQuadraticForm(10**15, 0, 1), 120, 0.7
+    spec = WeightSpec(0.3, p1, PMN)
+    points = [(m, k) for m in range(1, n + 1) for k in range(1, n + 1)]
+    weights = [weight(spec, m, k) for m, k in points]
+    # f = arch:t on the lattice (m + 1, k): Q = 1, a = 1, b = 0
+    phases = [t * (math.log(p1.value(m + 1, k)) - math.log(PMN.value(m + 1, k))) for m, k in points]
+    terms = [w * cmath.exp(1j * phase) for w, phase in zip(weights, phases)]
+    mu = math.fsum(weights) / n**2
+    want = complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)) / n**2 / mu
+    assert mu_estimate(spec, n).grid == pytest.approx(mu, rel=1e-12)
+    assert weighted_pair_average(archimedean(t), p1, PMN, 0.3, 1, 1, 0, n) == pytest.approx(
+        want, abs=1e-12)
+
+
+def test_linear_forms_past_int64_match_python_ints():
+    """A linear factor or a half-plane with a coefficient near 2^62 passes
+    2^63 on the grid: both count in the lattice's bound, so each
+    correlation equals its mean over Python-int values."""
+    n, big = 100, 4 * 10**18
+
+    def mean_of_arch(scale):  # E exp(i ln(scale * m)) over [n]^2 (Q = 1, a = b = 0)
+        terms = [cmath.exp(1j * math.log(scale * m)) for m in range(1, n + 1)]
+        return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)) / n
+
+    got = correlation_probe([(archimedean(1.0), LinearForm(big, 0))], one(), P11, RegionSpec(),
+                            1, 0, 0, n)
+    assert got == pytest.approx(mean_of_arch(big), abs=1e-12)
+    # big * x - y >= 0 holds on the whole grid
+    got = correlation_probe([(archimedean(1.0), LinearForm(1, 0))], one(), P11,
+                            RegionSpec(((big, -1),)), 1, 0, 0, n)
+    assert got == pytest.approx(mean_of_arch(1), abs=1e-12)
 
 
 # --- int8 Liouville values ----------------------------------------------------------

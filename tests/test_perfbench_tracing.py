@@ -49,6 +49,9 @@ def _traced(args, tmp_path):
 def test_traced_workload_commands_run(name, tmp_path):
     summary = _traced(COMMANDS[name], tmp_path)
     assert summary["cli.emit"]["calls"] == 1
+    if name == "weights":
+        assert summary["averaging.mu_estimate"]["calls"] == 1
+        assert summary["averaging.weight_grid"]["calls"] > 0
     if name == "liouville-sweep":
         assert summary["experiments.weighted_pair_average"]["calls"] == 2
         assert summary["_grid.striped_complex_mean"]["calls"] > 0
