@@ -8,11 +8,12 @@ under a lock, so concurrent use is safe.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
@@ -146,6 +147,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _all_prime(values: Iterable[int]) -> bool:
+    """True iff every value is a prime.  Values up to the limit of the cached
+    prime table are looked up in it, which is not grown; is_prime tests only
+    the values past it."""
+    import numpy as np  # on use: importing arith alone loads no numpy
+
+    limit = max(2, min(_sieve_cache[0], caps().sieve_limit))
+    table, values = _prime_array(limit), sorted(values)
+    lo, hi = bisect.bisect_left(values, 2), bisect.bisect_right(values, limit)
+    small = np.fromiter(values[lo:hi], np.int64, hi - lo)
+    found = table[np.minimum(table.searchsorted(small), len(table) - 1)] == small
+    return lo == 0 and bool(found.all()) and all(map(is_prime, values[hi:]))
 
 
 def _pollard_brent(n: int) -> int:

@@ -255,9 +255,11 @@ def emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
         text = _format_rows(rows, fmt)
     except ValueError as exc:  # an int past Python's limit on decimal digits
         raise ResourceError(f"cannot print the result: {exc}") from exc
-    if out_path:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qpairs-")
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)), prefix=".qpairs-")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
@@ -266,8 +268,8 @@ def emit(rows: list[dict], fmt: str, out_path: str | None) -> None:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write --out {out_path}: {exc.strerror}") from exc
 
 
 # --------------------------------------------------------------------------

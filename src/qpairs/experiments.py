@@ -40,13 +40,13 @@ from .multfunc import (
     TwistData,
     _additive_term,
     _cmul,
-    _prime_power_it,
     _root_count_weights,
     _unit_weights,
     distance_additive,
     evaluate_many,
     prime_values,
     prime_window_sum,
+    twisted,
 )
 from .averaging import WeightSpec, folner_enumerate, weight_grid
 from .quadforms import (
@@ -67,15 +67,13 @@ def principal_twist() -> TwistData:
 
 
 def _concentration_term(weights, f: MultiplicativeFunction, twist: TwistData):
-    """primes -> w(p)/p * (f(p) conj(chi(p)) p^{-it} - 1) for w = weights(primes),
+    """primes -> w(p)/p * (f(p) conj(chi(p) p^{it}) - 1) for w = weights(primes),
     0 where w(p) = 0."""
+    g = twisted(twist.chi, twist.t)
 
     def term(primes: np.ndarray) -> np.ndarray:
         w = weights(primes)
-        tw = np.conj(twist.chi.value_array()[primes % twist.chi.q])
-        if twist.t != 0.0:
-            tw = _cmul(tw, _prime_power_it(primes, -twist.t))
-        z = _cmul(prime_values(f, primes), tw)
+        z = _cmul(prime_values(f, primes), np.conj(prime_values(g, primes)))
         s = w / primes
         out = np.zeros(len(primes), dtype=np.complex128)
         np.multiply(s, z.real - 1.0, out=out.real, where=w != 0)

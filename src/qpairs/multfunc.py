@@ -9,8 +9,8 @@ and safe to share across threads.
 Evaluation hints: grid experiments need f at millions of form values, where
 per-value factorization is hopeless.  Each built-in carries a structural hint
 of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
-finitely many prime values replaced (the constant one, n^{it}, characters,
-twists and prime patches).  `evaluate_many` returns the Liouville function as int8
+finitely many prime values replaced, built and checked by one constructor
+(`_periodic`).  `evaluate_many` returns the Liouville function as int8
 (unpacked from the cached table of signs, one bit per entry) and every other
 function as complex128.  The prime-window sums read f at whole arrays of
 primes from the same hints (`prime_values`).  Hints are an optimization
@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _prime_array, factorize, sieve_primes
+from .arith import _all_prime, _prime_array, factorize, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -469,97 +469,76 @@ def liouville() -> MultiplicativeFunction:
     )
 
 
+def _check_unit_disk(values: Sequence[complex]) -> None:
+    if not (np.abs(np.asarray(values, dtype=np.complex128)) <= 1 + 1e-12).all():  # NaN compares False
+        raise DomainError("values must stay in the unit disk")
+
+
+def _periodic(
+    description: str, chi: DirichletCharacter, t: float, overrides: Mapping[int, complex]
+) -> MultiplicativeFunction:
+    """chi(n) * n^{it} with its values at the primes of overrides replaced.
+
+    The constructor of every built-in but liouville, and the only check of t
+    and of the overrides: keys must be primes, values in the closed unit disk.
+    f(p^k) = (base * p^{it})**k, or base**k at t = 0, where base is the
+    override at p or else chi(p).  Without overrides f also has the direct
+    rule chi(n) * n^{it}; n^{it} alone (chi mod 1) takes one exponential of
+    t*k*ln p or t*ln n, so no rounding accumulates.
+    """
+    if not (math.isfinite(t) and abs(t) * 710 <= sys.float_info.max):  # ln n < 710 at every float n
+        raise DomainError(f"t must be finite with |t| * 710 <= {sys.float_info.max}, got {t}")
+    ov = dict(zip(map(int, overrides), map(complex, overrides.values())))
+    _check_unit_disk(list(ov.values()))
+    if ov and not _all_prime(ov):
+        raise DomainError("override keys must be primes")
+    power = lambda n: cmath.exp(1j * t * math.log(n))  # n^{it}
+    if t == 0.0:
+        rule, direct = (lambda p, k: ov.get(p, chi(p)) ** k), chi
+    elif chi.q == 1 and not ov:
+        rule, direct = (lambda p, k: cmath.exp(1j * t * k * math.log(p))), power
+    else:
+        rule = lambda p, k: (ov.get(p, chi(p)) * power(p)) ** k
+        direct = lambda n: chi(n) * power(n)
+    hint = EvalHint("periodic", chi, t, ov)
+    return MultiplicativeFunction(description, rule, None if ov else direct, hint)
+
+
 def one() -> MultiplicativeFunction:
     """The constant completely multiplicative function 1 (CLI name: principal)."""
-    return MultiplicativeFunction(
-        description="principal",
-        prime_power_rule=lambda p, k: 1 + 0j,
-        hint=EvalHint(kind="periodic"),
-    )
-
-
-def _check_exponent(t: float) -> None:
-    """Refuse a t for which t*ln n is not finite at some float n: every
-    float n has ln n < 710."""
-    if not (math.isfinite(t) and abs(t) * 710 <= sys.float_info.max):
-        raise DomainError(f"t must be finite with |t| * 710 <= {sys.float_info.max}, got {t}")
+    return _periodic("principal", TRIVIAL_CHARACTER, 0.0, {})
 
 
 def archimedean(t: float) -> MultiplicativeFunction:
-    """n^{it}, evaluated by a direct complex exponential of t*ln n.
-
-    The direct rule avoids accumulating rounding across prime factors and is
-    what makes the concentration identities exact.
-    """
-    _check_exponent(t)
-    return MultiplicativeFunction(
-        description=f"arch:{t}",
-        prime_power_rule=lambda p, k: cmath.exp(1j * t * k * math.log(p)),
-        direct_rule=lambda n: cmath.exp(1j * t * math.log(n)) if n != 0 else 0j,
-        hint=EvalHint(kind="periodic", t=t),
-    )
+    """n^{it}, by one complex exponential of t*ln n: no rounding accumulates
+    across prime factors, which makes the concentration identities exact."""
+    return _periodic(f"arch:{t}", TRIVIAL_CHARACTER, t, {})
 
 
 def character_function(chi: DirichletCharacter) -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        description=chi.label,
-        prime_power_rule=lambda p, k: chi(p) ** k,
-        direct_rule=lambda n: chi(n),
-        hint=EvalHint(kind="periodic", chi=chi),
-    )
+    return _periodic(chi.label, chi, 0.0, {})
 
 
 def twisted(chi: DirichletCharacter, t: float) -> MultiplicativeFunction:
     """chi * n^{it}; value 0 at primes dividing the modulus (chi = 0 there)."""
-    _check_exponent(t)
-
-    def rule(p: int, k: int) -> complex:
-        return (chi(p) * cmath.exp(1j * t * math.log(p))) ** k
-
-    return MultiplicativeFunction(
-        description=f"twisted:{chi.q}:{chi.label.rsplit(':', 1)[-1]}:{t}",
-        prime_power_rule=rule,
-        direct_rule=lambda n: chi(n) * cmath.exp(1j * t * math.log(n)) if n != 0 else 0j,
-        hint=EvalHint(kind="periodic", chi=chi, t=t),
-    )
+    return _periodic(f"twisted:{chi.q}:{chi.label.rsplit(':', 1)[-1]}:{t}", chi, t, {})
 
 
 def character_extended(
     chi: DirichletCharacter, overrides: Mapping[int, complex], t: float = 0.0
 ) -> MultiplicativeFunction:
-    """chi * n^{it} with the values at finitely many primes replaced.
-
-    Overrides are applied completely multiplicatively: f(p^k) = override^k.
-    """
-    ov = {int(p): complex(v) for p, v in overrides.items()}
-
-    def rule(p: int, k: int) -> complex:
-        base = ov[p] if p in ov else chi(p)
-        return base**k * cmath.exp(1j * t * k * math.log(p))
-
-    return MultiplicativeFunction(
-        description=f"{chi.label}+overrides",
-        prime_power_rule=rule,
-        hint=EvalHint(kind="periodic", chi=chi, t=t, overrides=ov),
-    )
+    """chi * n^{it} with the values at finitely many primes replaced,
+    completely multiplicatively: f(p^k) = (override * p^{it})**k."""
+    return _periodic(f"{chi.label}+overrides", chi, t, overrides)
 
 
 def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     """value at primes in (lo, hi], 1 elsewhere; completely multiplicative."""
-    if not abs(value) <= 1 + 1e-12:  # NaN compares False
-        raise DomainError("values must stay in the unit disk")
-    primes = _prime_array(max(2, hi))
     value = complex(value)
-    overrides = {p: value for p in primes[(lo < primes) & (primes <= hi)].tolist()}
-
-    def rule(p: int, k: int) -> complex:
-        return value**k if p in overrides else 1 + 0j
-
-    return MultiplicativeFunction(
-        description=f"prime-patch:{lo}:{hi}:{value}",
-        prime_power_rule=rule,
-        hint=EvalHint(kind="periodic", overrides=overrides),
-    )
+    _check_unit_disk([value])  # before the prime table, which may be over its cap
+    primes = _prime_array(max(2, hi))
+    overrides = dict.fromkeys(primes[(lo < primes) & (primes <= hi)].tolist(), value)
+    return _periodic(f"prime-patch:{lo}:{hi}:{value}", TRIVIAL_CHARACTER, 0.0, overrides)
 
 
 def function_from_name(name: str) -> MultiplicativeFunction:

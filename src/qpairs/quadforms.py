@@ -302,7 +302,10 @@ def form_has_root(form: BinaryQuadraticForm, p: int) -> bool:
 
 
 def hensel_lift(form: BinaryQuadraticForm, p: int, root: int, k: int) -> int:
-    """The unique lift of a nonsingular root of P(x, 1) mod p to mod p^k."""
+    """The unique lift of a nonsingular root of P(x, 1) mod p to mod p^k.
+    A p that is not prime is refused."""
+    if not is_prime(p):
+        raise DomainError(f"Hensel lifting needs a prime modulus, got {p}")
     if k < 1:
         raise DomainError("need k >= 1")
     if form.value(root, 1) % p != 0:

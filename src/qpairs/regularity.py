@@ -91,6 +91,8 @@ class Coloring:
     def color_many(self, values: np.ndarray) -> np.ndarray:
         """Vectorized coloring of a positive int64 array."""
         v = np.asarray(values, dtype=np.int64).copy()
+        if (v <= 0).any():  # 0 would never leave the stripping loops
+            raise DomainError("colorings are defined on positive integers")
         if self.kind == "rado":
             p = self.param
             mask = v % p == 0

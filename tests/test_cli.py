@@ -141,6 +141,14 @@ def test_config_file_missing(capsys, tmp_path):
     assert err.startswith(f"error: cannot read --config {missing}")
 
 
+def test_out_into_missing_directory(capsys, tmp_path):
+    target = tmp_path / "absent" / "x.json"
+    code, out, err = run_cli(["obstruct", "1", "1", "3", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write --out {target}")
+    assert not target.parent.exists()
+
+
 def test_determinism_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--out", None, "ldelta", "f=liouville", "p1=[1,0,2]", "p2=[0,2,0]",
@@ -376,6 +384,11 @@ def test_sweep_rows_match_direct_runs(capsys):
       for f in ("arch:nan", "arch:inf", "arch:-inf", "twisted:7:2:nan", "arch:1e308")),
     # the residue count is taken at primes only
     *(["omega", "--form", "[1,0,1]", "--modulus", m, "--fast"] for m in ("9", "21", "1", "4")),
+    # and so is a Hensel lift
+    *(["omega", "--form", form, "--hensel", h]
+      for form, h in (("[1,0,-4]", "6,2,2"), ("[1,0,-4]", "0,0,2"), ("[1,0,-1]", "15,4,2"))),
+    # the twist's t, as f's
+    ["concentrate", "form=[1,0,1]", "f=liouville", "t=inf", "q=6", "k=3", "n=200"],
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)

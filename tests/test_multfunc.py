@@ -2,6 +2,7 @@ import bisect
 import cmath
 import math
 import random
+import struct
 import sys
 import threading
 from itertools import product
@@ -14,6 +15,7 @@ from qpairs import arith, multfunc
 from qpairs.arith import is_prime, sieve_primes
 from qpairs.errors import DomainError
 from qpairs.multfunc import (
+    EvalHint,
     MultiplicativeFunction,
     additive_from_prime_values,
     archimedean,
@@ -95,6 +97,119 @@ def test_multiplicativity_random():
             continue
         for f in fs:
             assert abs(evaluate(f, m * n) - evaluate(f, m) * evaluate(f, n)) < 1e-10
+
+
+# --- the one constructor of chi * n^{it} with prime overrides -------------------
+
+CHI7 = dirichlet_characters(7)[1]
+
+
+@pytest.mark.parametrize("overrides, t", [
+    ({2: math.nan}, 0.0),  # evaluate_many would return NaN
+    ({2: complex(0.5, math.nan)}, 0.7),
+    ({3: complex(math.inf, 0.0)}, 0.0),
+    ({2: 2.0}, 0.0),  # modulus 2: off the unit disk
+    ({2: 0.5}, math.inf),
+    ({2: 0.5}, math.nan),
+    ({2: 0.5}, 1e308),  # t * ln n overflows
+    ({4: -1.0}, 0.0),  # evaluate_many would give -1 at n = 4, the scalar rule 1
+    ({1: -1.0}, 0.0),  # evaluate_many would never leave its stripping loop
+    ({0: 1.0}, 0.0),
+    ({-3: 1.0}, 0.0),
+    ({-(2**70): 1.0}, 0.0),
+    ({10**9 + 1: 1.0}, 0.0),  # past the prime table: is_prime decides
+])
+def test_character_extended_refuses_bad_input(overrides, t):
+    with pytest.raises(DomainError):
+        character_extended(CHI7, overrides, t)
+
+
+def test_override_keys_read_from_prime_table(monkeypatch):
+    """is_prime runs only on keys past the cached prime table."""
+    arith._prime_array(10**5)
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert len(prime_patch(10, 10**5, -1).hint.overrides) == 9588
+    assert calls == []
+    f = character_extended(CHI7, {3: -1, 10**9 + 7: 1j, 2**61 - 1: -1j})
+    assert sorted(calls) == [10**9 + 7, 2**61 - 1]
+    assert evaluate(f, 3 * (10**9 + 7)) == -1j
+
+
+def test_prime_patch_checks_value_before_prime_table():
+    with pytest.raises(DomainError):  # not the ResourceError of a sieve past its cap
+        prime_patch(10, 10**9, math.nan)
+
+
+def _bits(z: complex) -> bytes:
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _factor_product(rule, n: int) -> complex:
+    out = 1 + 0j
+    for p, e in arith.factorize(n).factors:
+        out *= rule(p, e)
+        if out == 0:
+            return 0j
+    return out
+
+
+def _builtin_formulas():
+    """(f, prime-power rule, direct rule or None, hint), with each built-in's
+    formulas written out one by one as the reference; character_extended's
+    rule is the one its docstring states."""
+    def it(t, n):
+        return cmath.exp(1j * t * math.log(n))
+
+    cases = [(one(), lambda p, k: 1 + 0j, None, EvalHint("periodic"))]
+    for t in (0.7, -1.7, 2.0):
+        cases.append((archimedean(t), lambda p, k, t=t: cmath.exp(1j * t * k * math.log(p)),
+                      lambda n, t=t: it(t, n), EvalHint("periodic", t=t)))
+    for chi in (dirichlet_characters(4)[1], dirichlet_characters(5)[2], CHI7, dirichlet_characters(12)[3]):
+        cases.append((character_function(chi), lambda p, k, chi=chi: chi(p) ** k, chi,
+                      EvalHint("periodic", chi=chi)))
+        for t in (0.5, -1.3):
+            cases.append((twisted(chi, t), lambda p, k, chi=chi, t=t: (chi(p) * it(t, p)) ** k,
+                          lambda n, chi=chi, t=t: chi(n) * it(t, n), EvalHint("periodic", chi=chi, t=t)))
+    for value in (-1.0, 0.5j, -1j, 0.6 + 0.8j, 0.0):
+        v = complex(value)
+        patched = {p: v for p in sieve_primes(200) if p > 3}
+        cases.append((prime_patch(3, 200, value), lambda p, k, v=v: v**k if 3 < p <= 200 else 1 + 0j,
+                      None, EvalHint("periodic", overrides=patched)))
+    ov = {2: 0.5j, 3: -1.0 + 0j, 5: 0.6 + 0.8j}
+    for t in (0.0, 0.7):
+        rule = (lambda p, k, t=t: (ov.get(p, CHI7(p)) * it(t, p)) ** k) if t else (lambda p, k: ov.get(p, CHI7(p)) ** k)
+        cases.append((character_extended(CHI7, ov, t), rule, None, EvalHint("periodic", CHI7, t, ov)))
+    return cases
+
+
+def test_builtin_rules_bit_for_bit():
+    """Rules, scalar values and hints, compared with == and the signs of zero
+    parts, for p < 500, k <= 6 and 1 <= n <= 2000."""
+    primes = sieve_primes(499)
+    for f, rule, direct, hint in _builtin_formulas():
+        assert f.hint == hint, f.description
+        for p, k in product(primes, range(1, 7)):
+            assert _bits(f.prime_power_rule(p, k)) == _bits(rule(p, k)), (f.description, p, k)
+        for n in range(1, 2001):
+            want = complex(direct(n)) if direct else _factor_product(rule, n)
+            assert _bits(evaluate(f, n)) == _bits(want), (f.description, n)
+
+
+# Every name form the CLI accepts; FUNC prints f.description into the run id text.
+CLI_NAMES = [
+    "liouville", "principal", "char:1:0", "char:4:1", "char:5:2", "char:12:3", "arch:0.7",
+    "arch:-1.7", "arch:2.0", "arch:1e-300", "twisted:1:0:0.5", "twisted:5:1:0.5", "twisted:7:2:-1.3",
+    "prime-patch:10:100:-1", "prime-patch:1:3:0.5j", "prime-patch:1:3:-1j",
+    "prime-patch:5:50:0.6+0.8j", "prime-patch:20:10:-1",
+]
+
+
+@pytest.mark.parametrize("name", CLI_NAMES)
+def test_description_round_trip(name):
+    f = function_from_name(name)
+    g = function_from_name(f.description)
+    assert (g.description, g.hint) == (f.description, f.hint)
 
 
 # --- characters ---------------------------------------------------------------

@@ -220,6 +220,18 @@ def test_hensel_examples():
         hensel_lift(singular, 5, 0, 2)
 
 
+@pytest.mark.parametrize("form, p, root", [
+    (BinaryQuadraticForm(1, 0, -4), 6, 2),  # pow(., -1, 6) has no inverse to find
+    (BinaryQuadraticForm(1, 0, -4), 0, 0),  # a modulus of 0
+    (BinaryQuadraticForm(1, 0, -1), 15, 4),  # 4 is a nonsingular root mod 15
+    (BinaryQuadraticForm(1, 0, -1), 1, 0),
+    (BinaryQuadraticForm(1, 0, -1), -5, 1),
+])
+def test_hensel_refuses_non_prime_modulus(form, p, root):
+    with pytest.raises(DomainError, match="prime modulus"):
+        hensel_lift(form, p, root, 2)
+
+
 def test_form_has_root():
     assert form_has_root(P11, 5)
     assert not form_has_root(P11, 3)

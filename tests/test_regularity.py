@@ -283,6 +283,14 @@ def test_coloring_vector_matches_scalar():
             assert vec[v - 1] == coloring.color(v)
 
 
+@pytest.mark.parametrize("coloring", [Coloring("rado", 7), Coloring("two-adic"), Coloring("dyadic", 3)])
+@pytest.mark.parametrize("values", [[0], [5, 0, 3], [-6], [4, -1]])
+def test_color_many_refuses_nonpositive(coloring, values):
+    """As color does: 0 would never leave the loops that strip powers of p."""
+    with pytest.raises(DomainError):
+        coloring.color_many(np.array(values, dtype=np.int64))
+
+
 def test_verify_no_monochromatic_counts():
     rep = verify_no_monochromatic(EquationTriple(1, 2, 6), Coloring("two-adic"), 2000)
     assert rep.solution_count >= 1
