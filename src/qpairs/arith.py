@@ -12,6 +12,7 @@ import bisect
 import math
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -34,6 +35,7 @@ _sieve_cache: tuple = (0, None)
 _sieve_lock = threading.Lock()
 
 _WALK_CHUNK = 1 << 12  # primes per chunk of a residue-class walk
+_TERM_CHUNK = 1 << 16  # terms per list fsum_complex hands math.fsum, primes per prime-sum chunk
 
 
 @dataclass(frozen=True)
@@ -422,7 +424,25 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def fsum_complex(terms) -> complex:
-    """Exactly rounded complex sum (order-independent)."""
-    res = list(terms)
-    return complex(math.fsum(t.real for t in res), math.fsum(t.imag for t in res))
+def fsum_complex(terms: Iterable) -> complex:
+    """Exactly rounded complex sum of a stream of numbers and 1-D float64 or
+    complex128 arrays, the same in any order and split.  Real parts go to
+    math.fsum as they come, 2**16 array terms at a time; imaginary parts wait
+    aside, 8 B per complex array term.  A zero sum is +0.0."""
+    imag: list = []  # floats, and arrays of 2**16 terms or fewer
+
+    def reals() -> Iterator:
+        for t in terms:
+            if not getattr(t, "ndim", 0):  # a number (no numpy import here)
+                imag.append(t.imag)
+                yield (t.real,)
+                continue
+            for i in range(0, len(t), _TERM_CHUNK):
+                chunk = t[i : i + _TERM_CHUNK]
+                if chunk.dtype.kind == "c":
+                    imag.append(chunk.imag.copy())
+                yield chunk.real.tolist()
+
+    real = math.fsum(chain.from_iterable(reals()))
+    parts = (part.tolist() if getattr(part, "ndim", 0) else (part,) for part in imag)
+    return complex(real, math.fsum(chain.from_iterable(parts)))

@@ -1,7 +1,8 @@
 """Concentration sums and grid experiments.
 
 Everything here is a finite-N measurable quantity: concentration left-hand
-sides against their single predicted value, Turan-Kubilius-style variances,
+sides against their single predicted value exp(G), G the pretentious prime
+sum of `multfunc` with g = chi n^{it}, Turan-Kubilius-style variances,
 normalized weighted pair correlations L(f, Q; a, b), Folner-averaged
 nonnegativity probes, multilinear correlation probes over convex cones, and
 the level-set search for simultaneous arc hits of a multiplicative function
@@ -39,12 +40,12 @@ from .multfunc import (
     TRIVIAL_CHARACTER,
     TwistData,
     _additive_term,
-    _cmul,
+    _pretentious_term,
     _root_count_weights,
+    _unit_power,
     _unit_weights,
     distance_additive,
     evaluate_many,
-    prime_values,
     prime_window_sum,
     twisted,
 )
@@ -66,23 +67,6 @@ def principal_twist() -> TwistData:
     return TwistData(t=0.0, chi=TRIVIAL_CHARACTER)
 
 
-def _concentration_term(weights, f: MultiplicativeFunction, twist: TwistData):
-    """primes -> w(p)/p * (f(p) conj(chi(p) p^{it}) - 1) for w = weights(primes),
-    0 where w(p) = 0."""
-    g = twisted(twist.chi, twist.t)
-
-    def term(primes: np.ndarray) -> np.ndarray:
-        w = weights(primes)
-        z = _cmul(prime_values(f, primes), np.conj(prime_values(g, primes)))
-        s = w / primes
-        out = np.zeros(len(primes), dtype=np.complex128)
-        np.multiply(s, z.real - 1.0, out=out.real, where=w != 0)
-        np.multiply(s, z.imag, out=out.imag, where=w != 0)
-        return out
-
-    return term
-
-
 def concentration_exponent_form(
     form: BinaryQuadraticForm,
     f: MultiplicativeFunction,
@@ -93,11 +77,12 @@ def concentration_exponent_form(
     """Sum over k < p <= n of omega_P(p)/p * (f(p) conj(chi(p)) p^{-it} - 1).
 
     Its exponential is the predicted concentration value for f along the
-    form.  Exactly rounded summation.
+    form; its real part is exactly minus distance_form(f, chi n^{it})**2.
     """
     if k >= n:
         return 0j
-    return prime_window_sum(_concentration_term(_root_count_weights(form), f, twist), k, n)
+    g = twisted(twist.chi, twist.t)
+    return prime_window_sum(_pretentious_term(_root_count_weights(form), f, g), k, n)
 
 
 def concentration_exponent(
@@ -106,7 +91,7 @@ def concentration_exponent(
     """The linear-form analogue: weight 1/p over all primes in (k, n]."""
     if k >= n:
         return 0j
-    return prime_window_sum(_concentration_term(_unit_weights, f, twist), k, n)
+    return prime_window_sum(_pretentious_term(_unit_weights, f, twisted(twist.chi, twist.t)), k, n)
 
 
 def predicted_additive_mean(h: AdditiveFunction, k: int, n: int) -> complex:
@@ -173,6 +158,7 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
     comparison value is a single complex number per grid point up to the
     Archimedean factor; with t = 0 it is one constant, making the
     exact-agreement configurations test the whole congruence pipeline.
+    Where P(Qm, Qn) = 0 the factor is 0^{it} = 1, as in `evaluate_many`.
     """
     form, f, twist, q, a, b, c, k, n = (
         setup.form,
@@ -204,7 +190,7 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
             if twist.t != 0.0:
                 base = np.abs(form.grid_values(u - a, w0).astype(np.float64)) / c
                 # not `target0 * array`, whose operands numpy may swap (see _grid)
-                target = np.multiply(np.exp(1j * twist.t * np.log(base)), target0)
+                target = np.multiply(_unit_power(base, twist.t), target0)
             np.abs(fv - target, out=dev[rows])
         return (float(np.sum(dev)),)
 
@@ -439,7 +425,7 @@ def nonnegativity_probe(
         raise ResourceError("probe limited to K <= 4: Q already has hundreds of digits beyond")
     qs = [elem.integer_value() for elem in folner_enumerate(k)]
     values = _pair_averages(f, form1, form2, WeightSpec(delta, form1, form2), qs, 1, 0, n, threads)
-    return float(np.mean([value.real for value in values]))
+    return fsum_complex(values).real / len(values)
 
 
 # --------------------------------------------------------------------------

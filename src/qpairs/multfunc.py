@@ -1,5 +1,7 @@
 """Multiplicative functions on Z (extended evenly), Dirichlet characters,
-Archimedean characters n^{it}, and prime-sum distances.
+Archimedean characters n^{it}, and the pretentious prime sums: a squared
+distance is exactly minus the real part of a concentration exponent, as both
+sum the terms of `_pretentious_term` by `arith.fsum_complex`.
 
 A MultiplicativeFunction is a rule on prime powers with values in the closed
 unit disk, evaluated through factorization.  Functions are extended to all of
@@ -12,9 +14,8 @@ of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
 finitely many prime values replaced, built and checked by one constructor
 (`_periodic`).  `evaluate_many` returns the Liouville function as int8
 (unpacked from the cached table of signs, one bit per entry) and every other
-function as complex128.  The prime-window sums read f at whole arrays of
-primes from the same hints (`prime_values`).  Hints are an optimization
-only; the scalar path never consults them.
+function as complex128, and prime sums read f at arrays of primes from the
+same hints (`prime_values`).  The scalar path never consults them.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import operator
 import sys
 import threading
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _all_prime, _prime_array, factorize, sieve_primes
+from .arith import _TERM_CHUNK, _all_prime, _prime_array, factorize, fsum_complex, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -389,18 +390,18 @@ def _strip_valuations(values: np.ndarray, p: int, val: complex) -> tuple[np.ndar
     return w, corr
 
 
-def _unit_power(flat: np.ndarray, t: float) -> np.ndarray:
-    """|x|^{it} over a flat array of absolute values, 1 at zero.
+def _unit_power(absv: np.ndarray, t: float) -> np.ndarray:
+    """|x|^{it} over an array of absolute values, with 0^{it} = 1.
 
     cos and sin of theta = t ln x, written into the real and imaginary parts.
     With glibc's libm these are the bits of exp(1j * t * ln x), whose
     argument has imaginary part exactly theta; tests compare the two.
     """
-    theta = flat.astype(np.float64)
-    theta[flat == 0] = 1.0
+    theta = absv.astype(np.float64)
+    theta[absv == 0] = 1.0
     np.log(theta, out=theta)
     theta *= t
-    out = np.empty(flat.shape, dtype=np.complex128)
+    out = np.empty(absv.shape, dtype=np.complex128)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
@@ -442,7 +443,8 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
         # zeros would never leave the stripping loop; they are masked to 0 below
         w = np.where(flat == 0, 1, flat).astype(object if flat.dtype == object else np.int64)
         out = np.ones(flat.shape, dtype=np.complex128)
-        for p, val in sorted(hint.overrides.items()):
+        top = int(flat.max(initial=0))  # larger primes divide no value, and may not fit int64
+        for p, val in sorted(item for item in hint.overrides.items() if item[0] <= top):
             w, c = _strip_valuations(w, p, val)
             out = np.multiply(out, c)
     if hint.chi.q != 1:
@@ -480,7 +482,8 @@ def _periodic(
     """chi(n) * n^{it} with its values at the primes of overrides replaced.
 
     The constructor of every built-in but liouville, and the only check of t
-    and of the overrides: keys must be primes, values in the closed unit disk.
+    and of the overrides: keys must be prime integers, values in the closed
+    unit disk.
     f(p^k) = (base * p^{it})**k, or base**k at t = 0, where base is the
     override at p or else chi(p).  Without overrides f also has the direct
     rule chi(n) * n^{it}; n^{it} alone (chi mod 1) takes one exponential of
@@ -488,7 +491,10 @@ def _periodic(
     """
     if not (math.isfinite(t) and abs(t) * 710 <= sys.float_info.max):  # ln n < 710 at every float n
         raise DomainError(f"t must be finite with |t| * 710 <= {sys.float_info.max}, got {t}")
-    ov = dict(zip(map(int, overrides), map(complex, overrides.values())))
+    try:
+        ov = {operator.index(p): complex(v) for p, v in overrides.items()}
+    except TypeError as exc:
+        raise DomainError(f"overrides must map integers to numbers: {exc}") from exc
     _check_unit_disk(list(ov.values()))
     if ov and not _all_prime(ov):
         raise DomainError("override keys must be primes")
@@ -609,11 +615,6 @@ def additive_from_prime_values(values: Mapping[int, complex], description: str =
 # --------------------------------------------------------------------------
 
 
-# Primes per chunk of a prime-window sum: each chunk's terms are computed as
-# arrays and handed to math.fsum as they come, so no list of all terms exists.
-_CHUNK = 1 << 16
-
-
 def _check_cutoffs(*cutoffs: float) -> None:
     if not all(-math.inf < c < math.inf for c in cutoffs):
         raise DomainError("prime-window cutoffs must be finite")
@@ -631,30 +632,6 @@ def _prime_window(x: float, y: float) -> np.ndarray:
     return primes[lo:hi]
 
 
-def _chunks(a: np.ndarray):
-    return (a[i : i + _CHUNK] for i in range(0, len(a), _CHUNK))
-
-
-def _fsum_chunks(chunks) -> complex:
-    """Exactly rounded sum of a stream of float64 or complex128 term arrays.
-
-    The real parts go to math.fsum as they come; the imaginary parts of
-    complex chunks are kept (8 B per term) and summed after them.  fsum
-    returns +0.0 for a zero sum, so the sign of a zero term never shows.
-    """
-    imag: list[np.ndarray] = []
-
-    def reals():
-        for chunk in chunks:
-            if chunk.dtype.kind == "c":
-                imag.append(chunk.imag.copy())
-                chunk = chunk.real
-            yield chunk.tolist()
-
-    real = math.fsum(chain.from_iterable(reals()))
-    return complex(real, math.fsum(chain.from_iterable(part.tolist() for part in imag)))
-
-
 def prime_window_sum(term: Callable[[np.ndarray], np.ndarray], x: float, y: float) -> complex:
     """Exactly rounded sum of the terms of the primes x < p <= y.
 
@@ -662,7 +639,9 @@ def prime_window_sum(term: Callable[[np.ndarray], np.ndarray], x: float, y: floa
     The one loop behind every prime-window sum: distances, additive norms,
     concentration exponents and predicted additive means.
     """
-    return _fsum_chunks(term(chunk) for chunk in _chunks(_prime_window(x, y)))
+    primes = _prime_window(x, y)
+    chunks = (primes[i : i + _TERM_CHUNK] for i in range(0, len(primes), _TERM_CHUNK))
+    return fsum_complex(map(term, chunks))
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -724,22 +703,26 @@ def _root_count_weights(form) -> Callable[[np.ndarray], np.ndarray]:
     return lambda primes: local_root_counts(form, primes).astype(np.float64)
 
 
-def _distance_term(weights: Callable[[np.ndarray], np.ndarray], f, g) -> Callable:
-    """primes -> c(p)/p * (1 - Re f(p) conj g(p)) for c = weights(primes),
-    0.0 where c(p) = 0."""
+def _pretentious_term(weights: Callable[[np.ndarray], np.ndarray], f, g) -> Callable:
+    """primes -> c(p)/p * (f(p) conj g(p) - 1) for c = weights(primes), 0
+    where c(p) = 0: the term of every distance and concentration exponent.
+    Its real part is exactly minus c(p)/p * (1 - Re f(p) conj g(p))."""
 
     def term(primes: np.ndarray) -> np.ndarray:
         c = weights(primes)
-        fv, gv = prime_values(f, primes), prime_values(g, primes)
-        # CPython's Re(f * conj g), fr*gr - fi*(-gi), bit for bit
-        re = fv.real * gv.real + fv.imag * gv.imag
-        return np.where(c != 0, c / primes * (1.0 - re), 0.0)
+        z = _cmul(prime_values(f, primes), np.conj(gv := prime_values(g, primes), out=gv))
+        s = c / primes
+        out = np.zeros(len(primes), dtype=np.complex128)
+        np.multiply(s, z.real - 1.0, out=out.real, where=c != 0)
+        np.multiply(s, z.imag, out=out.imag, where=c != 0)
+        return out
 
     return term
 
 
 def _distance(weights, f, g, x: float, y: float) -> float:
-    return math.sqrt(max(0.0, prime_window_sum(_distance_term(weights, f, g), x, y).real))
+    term = _pretentious_term(weights, f, g)
+    return math.sqrt(max(0.0, -prime_window_sum(lambda primes: term(primes).real, x, y).real))
 
 
 def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
@@ -783,10 +766,10 @@ def distance_profile(
     honest finite substitute.  Bounded profiles suggest pretentious behavior,
     steadily growing ones suggest the opposite; no boolean is offered.
 
-    One pass: the terms up to the largest cutoff are computed once into one
-    float64 array, and each cutoff, in the given order, takes the exactly
-    rounded sum of its prefix, so every entry equals distance (or
-    distance_form) at that cutoff.
+    One pass: the real parts of the terms up to the largest cutoff are
+    computed once into one float64 array, and each cutoff, in the given
+    order, takes the exactly rounded sum of its prefix, so every entry equals
+    distance (or distance_form) at that cutoff.
     """
     ys = [float(y) for y in checkpoints]
     if not ys:
@@ -795,13 +778,13 @@ def distance_profile(
     if min(ys) < 1:
         raise DomainError("need x <= y")
     weights = _unit_weights if form is None else _root_count_weights(form)
-    term = _distance_term(weights, f, g)
+    term = _pretentious_term(weights, f, g)
     primes = _prime_window(1, max(ys))
     terms = np.empty(len(primes))
-    for i in range(0, len(primes), _CHUNK):
-        terms[i : i + _CHUNK] = term(primes[i : i + _CHUNK])
-    sums = (_fsum_chunks(_chunks(terms[: primes.searchsorted(math.floor(y), "right")])) for y in ys)
-    return [(y, math.sqrt(max(0.0, s.real))) for y, s in zip(ys, sums)]
+    for i in range(0, len(primes), _TERM_CHUNK):
+        terms[i : i + _TERM_CHUNK] = term(primes[i : i + _TERM_CHUNK]).real
+    sums = (fsum_complex([terms[: primes.searchsorted(math.floor(y), "right")]]) for y in ys)
+    return [(y, math.sqrt(max(0.0, -s.real))) for y, s in zip(ys, sums)]
 
 
 def _additive_term(h: AdditiveFunction, term: Callable[[int], complex]) -> Callable:

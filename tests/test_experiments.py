@@ -177,6 +177,35 @@ def test_concentration_monitored_patch():
     assert lhs <= bound
 
 
+def _scalar_concentration_lhs(form, f, twist, q, a, b, c, k, n):
+    """concentration_lhs by a loop over the grid: the comparison value at each
+    point is chi(P_c(a, b)) * exp(G) * |P_c(Qm, Qn)|^{it}, with 0^{it} = 1."""
+    target0 = twist.chi(form.value(a, b) // c) * cmath.exp(concentration_exponent_form(form, f, twist, k, n))
+    devs = []
+    for m in range(1, n + 1):
+        for j in range(1, n + 1):
+            base = abs(form.value(q * m, q * j)) / c
+            power = cmath.exp(1j * twist.t * math.log(base)) if base else 1.0
+            devs.append(abs(f(form.value(q * m + a, q * j + b) // c) - power * target0))
+    return math.fsum(devs) / (n * n)
+
+
+@pytest.mark.parametrize("form, f, chi, t, q, k, n", [
+    # P(Qm, Qn) = 0 on the diagonal, and for [1,1,-2] at m = n as well
+    (BinaryQuadraticForm(1, 0, -1), archimedean(0.5), (1, 0), 0.5, 2, 1, 50),
+    (BinaryQuadraticForm(1, 1, -2), twisted(dirichlet_characters(4)[1], 0.5), (4, 1), 0.5, 12, 3, 40),
+    (BinaryQuadraticForm(1, 0, -4), liouville(), (1, 0), -1.3, 6, 3, 30),
+    (P11, twisted(dirichlet_characters(4)[1], 0.5), (4, 1), -1.7, 12, 3, 30),
+])
+def test_concentration_lhs_matches_scalar_loop(form, f, chi, t, q, k, n):
+    """Finite, with 0^{it} = 1 where P(Qm, Qn) vanishes, and equal to the
+    loop up to the order of summation."""
+    twist = TwistData(t, dirichlet_characters(chi[0])[chi[1]])
+    lhs = concentration_lhs(concentration_setup(form, f, twist, q, 1, 0, 1, k, n))
+    assert math.isfinite(lhs)
+    assert lhs == pytest.approx(_scalar_concentration_lhs(form, f, twist, q, 1, 0, 1, k, n), rel=1e-12)
+
+
 # --- Turan-Kubilius -------------------------------------------------------------------
 
 def test_tk_variance_zero_function():

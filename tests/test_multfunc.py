@@ -118,6 +118,10 @@ CHI7 = dirichlet_characters(7)[1]
     ({-3: 1.0}, 0.0),
     ({-(2**70): 1.0}, 0.0),
     ({10**9 + 1: 1.0}, 0.0),  # past the prime table: is_prime decides
+    ({2.5: -1.0}, 0.0),  # int() would truncate it to 2
+    ({3.0: -1.0}, 0.0),  # keys are integers, not integral floats
+    ({"3": -1.0}, 0.0),
+    ({None: -1.0}, 0.0),
 ])
 def test_character_extended_refuses_bad_input(overrides, t):
     with pytest.raises(DomainError):
@@ -134,6 +138,27 @@ def test_override_keys_read_from_prime_table(monkeypatch):
     f = character_extended(CHI7, {3: -1, 10**9 + 7: 1j, 2**61 - 1: -1j})
     assert sorted(calls) == [10**9 + 7, 2**61 - 1]
     assert evaluate(f, 3 * (10**9 + 7)) == -1j
+
+
+def test_override_keys_take_numpy_integers():
+    f = character_extended(CHI7, {np.int64(3): -1, np.uint16(5): 1j})
+    assert f.hint.overrides == character_extended(CHI7, {3: -1, 5: 1j}).hint.overrides
+    assert all(type(p) is int for p in f.hint.overrides)
+
+
+def test_override_past_int64_in_evaluate_many():
+    """An override prime above a batch's largest |value| divides none of its
+    values, so an int64 batch never meets it; an object batch that holds it
+    still takes its value."""
+    big = 2**89 - 1
+    f = character_extended(multfunc.TRIVIAL_CHARACTER, {3: -1, big: -1})
+    assert evaluate(f, big) == -1
+    values = np.array([0, 1, 2, 3, 6, -9, 2**62])
+    assert evaluate_many(f, values).tolist() == [evaluate(f, int(v)) for v in values]
+    values = np.array([0, 1, 3, big, -3 * big, big * big, 2**70], dtype=object)
+    got = evaluate_many(f, values).tolist()
+    assert got == [0, 1, -1, -1, 1, 1, 1]
+    assert got[:5] == [evaluate(f, int(v)) for v in values[:5]]
 
 
 def test_prime_patch_checks_value_before_prime_table():

@@ -38,6 +38,7 @@ from qpairs.multfunc import (
     distance_weighted,
     function_from_name,
     prime_values,
+    twisted,
 )
 from qpairs.quadforms import (
     _EULER_MAX,
@@ -251,6 +252,77 @@ def test_distance_to_a_million_matches_scalar_loop(fname, gname):
     assert repr(distance_form(form, f, g, 10, 10**6)) == repr(
         scalar_distance(scalar_weight(form), f, g, 10, 10**6)
     )
+
+
+@ORACLE
+@given(st.sampled_from(ALL_FUNCTIONS), st.sampled_from(FORMS), st.sampled_from(TWISTS),
+       st.integers(-5, 2100), st.integers(0, 2100))
+def test_distance_is_root_of_minus_concentration_exponent(fname, form, twist, k, width):
+    """D(f, chi * n^{it})^2 = -Re G term by term, so with ==, and repr
+    for the sign of a zero: one term and one exact sum serve both."""
+    f = _function(fname)
+    t, q, index = twist
+    chi = dirichlet_characters(q)[index]
+    g, n = twisted(chi, t), k + width
+    if form is None:
+        d, exponent = distance(f, g, k, n), concentration_exponent(f, TwistData(t, chi), k, n)
+    else:
+        d = distance_form(form, f, g, k, n)
+        exponent = concentration_exponent_form(form, f, TwistData(t, chi), k, n)
+    assert repr(d) == repr(math.sqrt(max(0.0, -exponent.real)))
+
+
+# Array terms per list that fsum_complex hands to math.fsum
+TERM_CHUNK = arith._TERM_CHUNK
+
+
+@st.composite
+def term_streams(draw):
+    """(stream, real parts, imaginary parts): one run of terms cut into
+    pieces, each given as numbers, a float64 array (its imaginary parts
+    then 0) or a complex128 array.  Runs of 2**16 +- 1 terms and empty
+    pieces are drawn."""
+    size = draw(st.sampled_from([0, 1, 2, 7, 40, TERM_CHUNK - 1, TERM_CHUNK, TERM_CHUNK + 1,
+                                 2 * TERM_CHUNK + 1]))
+    pool = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = rng.choice(pool, size), rng.choice(pool, size)
+    cuts = draw(st.lists(st.integers(0, size), max_size=4))
+    cuts += draw(st.lists(st.sampled_from([TERM_CHUNK - 1, TERM_CHUNK, TERM_CHUNK + 1]), max_size=2))
+    bounds = sorted({0, size, *(c for c in cuts if c <= size)})
+    stream = []
+    for lo, hi in zip(bounds, bounds[1:] + [size]):  # the last piece is empty
+        kind = draw(st.sampled_from(["numbers", "float", "complex"] if hi - lo <= 50 else ["float", "complex"]))
+        if kind == "float":
+            im[lo:hi] = 0.0
+            stream.append(re[lo:hi].copy())
+        elif kind == "complex":
+            stream.append(re[lo:hi] + 1j * im[lo:hi])
+        else:
+            stream += [complex(x, y) if y else x for x, y in zip(re[lo:hi].tolist(), im[lo:hi].tolist())]
+    return stream, re.tolist(), im.tolist()
+
+
+@settings(settings.get_profile("oracle"), max_examples=80)
+@given(term_streams())
+def test_fsum_complex_equals_fsum_of_parts(data):
+    stream, re, im = data
+    got = fsum_complex(iter(stream))
+    assert repr((got.real, got.imag)) == repr((math.fsum(re), math.fsum(im)))
+
+
+@pytest.mark.parametrize("size", [TERM_CHUNK - 1, TERM_CHUNK, TERM_CHUNK + 1, 3 * TERM_CHUNK + 5])
+@pytest.mark.parametrize("kind", ["float", "complex"])
+def test_fsum_complex_streams_long_arrays(size, kind):
+    """Whole arrays longer than a chunk, beside numbers and an empty array."""
+    rng = np.random.default_rng(size)
+    re = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    im = np.zeros(size) if kind == "float" else rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    z = re if kind == "float" else re + 1j * im
+    got = fsum_complex([z, 0.5 - 2j, np.empty(0, z.dtype), -z[: size // 3]])
+    want_re = math.fsum([*re.tolist(), 0.5, *(-re[: size // 3]).tolist()])
+    want_im = math.fsum([*im.tolist(), -2.0, *(-im[: size // 3]).tolist()])
+    assert repr((got.real, got.imag)) == repr((want_re, want_im))
 
 
 @pytest.mark.parametrize("y", [float("nan"), float("inf"), -float("inf")])
