@@ -1,34 +1,35 @@
 """Deterministic stripe-parallel grid reductions.
 
 Every n x n grid average in `averaging` and `experiments` is split into row
-stripes; each stripe is reduced on its own (numpy, single pass) to one sum
-per averaged quantity, and the per-stripe sums are merged with exactly
-rounded summation in stripe-index order.  The result is bit-identical whether stripes run sequentially or on a
-thread pool, and no array larger than one stripe is built.
+stripes of 128 rows, and each stripe into tiles of max(1, 2**16 // n) rows
+(`tiled_block`), whose temporaries (0.5 MB float, 1 MB complex) stay near a
+core's cache and are freed with the tile.  Each averaged quantity of a tile
+is summed by one `np.sum` over the tile's values, where they are computed,
+and a stripe block returns those partial sums for each quantity.  The mean
+is the exactly rounded sum of every partial sum of the grid, over n^2.  Tile
+geometry depends only on n, and the exact sum does not depend on the order
+of its terms, so the result is bit-identical whether stripes run
+sequentially or on a thread pool.  No array larger than one tile is built,
+except by the Turan-Kubilius sieve, which fills a whole stripe and sums it
+as one part.
 
-A stripe block computes its quantities in tiles of about 2**16 grid points,
-whose temporaries (0.5 MB float, 1 MB complex) stay near a core's cache where
-a whole stripe's take 4-8 MB each, and writes each tile into a (rows, n)
-stripe buffer that its worker thread reuses for every stripe of the
-reduction (`StripeTiles`).  The stripe's sum is then one `np.sum` over the
-whole buffer, so per-stripe sums do not depend on the tile size: tiles
-change where the elementwise values are computed, not their bits or the
-summation tree, as long as no complex product swaps its operands or runs in
-place on one element: numpy's complex multiply is not bitwise commutative,
-its temporary elision evaluates `x * f()` as `f() * x` from 256 KiB, and a
+A tile's bits do depend on its shape, and on the order of every complex
+product's operands: numpy's complex multiply is not bitwise commutative, its
+temporary elision evaluates `x * f()` as `f() * x` from 256 KiB, and a
 one-element in-place product takes another kernel.  Such products are
-`np.multiply(left, right)` calls.  Every grid average sets up its lattice
-through `_lattice`, the one place that picks int64 or Python-int
-coordinates for a grid, and those that are a mean of weight * product
-of factors (the weighted and plain pair correlations, the Folner probe and
-the multilinear probe) share one block, `experiments._striped_products`.
+`np.multiply(left, right)` calls with fresh outputs.  Every grid average sets
+up its lattice through `_lattice`, the one place that picks int64 or
+Python-int coordinates for a grid, and those that are a mean of weight *
+product of factors (the weighted and plain pair correlations, the Folner
+probe and the multilinear probe) share one block,
+`experiments._striped_products`.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
-import threading
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,15 +48,28 @@ def stripe_ranges(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _STRIPE, n + 1)) for lo in range(1, n + 1, _STRIPE)]
 
 
+def tiled_block(tile_sums: Callable[[np.ndarray], tuple], n: int) -> Callable:
+    """The stripe block that cuts a stripe's m-values, in order, into tiles
+    of max(1, 2**16 // n) rows, the last possibly shorter, and returns for
+    each quantity the partial sums tile_sums(m-values of a tile) gives it."""
+
+    def block(ms: np.ndarray) -> tuple:
+        step = max(1, _TILE_POINTS // n)
+        return tuple(zip(*(tile_sums(ms[lo : lo + step]) for lo in range(0, len(ms), step))))
+
+    return block
+
+
 def striped_complex_mean(
     row_block_sum: Callable[[np.ndarray], tuple], n: int, threads: int = 1
 ) -> tuple:
     """Means over the n x n grid of quantities produced in row blocks.
 
     row_block_sum receives the m-values (a slice of 1..n) of one stripe and
-    returns a tuple with the sum of each quantity over those rows.  The
-    result holds each quantity's mean: complex where the sums are complex,
-    float otherwise.
+    returns a tuple with, for each quantity, a sequence of partial sums over
+    those rows.  The result holds each quantity's mean, the exactly rounded
+    sum of all its partial sums over n^2: complex where any partial sum is
+    complex, float otherwise.
     """
     if n < 1:
         raise DomainError("grid size must be >= 1")
@@ -72,36 +86,12 @@ def striped_complex_mean(
             sums = list(pool.map(lambda ctx, ms: ctx.run(row_block_sum, ms), contexts, blocks))
     else:
         sums = [row_block_sum(b) for b in blocks]
-    return tuple(
-        (fsum_complex(parts) if isinstance(parts[0], complex) else math.fsum(parts)) / (n * n)
-        for parts in zip(*sums)
-    )
-
-
-class StripeTiles:
-    """Row tiles and reused stripe buffers for the blocks of one striped
-    reduction over an n-column grid.
-
-    Each worker thread gets its own buffers, one per dtype given, allocated
-    at its first stripe and freed with this object.
-    """
-
-    def __init__(self, n: int, *dtypes):
-        self.n = n
-        self._dtypes = dtypes
-        self._local = threading.local()
-
-    def __call__(self, ms: np.ndarray) -> tuple[list[slice], list[np.ndarray]]:
-        """The row slices, of max(1, 2**16 // n) rows but the last, that
-        cover the stripe's rows ms in order, and the calling thread's buffers
-        cut to the contiguous (len(ms), n) arrays the tiles are written into."""
-        buffers = getattr(self._local, "buffers", None)
-        if buffers is None:
-            rows = min(_STRIPE, self.n)
-            buffers = self._local.buffers = [np.empty((rows, self.n), dt) for dt in self._dtypes]
-        count, step = len(ms), max(1, _TILE_POINTS // self.n)
-        tiles = [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-        return tiles, [buf[:count] for buf in buffers]
+    means = []
+    for lists in zip(*sums):
+        parts = list(chain.from_iterable(lists))
+        exact = fsum_complex if any(isinstance(x, complex) for x in parts) else math.fsum
+        means.append(exact(parts) / (n * n))
+    return tuple(means)
 
 
 def _lattice(

@@ -11,9 +11,9 @@ Every grid average here (mean weights, weight stability, divisor
 frequencies) is a striped reduction through `_grid.striped_complex_mean`, so
 results do not depend on the thread count, over coordinates from
 `_grid._lattice`: int64, or Python ints where form values may pass 2**62.
-Each stripe is computed in cache-sized row tiles (`_grid.StripeTiles`)
-written into stripe buffers that each worker thread reuses, so memory stays
-at those buffers plus one tile's temporaries.
+Each stripe is computed in cache-sized row tiles (`_grid.tiled_block`), and
+each tile's values are summed where they are computed, so memory stays at
+one tile's temporaries per worker thread.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from ._grid import StripeTiles, _lattice, striped_complex_mean
-from .arith import factorize, fsum_complex, sieve_primes
+from ._grid import _lattice, striped_complex_mean, tiled_block
+from .arith import factorize, fsum_complex, is_prime, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 from .multfunc import MultiplicativeFunction, evaluate_on_exponents
@@ -119,16 +119,12 @@ def mu_estimate(spec: WeightSpec, n: int, threads: int = 1) -> MuEstimate:
         raise DomainError("need n >= 100 for a stable estimate")
     u_of, w = _lattice([], [spec.form1, spec.form2], 1, 0, 0, n)
     mids = (np.arange(1, n + 1)[None, :] - 0.5) / n
-    tiles = StripeTiles(n, np.float64, np.float64)
 
-    def block(ms: np.ndarray) -> tuple[float, float]:
-        parts, (grid, riemann) = tiles(ms)
-        for rows in parts:
-            grid[rows] = weight_grid(spec, u_of(ms[rows]), w)
-            riemann[rows] = weight_grid(spec, ((ms[rows] - 0.5) / n)[:, None], mids)
-        return float(np.sum(grid)), float(np.sum(riemann))
+    def tile_sums(rows: np.ndarray) -> tuple[float, float]:
+        return (float(np.sum(weight_grid(spec, u_of(rows), w))),
+                float(np.sum(weight_grid(spec, ((rows - 0.5) / n)[:, None], mids))))
 
-    grid, riemann = striped_complex_mean(block, n, threads)
+    grid, riemann = striped_complex_mean(tiled_block(tile_sums, n), n, threads)
     return MuEstimate(grid=grid, riemann=riemann)
 
 
@@ -142,20 +138,16 @@ def weight_stability(
     forms = [spec.form1, spec.form2]
     base_of, base_w = _lattice([], forms, 1, 0, 0, n)
     lattices = [_lattice([], forms, q, a, b, n) for q in range(1, q_max + 1)]
-    tiles = StripeTiles(n, np.float64)
 
-    def block(ms: np.ndarray) -> tuple[float]:
-        parts, (worst,) = tiles(ms)
-        for rows in parts:
-            base = weight_grid(spec, base_of(ms[rows]), base_w)
-            out = worst[rows]
-            out.fill(0.0)
-            for u_of, w in lattices:
-                shifted = weight_grid(spec, u_of(ms[rows]), w)
-                np.maximum(out, np.abs(shifted - base), out=out)
+    def tile_sums(rows: np.ndarray) -> tuple[float]:
+        base = weight_grid(spec, base_of(rows), base_w)
+        worst = np.zeros(base.shape)
+        for u_of, w in lattices:
+            shifted = weight_grid(spec, u_of(rows), w)
+            np.maximum(worst, np.abs(shifted - base), out=worst)
         return (float(np.sum(worst)),)
 
-    return striped_complex_mean(block, n, threads)[0]
+    return striped_complex_mean(tiled_block(tile_sums, n), n, threads)[0]
 
 
 # --------------------------------------------------------------------------
@@ -256,16 +248,17 @@ def _divisor_frequency(
     of form values, int64 or Python ints as `_grid._lattice` picks, to a
     boolean mask."""
     u_of, w = _lattice([], [form], q, a, b, n)
-    tiles = StripeTiles(n)  # exact integer counts: no stripe buffer needed
 
-    def block(ms: np.ndarray) -> tuple[int]:
-        parts, _ = tiles(ms)
-        count = 0
-        for rows in parts:
-            count += int(np.count_nonzero(hit(form.grid_values(u_of(ms[rows]), w))))
-        return (count,)
+    def tile_sums(rows: np.ndarray) -> tuple[int]:  # exact integer counts
+        return (int(np.count_nonzero(hit(form.grid_values(u_of(rows), w)))),)
 
-    return striped_complex_mean(block, n, threads)[0]
+    return striped_complex_mean(tiled_block(tile_sums, n), n, threads)[0]
+
+
+def _check_primes(p: int, p2: int) -> None:
+    for prime in {p, p2}:
+        if not is_prime(prime):
+            raise DomainError(f"exact divisibility statistics need primes, got {prime}")
 
 
 def divisor_stat_exact(
@@ -273,7 +266,9 @@ def divisor_stat_exact(
     threads: int = 1,
 ) -> float:
     """Frequency over [n]^2 of exact divisibility of P(q m + a, q n + b) by
-    both p and p2 (a single condition when p == p2)."""
+    both primes p and p2 (a single condition when p == p2).  A p that is not
+    prime is refused."""
+    _check_primes(p, p2)
 
     def hit(vals: np.ndarray) -> np.ndarray:
         mask = np.ones(vals.shape, dtype=bool)
@@ -296,8 +291,10 @@ def divisor_stat_predicted(
     """Main term of the exact-divisibility frequency.
 
     Only valid away from the exceptional primes (divisors of
-    2 * q * disc * P(1, 0)); those raise DomainError naming the reason.
+    2 * q * disc * P(1, 0)); those, and a p that is not prime, raise
+    DomainError naming the reason.
     """
+    _check_primes(p, p2)
     if not form.irreducible:
         raise DomainError("predictions require an irreducible form")
     bad = 2 * q * form.discriminant * form.value(1, 0)

@@ -9,16 +9,16 @@ the level-set search for simultaneous arc hits of a multiplicative function
 along a pair of forms.
 
 Every grid average runs through `_grid.striped_complex_mean`: disjoint row
-stripes with per-stripe sums merged by exactly rounded summation in stripe
-order, so results are independent of the thread count.  A stripe is computed
-in cache-sized row tiles written into stripe buffers that each worker thread
-reuses (`_grid.StripeTiles`).  The weighted and unweighted pair
-correlations, the Folner probe and the multilinear probe are all a mean of
-weight * prod factor over lattices (Qm+a, Qn+b), computed by one pass
-(`_striped_products`): each stripe's weights are computed once for every Q,
-and the factors are evaluated only on each tile's column span of nonzero
-weight.  Each average sets up its lattice, int64 or Python ints, through
-`_grid._lattice`.
+stripes, each computed in cache-sized row tiles (`_grid.tiled_block`) whose
+values are summed where they are computed, with all the partial sums merged
+by exactly rounded summation, so results are independent of the thread
+count.  The Turan-Kubilius variance sieves a whole stripe at once and sums it
+as one part.  The weighted and unweighted pair correlations, the Folner probe and
+the multilinear probe are all a mean of weight * prod factor over lattices
+(Qm+a, Qn+b), computed by one pass (`_striped_products`): each tile's
+weights are computed once for every Q, and the factors are evaluated only on
+the tile's column span of nonzero weight.  Each average sets up its lattice,
+int64 or Python ints, through `_grid._lattice`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._grid import StripeTiles, _lattice, striped_complex_mean
+from ._grid import _lattice, striped_complex_mean, tiled_block
 from .arith import fsum_complex, sieve_primes
 from .errors import DomainError, InvariantError, ResourceError
 from .multfunc import (
@@ -176,25 +176,21 @@ def concentration_lhs(setup: ConcentrationSetup, threads: int = 1) -> float:
     g_val = cmath.exp(concentration_exponent_form(form, f, twist, k, n))
     chi0 = twist.chi(form.value(a, b) // c)
     target0 = chi0 * g_val
-    tiles = StripeTiles(n, np.float64)
 
-    def block(ms: np.ndarray) -> tuple[float]:
-        parts, (dev,) = tiles(ms)
-        for rows in parts:
-            u = u_of(ms[rows])
-            vals = form.grid_values(u, w)
-            if np.any(vals % c):
-                raise InvariantError("c does not divide a lattice value")
-            fv = evaluate_many(f, vals // c)
-            target = target0
-            if twist.t != 0.0:
-                base = np.abs(form.grid_values(u - a, w0).astype(np.float64)) / c
-                # not `target0 * array`, whose operands numpy may swap (see _grid)
-                target = np.multiply(_unit_power(base, twist.t), target0)
-            np.abs(fv - target, out=dev[rows])
-        return (float(np.sum(dev)),)
+    def tile_sums(rows: np.ndarray) -> tuple[float]:
+        u = u_of(rows)
+        vals = form.grid_values(u, w)
+        if np.any(vals % c):
+            raise InvariantError("c does not divide a lattice value")
+        fv = evaluate_many(f, vals // c)
+        target = target0
+        if twist.t != 0.0:
+            base = np.abs(form.grid_values(u - a, w0).astype(np.float64)) / c
+            # not `target0 * array`, whose operands numpy may swap (see _grid)
+            target = np.multiply(_unit_power(base, twist.t), target0)
+        return (float(np.sum(np.abs(fv - target))),)
 
-    return striped_complex_mean(block, n, threads)[0]
+    return striped_complex_mean(tiled_block(tile_sums, n), n, threads)[0]
 
 
 # --------------------------------------------------------------------------
@@ -214,8 +210,9 @@ def turan_kubilius_variance(
     dividing w = Qn+b, p^e divides P(Qm+a, w) exactly when Qm+a = r*w
     (mod p^e) for a root r of P(x, 1) mod p^e: one residue class of rows per
     column, root and p^e.  Each stripe adds h(p) at the hits of the classes
-    mod p and subtracts it at those mod p^2, in (p, p^e, root) order.  Start
-    rows are int64 on a Python-int lattice too.
+    mod p and subtracts it at those mod p^2, in (p, p^e, root) order, into an
+    accumulator of the whole stripe, summed as one part.  Start rows are
+    int64 on a Python-int lattice too.
     """
     form, q, a, b, c, k, n = (
         setup.form,
@@ -261,20 +258,18 @@ def turan_kubilius_variance(
                 order = np.argsort(starts)
                 classes.append((modulus, sign * hp, starts[order], keep[order]))
     mean_pred = predicted_additive_mean(h, k, n)
-    tiles = StripeTiles(n, np.complex128, np.float64)
 
-    def block(ms: np.ndarray) -> tuple[float]:
-        _, (acc, dev) = tiles(ms)
+    def block(ms: np.ndarray) -> tuple[list]:
         lo, hi = int(ms[0]), int(ms[-1]) + 1
-        acc.fill(0)
+        acc = np.zeros((len(ms), n), dtype=np.complex128)
         for modulus, value, starts, cols in classes:
             for shift in range((lo - 1) // modulus * modulus, hi - 1, modulus):
                 i, j = np.searchsorted(starts, (lo - shift, hi - shift))
                 acc[starts[i:j] + (shift - lo), cols[i:j]] += value
         np.subtract(acc, mean_pred, out=acc)
-        np.abs(acc, out=dev)
+        dev = np.abs(acc)
         np.square(dev, out=dev)
-        return (float(np.sum(dev)),)
+        return ([float(np.sum(dev))],)
 
     variance = striped_complex_mean(block, n, threads)[0]
     split = max(k, math.isqrt(n))
@@ -320,43 +315,35 @@ def _striped_products(
 
     fs, forms, qs, a, b and n set up each lattice (`_grid._lattice`).  A
     factor maps rows u (rows, 1) and columns w (1, cols) to values.  A tile
-    evaluates every factor, then multiplies out of place (see _grid) from
-    the weight or the first factor, in factor order.  A stripe fills its
-    weights once for every Q, and evaluates the factors only on each tile's
-    span of columns with a nonzero weight in any of its rows.  That is exact
-    as every factor is finite with modulus at most 1: a zero weight gives a
-    term of +-0, which leaves every nonzero partial sum of the stripe's
-    np.sum as it is, and math.fsum of the stripe sums turns a zero of either
-    sign into +0.
+    evaluates its weights once for every Q, and every factor only on the
+    tile's span of columns with a nonzero weight in any of its rows (nowhere
+    in a tile without weight).  It multiplies out of place (see _grid) from
+    the weight or the first factor, in factor order, into complex128 whatever
+    the factors' dtypes, and sums the products of its span.
     """
     lattices = [_lattice(fs, forms, q, a, b, n) for q in qs]
     if weight is not None:
         weight_of, weight_w = _lattice([], [weight.form1, weight.form2], 1, 0, 0, n)
-    tiles = StripeTiles(n, np.complex128, *([] if weight is None else [np.float64]))
 
-    def block(ms: np.ndarray) -> tuple:
-        parts, (prod, *weights) = tiles(ms)
-        sums, spans = [], [(rows, slice(None)) for rows in parts]
+    def tile_sums(rows: np.ndarray) -> tuple:
+        span, values, sums = slice(None), [], []
         if weight is not None:
-            wgt, spans = weights[0], []
-            prod.fill(0)
-            for rows in parts:
-                wgt[rows] = weight_grid(weight, weight_of(ms[rows]), weight_w)
-                nz = np.flatnonzero(wgt[rows].any(axis=0))
-                if len(nz):
-                    spans.append((rows, slice(nz[0], nz[-1] + 1)))
+            wgt = weight_grid(weight, weight_of(rows), weight_w)
+            nz = np.flatnonzero(wgt.any(axis=0))
+            if not len(nz):  # a tile without weight adds 0 to every sum
+                return (0.0, *[0j] * len(lattices))
+            span = slice(nz[0], nz[-1] + 1)
+            values = [wgt[:, span]]
             sums.append(float(np.sum(wgt)))
         for u_of, w in lattices:
-            for rows, span in spans:
-                u, ws = u_of(ms[rows]), w[:, span]
-                # rebound before the factors run, so no tile's values outlive it
-                values = [] if weight is None else [wgt[rows, span]]
-                values += [factor(u, ws) for factor in factors]
-                np.multiply(reduce(np.multiply, values[:-1]), values[-1], out=prod[rows, span])
-            sums.append(complex(np.sum(prod)))
+            u, ws = u_of(rows), w[:, span]
+            # rebound before the factors run, so the last Q's factors do not outlive it
+            terms = values[:]
+            terms += [factor(u, ws) for factor in factors]
+            sums.append(complex(np.sum(np.asarray(reduce(np.multiply, terms), np.complex128))))
         return tuple(sums)
 
-    means = striped_complex_mean(block, n, threads)
+    means = striped_complex_mean(tiled_block(tile_sums, n), n, threads)
     if weight is None:
         return list(means)
     mu, *totals = means
@@ -518,11 +505,6 @@ class LevelSetSpec:
             out[l] = c
             out[-l] = c
         return out
-
-    def in_arc(self, z: complex) -> bool:
-        if abs(z) < 1e-12:
-            return False
-        return abs(cmath.phase(z)) < self.arc_half_width
 
 
 @dataclass(frozen=True)

@@ -420,7 +420,8 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     absv = np.abs(values)
     hint = f.hint
     if hint is None:
-        return np.array([evaluate(f, int(v)) for v in values], dtype=np.complex128)
+        flat = [evaluate(f, int(v)) for v in values.reshape(-1)]
+        return np.array(flat, dtype=np.complex128).reshape(values.shape)
     if hint.kind == "liouville":
         table = _liouville_sieve(max(2, int(absv.max()) if absv.size else 0))
         idx = absv.astype(np.int64, copy=False)

@@ -269,7 +269,10 @@ def is_regular(z: RingElement, c_bound, n_max: int) -> bool:
         raise DomainError("z must be nonzero")
     if n_max > caps().box_count_n:
         raise ResourceError(f"box {n_max} exceeds cap {caps().box_count_n}")
-    c_frac = Fraction(c_bound)
+    try:
+        c_frac = Fraction(c_bound)
+    except (ValueError, OverflowError) as exc:  # NaN, infinities
+        raise DomainError(f"C must be finite, got {c_bound}") from exc
     if c_frac <= 0:
         raise DomainError("C must be positive")
     if n_max < 1:

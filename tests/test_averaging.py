@@ -175,6 +175,14 @@ def test_divisor_stat_python_int_grid_is_exact():
         divisor_stat_exact(P11, q, 1, 0, 5, 5, 10**4 + 1)
 
 
+def test_divisor_stats_refuse_non_primes():
+    for p, p2 in ((0, 5), (1, 1), (4, 4), (5, 9), (-5, 5)):
+        with pytest.raises(DomainError, match="need primes"):
+            divisor_stat_exact(P11, 1, 0, 0, p, p2, 50)
+        with pytest.raises(DomainError, match="need primes"):
+            divisor_stat_predicted(P11, p, p2)
+
+
 def test_divisor_stat_predicted_values():
     assert divisor_stat_predicted(P11, 5, 5) == pytest.approx(32 / 125)
     assert divisor_stat_predicted(P11, 13, 13) == pytest.approx(288 / 2197)

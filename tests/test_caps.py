@@ -61,7 +61,7 @@ def test_stripe_blocks_read_the_run_caps():
 
     def block(ms):
         seen.append((threading.current_thread() is threading.main_thread(), caps()))
-        return (float(len(ms)),)
+        return ([float(len(ms))],)
 
     with override(sieve_limit=1000, grid_n=300):
         assert striped_complex_mean(block, 300, threads=2) == (1 / 300,)

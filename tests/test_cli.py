@@ -389,6 +389,11 @@ def test_sweep_rows_match_direct_runs(capsys):
       for form, h in (("[1,0,-4]", "6,2,2"), ("[1,0,-4]", "0,0,2"), ("[1,0,-1]", "15,4,2"))),
     # the twist's t, as f's
     ["concentrate", "form=[1,0,1]", "f=liouville", "t=inf", "q=6", "k=3", "n=200"],
+    # the regularity constant C must be finite
+    ["ring", "regular", "--d", "1", "--element", "2+1*tau", "--c-bound", "nan", "--box", "30"],
+    ["ring", "associate", "--d", "-2", "--element", "2+1*tau", "--c-bound", "inf", "--box", "30"],
+    # exact divisibility is counted at primes only
+    *(["divstat", "--form", "[1,0,1]", "--primes", p, "--n", "50"] for p in ("0", "1", "4", "5,9")),
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -446,6 +451,38 @@ def test_readme_examples_resolve(capsys, monkeypatch):
         assert code == 0, (args, err)
         assert all(len(rid) == 16 for rid in _ids(out, args))
     assert len(called) == 20 + 4  # the sweep runs four points
+
+
+GRID_SUBCOMMANDS = {"weights", "divstat", "ldelta", "concentrate", "tk", "probe-nonneg",
+                    "correlate", "sweep"}
+
+
+def _small_grid(args: list[str]) -> list[str]:
+    """args with the grid size n cut to at most 400; the sweep's n values
+    (--axis n) are cut to a tenth."""
+    out = []
+    for prev, tok in zip(["", *args], args):
+        if tok.startswith("n="):
+            tok = f"n={min(int(tok[2:]), 400)}"
+        elif prev == "--n":
+            tok = str(min(int(tok), 400))
+        elif prev == "--values":
+            assert args[args.index("--axis") + 1] == "n"
+            tok = ",".join(str(int(v) // 10) for v in tok.split(","))
+        out.append(tok)
+    return out
+
+
+def test_readme_grid_examples_independent_of_threads(capsys):
+    """Every README grid example, at n <= 400 (up to four stripes, and the
+    probe's weight still nonzero), prints the same bytes on 1 and on 2
+    threads."""
+    examples = [_small_grid(args) for args in _readme_examples() if GRID_SUBCOMMANDS & set(args)]
+    assert len(examples) == 8
+    for args in examples:
+        runs = [run_cli(["--threads", threads, *args], capsys) for threads in ("1", "2")]
+        assert runs[0][0] == 0, (args, runs[0][2])
+        assert runs[0] == runs[1], args
 
 
 def test_parse_kv_text_rejects_garbage():

@@ -388,6 +388,15 @@ def test_pair_correlation_unweighted():
     assert val.real == pytest.approx(direct, abs=1e-12)
 
 
+def test_pair_correlation_of_function_without_hint():
+    """A library-built f with no evaluation hint runs through the grid
+    averages, factorizing value by value, and the hint-less Liouville
+    function gives the built-in's correlation (n = 130: two stripes)."""
+    lam = MultiplicativeFunction("no hint", lambda p, k: (-1.0) ** k)
+    assert pair_correlation(lam, P11, P12, 3, 2, 1, 130) == pair_correlation(
+        liouville(), P11, P12, 3, 2, 1, 130)
+
+
 def test_thread_determinism():
     """Every striped grid average prints the same bytes on 1, 2 and 4 threads
     (n = 300 gives three stripes, n = 513 five)."""

@@ -1,13 +1,15 @@
-"""Tiled stripe blocks against the whole-stripe blocks they replaced.
+"""Tiled stripe blocks against whole-stripe oracles.
 
 The oracles below are the stripe blocks as they were before tiling: each
-builds the temporaries of its whole (rows, n) stripe at once and sums them,
-and the Folner probe makes one weighted pass per modulus.  The tiled blocks
-must reproduce them bit for bit, at grid sizes that give partial last tiles
-and stripes, and with a small tile size that puts many tile boundaries in
-every stripe.  Also here: the big-integer grid path against the int64 path
-and, past 2^63, against Python-int sums, and the cos/sin evaluation of
-n^{it} against the complex exponential.
+builds the temporaries of its whole (rows, n) stripe at once, and the Folner
+probe makes one weighted pass per modulus.  Each then sums its values tile
+by tile, max(1, _TILE_POINTS // n) rows at a time, and a weighted product
+only on the columns from the first to the last with a nonzero weight in the
+tile.  The tiled blocks must reproduce them bit for bit, at grid sizes that
+give partial last tiles and stripes, and with small tile sizes that put many
+tile boundaries in every stripe.  Also here: the big-integer grid path
+against the int64 path and, past 2^63, against Python-int sums, and the
+cos/sin evaluation of n^{it} against the complex exponential.
 """
 
 import cmath
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from qpairs import _grid, experiments
-from qpairs._grid import striped_complex_mean
+from qpairs._grid import stripe_ranges, striped_complex_mean
 from qpairs.errors import DomainError
 from qpairs.averaging import (
     MuEstimate,
@@ -66,6 +68,17 @@ TWO_PI = 2.0 * math.pi
 
 # --- whole-stripe oracles -------------------------------------------------------
 
+def _tile_rows(count, n):
+    """Row slices of the tiles of a stripe of count rows, n columns."""
+    step = max(1, _grid._TILE_POINTS // n)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _tile_sums(values, convert=float):
+    """Each tile's np.sum over a whole stripe's (rows, n) values."""
+    return tuple(convert(np.sum(values[rows])) for rows in _tile_rows(*values.shape))
+
+
 def _weight_grid(spec, u, w):
     p1 = spec.form1.grid_values(u, w).astype(np.float64)
     p2 = spec.form2.grid_values(u, w).astype(np.float64)
@@ -95,7 +108,7 @@ def mu_whole(spec, n):
     def block(ms):
         grid = _weight_grid(spec, ms[:, None], cols)
         riemann = _weight_grid(spec, ((ms - 0.5) / n)[:, None], mids)
-        return float(np.sum(grid)), float(np.sum(riemann))
+        return _tile_sums(grid), _tile_sums(riemann)
 
     return MuEstimate(*striped_complex_mean(block, n))
 
@@ -109,7 +122,7 @@ def stability_whole(spec, a, b, q_max, n):
         for q in range(1, q_max + 1):
             shifted = _weight_grid(spec, (q * ms + a)[:, None], (q * cols + b)[None, :])
             np.maximum(worst, np.abs(shifted - base), out=worst)
-        return (float(np.sum(worst)),)
+        return (_tile_sums(worst),)
 
     return striped_complex_mean(block, n)[0]
 
@@ -118,7 +131,7 @@ def divisor_whole(form, q, a, b, n, hit):
     w = (q * np.arange(1, n + 1, dtype=np.int64) + b)[None, :]
 
     def block(ms):
-        return (int(np.count_nonzero(hit(form.grid_values((q * ms + a)[:, None], w)))),)
+        return ([int(np.count_nonzero(hit(form.grid_values((q * ms + a)[:, None], w))))],)
 
     return striped_complex_mean(block, n)[0]
 
@@ -133,7 +146,7 @@ def exact_hit(p, p2):
     return hit
 
 
-def concentration_whole(setup):
+def concentration_block(setup):
     form, f, twist, q, a, b, c, k, n = (
         setup.form, setup.f, setup.twist, setup.q, setup.a, setup.b, setup.c, setup.k, setup.n
     )
@@ -148,10 +161,14 @@ def concentration_whole(setup):
         if twist.t != 0.0:
             u0, w0 = _row_coords(q, 0, 0, ms, n, False)
             base = np.abs(form.grid_values(u0, w0).astype(np.float64)) / c
-            target = target * np.exp(1j * twist.t * np.log(base))
-        return (float(np.sum(np.abs(fv - target))),)
+            target = np.multiply(np.exp(1j * twist.t * np.log(base)), target)
+        return (_tile_sums(np.abs(fv - target)),)
 
-    return striped_complex_mean(block, n)[0]
+    return block
+
+
+def concentration_whole(setup):
+    return striped_complex_mean(concentration_block(setup), setup.n)[0]
 
 
 def weighted_whole(f, form1, form2, delta, q, a, b, n):
@@ -163,7 +180,14 @@ def weighted_whole(f, form1, form2, delta, q, a, b, n):
         u, w = _row_coords(q, a, b, ms, n, False)
         f1 = evaluate_many(f, form1.grid_values(u, w)).astype(np.complex128)
         f2 = evaluate_many(f, form2.grid_values(u, w)).astype(np.complex128)
-        return float(np.sum(wgt)), complex(np.sum(wgt * f1 * np.conj(f2)))
+        prod = wgt * f1 * np.conj(f2)
+        totals = []
+        for rows in _tile_rows(*wgt.shape):
+            nz = np.flatnonzero(wgt[rows].any(axis=0))
+            if len(nz):
+                span = np.ascontiguousarray(prod[rows, nz[0] : nz[-1] + 1])
+                totals.append(complex(np.sum(span)))
+        return _tile_sums(wgt), totals
 
     mu, total = striped_complex_mean(block, n)
     if mu <= 0:
@@ -184,7 +208,7 @@ def pair_whole(f, form1, form2, q, a, b, n):
         u, w = _row_coords(q, a, b, ms, n, False)
         f1 = evaluate_many(f, form1.grid_values(u, w)).astype(np.complex128)
         f2 = evaluate_many(f, form2.grid_values(u, w)).astype(np.complex128)
-        return (complex(np.sum(f1 * np.conj(f2))),)
+        return (_tile_sums(f1 * np.conj(f2), complex),)
 
     return striped_complex_mean(block, n)[0]
 
@@ -196,7 +220,7 @@ def correlation_whole(factors, g, form, region, q, a, b, n):
         for fj, lj in factors:
             vals = vals * evaluate_many(fj, lj.grid_values(u, w))
         vals = vals * evaluate_many(g, form.grid_values(u, w))
-        return (complex(np.sum(vals)),)
+        return (_tile_sums(vals, complex),)
 
     return striped_complex_mean(block, n)[0]
 
@@ -289,28 +313,27 @@ def test_tiles_match_whole_stripes(n, tile_points, monkeypatch):
         assert _outcome(tiled) == _outcome(whole), name
 
 
-def test_twisted_concentration_independent_of_tile_size(monkeypatch):
-    """The stripe sums of |f - chi(P(a, b)) * |P|^{it} * exp(G)| are the same
-    at 1000-point tiles as at the default, whose 1 MB temporaries numpy
-    would elide by swapping a product's operands.  With a = 3 the constant
-    chi(9) is not real, so the swap moves bits."""
+def test_twisted_concentration_matches_tile_sums(monkeypatch):
+    """Each stripe's tile sums of |f - chi(P(a, b)) * |P|^{it} * exp(G)|
+    equal the oracle's, which multiplies |P|^{it} by the constant, at the
+    default tiles, whose 1 MB temporaries numpy would elide by swapping a
+    product's operands, and at 1000-point tiles.  With a = 3 the constant
+    chi(9) is not real, so a swapped operand moves bits."""
     chi = dirichlet_characters(7)[2]
     setup = concentration_setup(P11, twisted(chi, 0.5), TwistData(0.5, chi), 42, 3, 0, 1, 3, 300)
     assert chi(9).imag != 0.0
+    run = _grid.striped_complex_mean
 
-    def stripe_sums():
+    def recording(block, n, threads=1):
+        return run(lambda ms: sums.append(block(ms)) or sums[-1], n, threads)
+
+    monkeypatch.setattr(experiments, "striped_complex_mean", recording)
+    for tile_points in (_grid._TILE_POINTS, 1000):
+        monkeypatch.setattr(_grid, "_TILE_POINTS", tile_points)
         sums = []
-        run = _grid.striped_complex_mean
-
-        def recording(block, n, threads=1):
-            return run(lambda ms: sums.append(block(ms)) or sums[-1], n, threads)
-
-        monkeypatch.setattr(experiments, "striped_complex_mean", recording)
-        return concentration_lhs(setup), sums
-
-    default = stripe_sums()
-    monkeypatch.setattr(_grid, "_TILE_POINTS", 1000)
-    assert stripe_sums() == default
+        concentration_lhs(setup)
+        oracle = concentration_block(setup)
+        assert sums == [oracle(np.arange(lo, hi)) for lo, hi in stripe_ranges(setup.n)], tile_points
 
 
 def test_weights_readme_golden():

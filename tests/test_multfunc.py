@@ -379,6 +379,17 @@ def test_evaluate_many_matches_scalar():
             assert abs(got - evaluate(f, int(v))) < 1e-12, (f.description, v)
 
 
+def test_evaluate_many_without_hint_keeps_shape():
+    """A function with no hint is evaluated value by value over a batch of
+    any shape, and returns that shape."""
+    f = MultiplicativeFunction("no hint", lambda p, k: (-1.0) ** k)
+    values = np.arange(-12, 12, dtype=np.int64).reshape(4, 6)
+    bulk = evaluate_many(f, values)
+    assert bulk.dtype == np.complex128 and bulk.shape == (4, 6)
+    assert bulk.tolist() == [[evaluate(f, int(v)) for v in row] for row in values]
+    assert evaluate_many(f, np.array(12)).shape == ()
+
+
 # Every function_from_name built-in, and chi * n^{it} with overrides.
 BATCH_FUNCTIONS = [
     "liouville", "principal", "char:7:2", "arch:2.0", "twisted:7:2:0.5", "prime-patch:10:100:-1",
