@@ -28,6 +28,9 @@ class Caps:
     # too.  4e8 covers grid_n for the README forms:
     # shifted_value_bound([1,0,2], 1, 0, 0, 10**4) is 3e8.
     value_sieve_limit: int = 4 * 10**8
+    # Largest character modulus.  One character mod q is built alone from one
+    # walk of the unit group's generators: O(q) time and 16 B per table entry
+    # (160 kB at the cap); `dirichlet_characters(q)` builds all phi(q) of them.
     dirichlet_modulus: int = 10**4
     box_count_n: int = 10**4          # lattice box half-width for norm counting
     enumerate_bound: int = 10**4      # solution enumeration in x, y

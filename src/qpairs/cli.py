@@ -33,7 +33,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 from . import averaging, experiments, multfunc, quadrings, regularity
 from . import caps
 from .errors import DomainError, InvariantError, ResourceError
-from .multfunc import TwistData, dirichlet_characters, function_from_name
+from .multfunc import TwistData, dirichlet_character, function_from_name
 from .quadforms import (
     construct_congruence_pair,
     hensel_lift,
@@ -81,7 +81,7 @@ def _factors(s: str) -> list[tuple]:
 
 def _chi(s: str):
     q, idx = _ints(s, 2, ":")
-    return dirichlet_characters(q)[idx]
+    return dirichlet_character(q, idx)
 
 
 def _pair(kind: Kind) -> Kind:
@@ -415,18 +415,19 @@ def _divstat(v, threads):
         }]
     if not v.primes:
         raise DomainError("divstat needs --primes or --bound-l")
+    primes = list(dict.fromkeys(v.primes))
     rows = []
-    for i, p in enumerate(v.primes):
-        for p2 in v.primes[i:]:
+    for i, p in enumerate(primes):
+        for p2 in primes[i:]:
             exact = averaging.divisor_stat_exact(v.form, v.q, v.a, v.b, p, p2, v.n, threads)
             try:
                 pred = averaging.divisor_stat_predicted(v.form, p, p2, v.q)
-            except DomainError:
-                pred = float("nan")
+            except DomainError:  # outside the predicted regime: null
+                pred = None
             rows.append({
                 "quantity": "exact_divisibility_frequency",
                 "p": p, "q": p2, "exact": exact, "predicted": pred,
-                "abs_err": abs(exact - pred),
+                "abs_err": None if pred is None else abs(exact - pred),
             })
     return rows
 

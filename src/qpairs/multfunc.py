@@ -8,6 +8,11 @@ unit disk, evaluated through factorization.  Functions are extended to all of
 Z by f(0) = 0 and f(-n) = f(n).  Instances are immutable after construction
 and safe to share across threads.
 
+A Dirichlet character is built alone: `dirichlet_character(q, index)` walks
+the generators of (Z/qZ)* once, in O(q) time, and keeps its values as one
+read-only complex128 table of q entries (16 B each), which the bulk paths
+index directly.  `dirichlet_characters(q)` is the list of all phi(q) of them.
+
 Evaluation hints: grid experiments need f at millions of form values, where
 per-value factorization is hopeless.  Each built-in carries a structural hint
 of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
@@ -58,19 +63,18 @@ def root_of_unity(k: int, n: int) -> complex:
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """A character mod q as a full value table (0 off the units)."""
+    """A character mod q as a read-only complex128 table of its q values (0
+    off the units).  Characters compare and hash by q, label, principal and
+    order; the table is left out."""
 
     q: int
-    table: tuple[complex, ...]
+    table: np.ndarray = field(compare=False, repr=False)
     principal: bool
     order: int
     label: str
 
     def __call__(self, n: int) -> complex:
-        return self.table[n % self.q]
-
-    def value_array(self) -> np.ndarray:
-        return np.asarray(self.table, dtype=np.complex128)
+        return self.table.item(n % self.q)
 
 
 def _unit_group_generators(q: int) -> list[tuple[int, int]]:
@@ -104,62 +108,50 @@ def _unit_group_generators(q: int) -> list[tuple[int, int]]:
     return gens
 
 
-def dirichlet_characters(q: int) -> list[DirichletCharacter]:
-    """The full dual group of (Z/qZ)*, principal character first.
+def dirichlet_character(q: int, index: int) -> DirichletCharacter:
+    """The character `char:q:index` alone, in O(q) time and 16 B per table
+    entry.
 
-    Characters are indexed lexicographically by their exponent tuple on the
-    generators of the cyclic factors; `char:q:index` uses this order.
+    index in [0, phi(q)) is the exponent tuple (c_1, ..., c_r) on the
+    generators g_i of the cyclic factors of (Z/qZ)*, read in mixed radix over
+    their orders s_i, first generator most significant; 0 is the principal
+    character.  One walk of the generator box gives the unit
+    g_1^k_1 ... g_r^k_r the value 1 * e(c_1 k_1 / s_1) * ... * e(c_r k_r / s_r),
+    multiplied in that order, k_i = 0 included.
     """
     if q <= 0:
         raise DomainError("modulus must be positive")
     if q > caps().dirichlet_modulus:
         raise ResourceError(f"modulus {q} exceeds cap {caps().dirichlet_modulus}")
     gens = _unit_group_generators(q)
-    orders = [s for _, s in gens]
-
-    # discrete logs of every unit, by walking the generator box
-    dlog: dict[int, tuple[int, ...]] = {1 % q: tuple([0] * len(gens))}
-    units = [1 % q]
-    for i, (g, s) in enumerate(gens):
-        new_units = list(units)
-        for u in units:
-            x = u
-            for k in range(1, s):
-                x = x * g % q
-                vec = list(dlog[u])
-                vec[i] = k
-                dlog[x] = tuple(vec)
-                new_units.append(x)
-        units = new_units
-
-    chars: list[DirichletCharacter] = []
-    exps = [tuple()]
-    for s in orders:
-        exps = [e + (k,) for e in exps for k in range(s)]
-    for idx, cvec in enumerate(sorted(exps)):
-        table = [0j] * q
-        for u, vec in dlog.items():
-            val = 1 + 0j
-            for c, v, s in zip(cvec, vec, orders):
-                val *= root_of_unity(c * v, s)
-            table[u] = val
-        order = 1
-        for c, s in zip(cvec, orders):
-            if c:
-                order = order * (s // gcd(c, s)) // gcd(order, s // gcd(c, s))
-        chars.append(
-            DirichletCharacter(
-                q=q,
-                table=tuple(table),
-                principal=all(c == 0 for c in cvec),
-                order=order,
-                label=f"char:{q}:{idx}",
-            )
-        )
-    return chars
+    if not 0 <= index < math.prod(s for _, s in gens):
+        raise DomainError(f"character index {index} outside [0, phi({q}))")
+    exps, rest = [], index
+    for _, s in reversed(gens):
+        rest, c = divmod(rest, s)
+        exps.insert(0, c)
+    units, values = [1 % q], [1 + 0j]
+    for (g, s), c in zip(gens, exps):
+        powers = [pow(g, k, q) for k in range(s)]
+        roots = [root_of_unity(c * k, s) for k in range(s)]
+        units = [u * x % q for u in units for x in powers]
+        values = [v * r for v in values for r in roots]
+    table = np.zeros(q, dtype=np.complex128)
+    table[units] = values
+    table.flags.writeable = False
+    order = math.lcm(*(s // gcd(c, s) for (_, s), c in zip(gens, exps)))
+    return DirichletCharacter(q, table, not any(exps), order, f"char:{q}:{index}")
 
 
-TRIVIAL_CHARACTER = dirichlet_characters(1)[0]  # the character mod 1: chi(n) = 1
+def dirichlet_characters(q: int) -> list[DirichletCharacter]:
+    """dirichlet_character(q, index) for every index: the dual group of
+    (Z/qZ)*, principal character first."""
+    principal = dirichlet_character(q, 0)
+    phi = np.count_nonzero(principal.table)  # 1 at the units, 0 elsewhere
+    return [principal, *(dirichlet_character(q, i) for i in range(1, phi))]
+
+
+TRIVIAL_CHARACTER = dirichlet_character(1, 0)  # the character mod 1: chi(n) = 1
 
 
 @dataclass(frozen=True)
@@ -449,7 +441,7 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
             w, c = _strip_valuations(w, p, val)
             out = np.multiply(out, c)
     if hint.chi.q != 1:
-        vals = hint.chi.value_array()[(w % hint.chi.q).astype(np.int64)]
+        vals = hint.chi.table[(w % hint.chi.q).astype(np.int64)]
         out = vals if out is None else np.multiply(vals, out)
     if hint.t != 0.0:
         power = _unit_power(flat, hint.t)
@@ -548,30 +540,33 @@ def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     return _periodic(f"prime-patch:{lo}:{hi}:{value}", TRIVIAL_CHARACTER, 0.0, overrides)
 
 
+_FUNCTION_SYNTAX = {s.split(":")[0]: s for s in (
+    "liouville", "principal", "char:q:i", "arch:t", "twisted:q:i:t", "prime-patch:lo:hi:value"
+)}
+
+
 def function_from_name(name: str) -> MultiplicativeFunction:
     """Resolve the CLI syntax: liouville | principal | char:q:i | arch:t |
-    twisted:q:i:t | prime-patch:lo:hi:value."""
-    parts = name.split(":")
-    kind = parts[0]
+    twisted:q:i:t | prime-patch:lo:hi:value, with no field more or less."""
+    kind, *fields = name.split(":")
+    if kind not in _FUNCTION_SYNTAX:
+        raise DomainError(f"unknown function {name!r}")
+    if len(fields) != _FUNCTION_SYNTAX[kind].count(":"):
+        raise DomainError(f"bad function spec {name!r}: expected {_FUNCTION_SYNTAX[kind]}")
     try:
         if kind == "liouville":
             return liouville()
         if kind == "principal":
             return one()
-        if kind == "char":
-            q, idx = int(parts[1]), int(parts[2])
-            return character_function(dirichlet_characters(q)[idx])
         if kind == "arch":
-            return archimedean(float(parts[1]))
+            return archimedean(float(fields[0]))
+        if kind == "char":
+            return character_function(dirichlet_character(int(fields[0]), int(fields[1])))
         if kind == "twisted":
-            q, idx, t = int(parts[1]), int(parts[2]), float(parts[3])
-            return twisted(dirichlet_characters(q)[idx], t)
-        if kind == "prime-patch":
-            lo, hi = int(parts[1]), int(parts[2])
-            return prime_patch(lo, hi, complex(parts[3]))
-    except (IndexError, ValueError) as exc:
+            return twisted(dirichlet_character(int(fields[0]), int(fields[1])), float(fields[2]))
+        return prime_patch(int(fields[0]), int(fields[1]), complex(fields[2]))
+    except ValueError as exc:
         raise DomainError(f"bad function spec {name!r}: {exc}") from exc
-    raise DomainError(f"unknown function {name!r}")
 
 
 # --------------------------------------------------------------------------
@@ -689,7 +684,7 @@ def prime_values(f: MultiplicativeFunction, primes: np.ndarray) -> np.ndarray:
         return np.fromiter(map(f.at_prime, primes.tolist()), np.complex128, len(primes))
     if hint.kind == "liouville":
         return np.full(len(primes), -1.0, dtype=np.complex128)
-    out = _put_at_keys(hint.chi.value_array()[primes % hint.chi.q], primes, hint.overrides)
+    out = _put_at_keys(hint.chi.table[primes % hint.chi.q], primes, hint.overrides)
     return _cmul(out, _prime_power_it(primes, hint.t)) if hint.t != 0.0 else out
 
 

@@ -118,14 +118,14 @@ class Coloring:
 
 
 def coloring_from_name(name: str) -> Coloring:
-    parts = name.split(":")
-    if parts[0] == "rado":
-        return Coloring("rado", int(parts[1]))
-    if parts[0] == "two-adic":
-        return Coloring("two-adic")
-    if parts[0] == "dyadic":
-        return Coloring("dyadic", int(parts[1]))
-    raise DomainError(f"unknown coloring {name!r}")
+    """rado:p | two-adic | dyadic:l, with no field more or less."""
+    kind, *fields = name.split(":")
+    syntax = {"rado": "rado:p", "two-adic": "two-adic", "dyadic": "dyadic:l"}.get(kind)
+    if syntax is None:
+        raise DomainError(f"unknown coloring {name!r}")
+    if len(fields) != syntax.count(":"):
+        raise DomainError(f"bad coloring {name!r}: expected {syntax}")
+    return Coloring(kind, *map(int, fields))
 
 
 # --------------------------------------------------------------------------

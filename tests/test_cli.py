@@ -2,15 +2,14 @@ import cmath
 import csv
 import json
 import math
-import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from qpairs.cli import COMMANDS, main, parse_kv_text, resolve_spec
 from qpairs.errors import DomainError
+from update_corpus import readme_examples
 
 
 def run_cli(args, capsys):
@@ -394,6 +393,15 @@ def test_sweep_rows_match_direct_runs(capsys):
     ["ring", "associate", "--d", "-2", "--element", "2+1*tau", "--c-bound", "inf", "--box", "30"],
     # exact divisibility is counted at primes only
     *(["divstat", "--form", "[1,0,1]", "--primes", p, "--n", "50"] for p in ("0", "1", "4", "5,9")),
+    # a character index outside [0, phi(q))
+    ["distance", "--f", "char:5:-1", "--y", "100"],
+    ["concentrate", "form=[1,0,1]", "f=liouville", "chi=5:4", "q=30", "k=3", "n=100"],
+    # a named function or coloring with a field more or less
+    *(["distance", "--f", f, "--y", "100"]
+      for f in ("liouville:junk", "principal:7", "arch:2.0:zzz", "char:4:1:junk", "char:4",
+                "twisted:4:1:0.5:x", "prime-patch:10:100:-1:9")),
+    *(["verify-coloring", "3", "5", "30", "--coloring", c, "--bound", "200"]
+      for c in ("rado:5:junk", "two-adic:9", "dyadic:3:1", "rado")),
 ])
 def test_malformed_value_exit_2(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -426,11 +434,34 @@ def test_coefficient_overflow_exit_3(capsys):
     assert "overflows int64" in err
 
 
-def _readme_examples() -> list[list[str]]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    lines = section.replace("\\\n", " ").splitlines()
-    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("qpairs ")]
+def _raise_on_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("primes, pairs", [
+    ("2", [(2, 2)]),
+    ("5,5", [(5, 5)]),
+    ("5,13,5", [(5, 5), (5, 13), (13, 13)]),
+    ("2,5", [(2, 2), (2, 5), (5, 5)]),
+])
+def test_divstat_rows_are_json_once_per_pair(primes, pairs, capsys):
+    """A prime outside the predicted regime gives null, not NaN, and a
+    repeated prime adds no row."""
+    code, out, _ = run_cli(["divstat", "--form", "[1,0,1]", "--primes", primes, "--n", "50"],
+                           capsys)
+    rows = [json.loads(line, parse_constant=_raise_on_constant) for line in out.splitlines()]
+    assert code == 0 and [(r["p"], r["q"]) for r in rows] == pairs
+    for r in rows:
+        assert (r["predicted"] is None) == (r["abs_err"] is None) == (2 in (r["p"], r["q"]))
+
+
+def test_divstat_csv_leaves_null_cells_empty(capsys):
+    code, out, _ = run_cli(
+        ["--format", "csv", "divstat", "--form", "[1,0,1]", "--primes", "2,5", "--n", "50"], capsys
+    )
+    rows = list(csv.DictReader(out.splitlines()))
+    assert code == 0 and [(r["predicted"], r["abs_err"]) for r in rows[:2]] == [("", "")] * 2
+    assert float(rows[2]["abs_err"]) == abs(float(rows[2]["exact"]) - float(rows[2]["predicted"]))
 
 
 def test_readme_examples_resolve(capsys, monkeypatch):
@@ -444,45 +475,13 @@ def test_readme_examples_resolve(capsys, monkeypatch):
 
     for name, cmd in COMMANDS.items():
         monkeypatch.setitem(COMMANDS, name, cmd._replace(handler=stub))
-    examples = _readme_examples()
+    examples = readme_examples()
     assert len(examples) == 21  # 20 single lines and the two-line sweep
     for args in examples:
         code, out, err = run_cli(args, capsys)
         assert code == 0, (args, err)
         assert all(len(rid) == 16 for rid in _ids(out, args))
     assert len(called) == 20 + 4  # the sweep runs four points
-
-
-GRID_SUBCOMMANDS = {"weights", "divstat", "ldelta", "concentrate", "tk", "probe-nonneg",
-                    "correlate", "sweep"}
-
-
-def _small_grid(args: list[str]) -> list[str]:
-    """args with the grid size n cut to at most 400; the sweep's n values
-    (--axis n) are cut to a tenth."""
-    out = []
-    for prev, tok in zip(["", *args], args):
-        if tok.startswith("n="):
-            tok = f"n={min(int(tok[2:]), 400)}"
-        elif prev == "--n":
-            tok = str(min(int(tok), 400))
-        elif prev == "--values":
-            assert args[args.index("--axis") + 1] == "n"
-            tok = ",".join(str(int(v) // 10) for v in tok.split(","))
-        out.append(tok)
-    return out
-
-
-def test_readme_grid_examples_independent_of_threads(capsys):
-    """Every README grid example, at n <= 400 (up to four stripes, and the
-    probe's weight still nonzero), prints the same bytes on 1 and on 2
-    threads."""
-    examples = [_small_grid(args) for args in _readme_examples() if GRID_SUBCOMMANDS & set(args)]
-    assert len(examples) == 8
-    for args in examples:
-        runs = [run_cli(["--threads", threads, *args], capsys) for threads in ("1", "2")]
-        assert runs[0][0] == 0, (args, runs[0][2])
-        assert runs[0] == runs[1], args
 
 
 def test_parse_kv_text_rejects_garbage():

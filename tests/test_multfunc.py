@@ -21,6 +21,7 @@ from qpairs.multfunc import (
     archimedean,
     character_extended,
     character_function,
+    dirichlet_character,
     dirichlet_characters,
     distance,
     distance_form,
@@ -289,6 +290,46 @@ def test_character_orthogonality():
                 s = sum(c1(a) * c2(a).conjugate() for a in range(q))
                 expected = phi if i == j else 0.0
                 assert abs(s - expected) < 1e-9
+
+
+def test_one_character_matches_the_dual_group():
+    """char:q:i built alone equals the i-th of the full list, table bits
+    included, and takes the value e(c_j / s_j) at the j-th generator, where
+    (c_1, ..., c_r) are the digits of i in mixed radix over the generator
+    orders s_j, the first generator most significant."""
+    for q in range(1, 101):
+        gens = multfunc._unit_group_generators(q)
+        chars = dirichlet_characters(q)
+        assert len(chars) == math.prod(s for _, s in gens)
+        for i, chi in enumerate(chars):
+            alone = dirichlet_character(q, i)
+            assert alone == chi and hash(alone) == hash(chi)
+            assert alone.table.tobytes() == chi.table.tobytes()
+            assert (alone.label, alone.principal) == (f"char:{q}:{i}", i == 0)
+            assert not alone.table.flags.writeable
+            rest = i
+            for g, s in reversed(gens):
+                rest, c = divmod(rest, s)
+                assert alone(g) == multfunc.root_of_unity(c, s)
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 12, 1009])
+def test_character_index_outside_range_is_refused(q):
+    count = len(dirichlet_characters(q))
+    for index in (-1, count):
+        with pytest.raises(DomainError, match="character index"):
+            dirichlet_character(q, index)
+
+
+def test_one_character_takes_one_walk(monkeypatch):
+    """char:1009:1 computes each root of unity once: at most phi(1009) calls,
+    where building every character mod 1009 makes about phi(1009)**2."""
+    calls = []
+    real = multfunc.root_of_unity
+    monkeypatch.setattr(multfunc, "root_of_unity", lambda k, n: calls.append(k) or real(k, n))
+    f = function_from_name("char:1009:1")
+    assert 0 < len(calls) <= 1008
+    assert f.description == "char:1009:1"
 
 
 # --- distances ----------------------------------------------------------------
