@@ -165,6 +165,23 @@ def _all_prime(values: Iterable[int]) -> bool:
     return lo == 0 and bool(found.all()) and all(map(is_prime, values[hi:]))
 
 
+def _strip_prime(values, p: int):
+    """Divide every factor p out of values, in place: a 1-D int64 or object
+    array of nonzero integers (a zero would never leave the loop).  Returns the
+    ascending indices of the values p divides and p's int64 exponent in each.
+    Only the first pass reads every value; later ones, the values just divided."""
+    import numpy as np  # on use: importing arith alone loads no numpy
+
+    hits = np.flatnonzero(values % p == 0)
+    exps = np.zeros(len(hits), dtype=np.int64)
+    at = np.arange(len(hits))  # the positions in hits of the values p still divides
+    while len(at):
+        values[hits[at]] //= p
+        exps[at] += 1
+        at = at[values[hits[at]] % p == 0]
+    return hits, exps
+
+
 def _pollard_brent(n: int) -> int:
     """Deterministic Brent-cycle rho: returns a nontrivial factor of composite n."""
     if n % 2 == 0:

@@ -105,7 +105,8 @@ COMPLEX = Kind(complex, repr)
 FORM = Kind(parse_form)
 FUNC = Kind(function_from_name, lambda f: f.description)
 COLORING = Kind(regularity.coloring_from_name, lambda c: c.spec_string())
-INTS = Kind(lambda s: [int(x) for x in s.split(",") if x.strip()], _join(str))
+# every list of integers is read as a set: a repeat is dropped, so it cannot move the run id
+INTS = Kind(lambda s: list(dict.fromkeys(int(x) for x in s.split(",") if x.strip())), _join(str))
 FLOATS = Kind(lambda s: [float(x) for x in s.split(",")], _join(repr))
 CHI = Kind(_chi, lambda chi: chi.label.split(":", 1)[1])  # q:index
 FACTORS = Kind(_factors, _join(lambda fl: f"{fl[0].description}@{fl[1]}", ";"))
@@ -139,16 +140,17 @@ class Command(NamedTuple):
     handler: Callable[[SimpleNamespace, int], list[dict]]  # (values, threads) -> rows
     params: tuple[Param, ...]
     key_value: bool  # key=value tokens and --config rather than flags
+    modes: tuple[str, ...]  # flag parameters that each pick a mode: at most one may be given
 
 
 COMMANDS: dict[str, Command] = {}
 
 
-def command(name: str, *params: Param, key_value: bool = False):
+def command(name: str, *params: Param, key_value: bool = False, modes: tuple[str, ...] = ()):
     """Register the decorated handler(values, threads) -> rows as `name`."""
 
     def register(handler):
-        COMMANDS[name] = Command(handler, params, key_value)
+        COMMANDS[name] = Command(handler, params, key_value, modes)
         return handler
 
     return register
@@ -182,18 +184,21 @@ def _key_value_items(items) -> dict[str, str]:
 def resolve_spec(subcommand: str, raw: Mapping[str, str]) -> tuple[SimpleNamespace, str, str]:
     """Coerce raw texts against the subcommand's parameters.
 
-    Returns (typed values, canonical spec text, run id).  Unknown keys,
-    missing required keys and malformed values are usage errors.  The
-    canonical text lists each parameter that has a value, sorted by name, as
-    its kind prints it; the run id hashes that text.
+    Returns (typed values, canonical spec text, run id).  Unknown keys, two
+    of the command's modes, missing required keys and malformed values are
+    usage errors.  The canonical text lists each parameter that has a value,
+    sorted by name, as its kind prints it; the run id hashes that text.
     """
-    params = COMMANDS[subcommand].params
-    unknown = set(raw) - {p.name for p in params}
+    cmd = COMMANDS[subcommand]
+    unknown = set(raw) - {p.name for p in cmd.params}
     if unknown:
         raise DomainError(f"unknown keys for {subcommand}: {sorted(unknown)}")
+    given = ["--" + name.replace("_", "-") for name in cmd.modes if name in raw]
+    if len(given) > 1:  # the handler would use one of them, yet the run id would hash all
+        raise DomainError(f"{' and '.join(given)} exclude each other")
     values: dict[str, Any] = {}
     lines = [subcommand + "\n"]
-    for p in sorted(params, key=lambda p: p.name):
+    for p in sorted(cmd.params, key=lambda p: p.name):
         text = raw.get(p.name, p.default)
         if text is REQUIRED:
             raise DomainError(f"{subcommand} requires {p.name}=")
@@ -323,7 +328,8 @@ def _verify_coloring(v, threads):
          Param("fast", SWITCH, "false"), Param("hensel", HENSEL, None, help="p,root,k"),
          Param("partner", FORM, None, help="second form literal"),
          Param("congruence_pair", FORM, None, help="second form literal"),
-         Param("r", INT, "1"), Param("exponents", EXPONENTS, None, help="p:l,p:l"))
+         Param("r", INT, "1"), Param("exponents", EXPONENTS, None, help="p:l,p:l"),
+         modes=("hensel", "partner", "congruence_pair", "fast"))
 def _omega(v, threads):
     if v.hensel:
         return [{"quantity": "hensel_lift", "lift": hensel_lift(v.form, *v.hensel)}]
@@ -347,7 +353,7 @@ def _omega(v, threads):
 
 @command("distance", Param("f", FUNC), Param("g", FUNC, "principal"),
          Param("x", FLOAT, "1.0"), Param("y", FLOAT, None), Param("form", FORM, None),
-         Param("profile", FLOATS, None, help="comma list of cutoffs"))
+         Param("profile", FLOATS, None, help="comma list of cutoffs"), modes=("y", "profile"))
 def _distance(v, threads):
     if v.profile:
         profile = multfunc.distance_profile(v.f, v.g, v.profile, v.form)
@@ -403,7 +409,8 @@ def _weights(v, threads):
 
 @command("divstat", Param("form", FORM), Param("primes", INTS, None, help="comma list"),
          Param("bound_l", INT, None, help="probe l | P(Qm+a,Qn+b) against Q^2/l instead"),
-         Param("q", INT, "1"), Param("a", INT, "0"), Param("b", INT, "0"), Param("n", INT, "2000"))
+         Param("q", INT, "1"), Param("a", INT, "0"), Param("b", INT, "0"), Param("n", INT, "2000"),
+         modes=("primes", "bound_l"))
 def _divstat(v, threads):
     if v.bound_l:
         exact, reference = averaging.divisor_bound_probe(
@@ -415,10 +422,9 @@ def _divstat(v, threads):
         }]
     if not v.primes:
         raise DomainError("divstat needs --primes or --bound-l")
-    primes = list(dict.fromkeys(v.primes))
     rows = []
-    for i, p in enumerate(primes):
-        for p2 in primes[i:]:
+    for i, p in enumerate(v.primes):
+        for p2 in v.primes[i:]:
             exact = averaging.divisor_stat_exact(v.form, v.q, v.a, v.b, p, p2, v.n, threads)
             try:
                 pred = averaging.divisor_stat_predicted(v.form, p, p2, v.q)

@@ -19,8 +19,9 @@ of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
 finitely many prime values replaced, built and checked by one constructor
 (`_periodic`).  `evaluate_many` returns the Liouville function as int8
 (unpacked from the cached table of signs, one bit per entry) and every other
-function as complex128, and prime sums read f at arrays of primes from the
-same hints (`prime_values`).  The scalar path never consults them.
+function as complex128, multiplying by an override only the values its prime
+divides (`arith._strip_prime`).  Prime sums read f at arrays of primes from
+the same hints (`prime_values`).  The scalar path never consults them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _TERM_CHUNK, _all_prime, _prime_array, factorize, fsum_complex, sieve_primes
+from .arith import _TERM_CHUNK, _all_prime, _prime_array, _strip_prime, factorize, fsum_complex, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -370,18 +371,6 @@ def prime_value_table(f: MultiplicativeFunction, bound: int) -> None:
         _liouville_sieve(max(2, int(bound)))
 
 
-def _strip_valuations(values: np.ndarray, p: int, val: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Divide out all powers of p, returning (stripped, val**e correction)."""
-    w = values.copy()
-    corr = np.ones(len(w), dtype=np.complex128)
-    mask = w % p == 0
-    while mask.any():
-        w[mask] = w[mask] // p
-        corr[mask] = np.multiply(corr[mask], val)  # not in place: see _grid
-        mask = w % p == 0
-    return w, corr
-
-
 def _unit_power(absv: np.ndarray, t: float) -> np.ndarray:
     """|x|^{it} over an array of absolute values, with 0^{it} = 1.
 
@@ -433,13 +422,16 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     flat = absv.reshape(-1)
     w, out = flat, None
     if hint.overrides:
-        # zeros would never leave the stripping loop; they are masked to 0 below
+        # zeros would never leave _strip_prime; they are masked to 0 below
         w = np.where(flat == 0, 1, flat).astype(object if flat.dtype == object else np.int64)
         out = np.ones(flat.shape, dtype=np.complex128)
         top = int(flat.max(initial=0))  # larger primes divide no value, and may not fit int64
         for p, val in sorted(item for item in hint.overrides.items() if item[0] <= top):
-            w, c = _strip_valuations(w, p, val)
-            out = np.multiply(out, c)
+            hits, exps = _strip_prime(w, p)
+            power = np.ones(len(hits), dtype=np.complex128)
+            for e in range(1, int(exps.max(initial=0)) + 1):
+                power[exps >= e] = np.multiply(power[exps >= e], val)  # not in place: see _grid
+            out[hits] = np.multiply(out[hits], power)
     if hint.chi.q != 1:
         vals = hint.chi.table[(w % hint.chi.q).astype(np.int64)]
         out = vals if out is None else np.multiply(vals, out)

@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .arith import check_prime_limit, crt, is_prime, is_square, jacobi, primes_in_class
+from .arith import _strip_prime, check_prime_limit, crt, is_prime, is_square, jacobi, primes_in_class
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 from .quadforms import needs_bigint
@@ -89,27 +89,18 @@ class Coloring:
         return n % (1 << ell)
 
     def color_many(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized coloring of a positive int64 array."""
-        v = np.asarray(values, dtype=np.int64).copy()
-        if (v <= 0).any():  # 0 would never leave the stripping loops
+        """Vectorized `color` of a positive int64 array: one `arith._strip_prime`
+        pass takes out p (rado) or 2, and the color is the residue of what is
+        left, or for two-adic the parity of the exponent taken out."""
+        v = np.array(values, dtype=np.int64, order="C")  # a copy, stripped through a flat view
+        if (v <= 0).any():  # 0 would never leave _strip_prime
             raise DomainError("colorings are defined on positive integers")
-        if self.kind == "rado":
-            p = self.param
-            mask = v % p == 0
-            while mask.any():
-                v[mask] //= p
-                mask = v % p == 0
-            return v % p
-        # strip powers of two for both dyadic kinds
-        out = np.zeros(len(v), dtype=np.int64)
-        mask = v % 2 == 0
-        while mask.any():
-            v[mask] //= 2
-            out[mask] ^= 1
-            mask = v % 2 == 0
+        hits, exps = _strip_prime(v.reshape(-1), self.param if self.kind == "rado" else 2)
         if self.kind == "two-adic":
-            return out
-        return v % (1 << self.param)
+            parity = np.zeros(v.size, dtype=np.int64)
+            parity[hits] = exps & 1
+            return parity.reshape(v.shape)
+        return v % (self.param if self.kind == "rado" else 1 << self.param)
 
     def spec_string(self) -> str:
         if self.kind == "two-adic":
@@ -378,21 +369,15 @@ def find_split_prime(
             raise DomainError(f"{v} is neither -1 nor a prime")
     odd = sorted(q for q in (s1 | s2) if q not in (-1, 2))
 
-    congruences: list[tuple[int, int]] = []
-    if -1 in s1:
-        # need p = 1 mod 4; residue condition at odd q transfers directly
-        congruences.append((1, 8) if 2 in s1 else (5, 8))
-        for q in odd:
-            want_residue = q in s1
-            congruences.append((_residue_class(q, want_residue), q))
-    else:
-        # p = 3 mod 4; reciprocity flips the transfer at q = 3 mod 4
-        congruences.append((7, 8) if 2 in s1 else (3, 8))
-        for q in odd:
-            want_residue = q in s1
-            if q % 4 == 3:
-                want_residue = not want_residue
-            congruences.append((_residue_class(q, want_residue), q))
+    # p = 1 mod 4 makes -1 a residue, p = 3 mod 4 a nonresidue, and p mod 8
+    # then settles 2.  An odd q is a residue mod p iff p is one mod q, except
+    # that reciprocity flips this when p = q = 3 mod 4.
+    one_mod_4 = -1 in s1
+    mod_8 = (1 if 2 in s1 else 5) if one_mod_4 else (7 if 2 in s1 else 3)
+    congruences = [(mod_8, 8)]
+    for q in odd:
+        flip = not one_mod_4 and q % 4 == 3
+        congruences.append((_residue_class(q, (q in s1) != flip), q))
 
     residue, modulus = crt(congruences)
     return next(

@@ -1,10 +1,12 @@
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpairs.arith import (
+    _strip_prime,
     crt,
     factorize,
     find_prime_in_class,
@@ -259,3 +261,45 @@ def test_sqrt_mod():
                 assert r is not None and (r * r) % p == a % p
             else:
                 assert r is None
+
+
+# --- stripping one prime from an array ------------------------------------------
+
+def _strip_scalar(v, p):
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return v, e
+
+
+@settings(settings.get_profile("oracle"), max_examples=80)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 97, 65537, 2**31 - 1]),
+    parts=st.lists(
+        st.tuples(st.integers(-2**70, 2**70).filter(bool), st.integers(0, 62)), max_size=40
+    ),
+)
+def test_strip_prime_matches_scalar_loop(p, parts):
+    """_strip_prime against a scalar loop over the same values: int64 and
+    object arrays, values past 2**63 (object only), exponents up to 62."""
+    values = [m * p**e for m, e in parts]
+    batches = [np.array(values, dtype=object)]
+    if all(-2**63 <= v < 2**63 for v in values):
+        batches.append(np.array(values, dtype=np.int64))
+    expect = [_strip_scalar(v, p) for v in values]
+    for batch in batches:
+        hits, exps = _strip_prime(batch, p)
+        assert batch.tolist() == [v for v, _ in expect], batch.dtype
+        assert hits.tolist() == [i for i, (_, e) in enumerate(expect) if e]
+        assert exps.dtype == np.int64 and exps.tolist() == [e for _, e in expect if e]
+
+
+def test_strip_prime_reaches_exponent_62():
+    values = np.array([2**62, -(2**62), 3 * 2**60, 1, 7], dtype=np.int64)
+    hits, exps = _strip_prime(values, 2)
+    assert values.tolist() == [1, -1, 3, 1, 7]
+    assert hits.tolist() == [0, 1, 2] and exps.tolist() == [62, 62, 60]
+    big = np.array([5**62 * 3, 5, 2**100], dtype=object)
+    hits, exps = _strip_prime(big, 5)
+    assert big.tolist() == [3, 1, 2**100] and hits.tolist() == [0, 1] and exps.tolist() == [62, 1]

@@ -341,6 +341,44 @@ def test_run_id_ignores_output_options(capsys, tmp_path):
     assert ids[0] == ids[1]
 
 
+@pytest.mark.parametrize("repeated, once", [
+    (["divstat", "--form", "[1,0,1]", "--primes", "5,5", "--n", "50"],
+     ["divstat", "--form", "[1,0,1]", "--primes", "5", "--n", "50"]),
+    (["tk", "form=[1,0,1]", "q=210", "k=10", "n=50", "h_primes=13,13"],
+     ["tk", "form=[1,0,1]", "q=210", "k=10", "n=50", "h_primes=13"]),
+    (["obstruct", "--split", "2,2", "3,7,3"], ["obstruct", "--split", "2", "3,7"]),
+])
+def test_repeated_integers_share_the_run_id(repeated, once, capsys):
+    """A list of integers is read as a set: a repeat moves neither the rows
+    nor the run id."""
+    assert main(repeated) == 0
+    got = capsys.readouterr().out
+    assert main(once) == 0
+    assert got == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, given", [
+    (["distance", "--f", "liouville", "--y", "10", "--profile", "100"], "--y and --profile"),
+    (["divstat", "--form", "[1,0,1]", "--primes", "5", "--bound-l", "10"],
+     "--primes and --bound-l"),
+    (["omega", "--form", "[1,0,1]", "--hensel", "5,2,2", "--partner", "[1,0,2]"],
+     "--hensel and --partner"),
+    (["omega", "--form", "[1,0,1]", "--congruence-pair", "[1,0,2]", "--fast"],
+     "--congruence-pair and --fast"),
+    (["omega", "--form", "[1,0,1]", "--hensel", "5,2,2", "--partner", "[1,0,2]",
+      "--congruence-pair", "[1,0,2]", "--fast"],
+     "--hensel and --partner and --congruence-pair and --fast"),
+    (["sweep", "--sub", "distance", "--axis", "x", "--values", "1,2", "f=liouville", "y=10",
+      "profile=100"], "--y and --profile"),
+])
+def test_two_modes_exit_2(args, given, capsys):
+    """Parameters that each pick a mode exclude each other: a second one
+    would be ignored, yet enter the run id."""
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {given} exclude each other\n"
+
+
 def test_sweep_rows_match_direct_runs(capsys):
     code, out, _ = run_cli(
         ["sweep", "--sub", "verify-coloring", "--axis", "bound", "--values", "200,500",

@@ -434,12 +434,14 @@ def test_evaluate_many_without_hint_keeps_shape():
 # Every function_from_name built-in, and chi * n^{it} with overrides.
 BATCH_FUNCTIONS = [
     "liouville", "principal", "char:7:2", "arch:2.0", "twisted:7:2:0.5", "prime-patch:10:100:-1",
+    "prime-patch:10:100:0.5j",
 ]
 
 
 def _batch_functions():
     ext = character_extended(dirichlet_characters(7)[1], {2: 0.5j, 3: -1.0, 5: 0.6 + 0.8j}, t=0.7)
-    return [function_from_name(name) for name in BATCH_FUNCTIONS] + [ext]
+    unit = character_extended(multfunc.TRIVIAL_CHARACTER, {2: cmath.exp(1j), 3: -1.0})
+    return [function_from_name(name) for name in BATCH_FUNCTIONS] + [ext, unit]
 
 
 @settings(settings.get_profile("oracle"), max_examples=6)
@@ -461,6 +463,60 @@ def test_evaluate_many_independent_of_batch_split(seed, size, cuts):
             whole = evaluate_many(f, batch)
             pieces = [evaluate_many(f, batch[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
             assert whole.tobytes() == np.concatenate(pieces).tobytes(), (f.description, batch.dtype)
+
+
+def _whole_batch_overrides(f, values):
+    """evaluate_many's chi * n^{it} path as it was when every override prime
+    stripped a copy of the whole batch and multiplied the whole batch by its
+    correction, 1 + 0j where p divides nothing: the reference for the loop
+    that reads only the values each prime divides."""
+    hint = f.hint
+    flat = np.abs(values)
+    w = np.where(flat == 0, 1, flat).astype(object if flat.dtype == object else np.int64)
+    out = np.ones(flat.shape, dtype=np.complex128)
+    top = int(flat.max(initial=0))
+    for p, val in sorted(item for item in hint.overrides.items() if item[0] <= top):
+        w = w.copy()
+        corr = np.ones(len(w), dtype=np.complex128)
+        mask = w % p == 0
+        while mask.any():
+            w[mask] = w[mask] // p
+            corr[mask] = np.multiply(corr[mask], val)
+            mask = w % p == 0
+        out = np.multiply(out, corr)
+    if hint.chi.q != 1:
+        out = np.multiply(hint.chi.table[(w % hint.chi.q).astype(np.int64)], out)
+    if hint.t != 0.0:
+        out = np.multiply(out, multfunc._unit_power(flat, hint.t))
+    out[flat == 0] = 0j
+    return out
+
+
+@pytest.mark.parametrize("f, zero_signs_move", [
+    *((prime_patch(1, 30, value), value in (-1.0, 0.5j))
+      for value in (-1.0, 0.0, 0.5j, 0.6 + 0.8j, cmath.exp(1j))),
+    (character_extended(dirichlet_characters(7)[1], {2: cmath.exp(1j), 3: -1.0, 5: 0.6 + 0.8j},
+                        t=0.7), False),
+], ids=lambda x: getattr(x, "description", str(x)))
+def test_overrides_match_whole_batch_loop(f, zero_signs_move):
+    """evaluate_many equals the whole-batch loop with == everywhere, and keeps
+    its bits wherever an override prime divides the value.  Only where an
+    override has a zero part (-1, 0.5j) may the sign of a zero part differ:
+    the whole-batch loop multiplies such a value again by 1 + 0j at every
+    larger override prime, and that can turn -0.0 into +0.0."""
+    rng = np.random.default_rng(7)
+    small = np.array([2, 3, 5, 7, 11, 13, 29, 31])
+    values = rng.integers(-10**6, 10**6, 20_000)
+    values[::3] = np.prod(small[rng.integers(0, len(small), (len(values[::3]), 6))], axis=1)
+    values[:5] = [0, 1, 2**62, 3**39, -(5**27)]
+    for batch in (values, np.append(values.astype(object), [2**70 * 3**5, -(5**40) * 7, 2**89 - 1])):
+        got, want = evaluate_many(f, batch), _whole_batch_overrides(f, batch)
+        assert (got == want).all(), batch.dtype
+        keys = np.array(sorted(f.hint.overrides), dtype=object)
+        divided = np.array([any(int(v) % p == 0 for p in keys) and v != 0 for v in batch])
+        assert divided.sum() > len(batch) // 3
+        if not zero_signs_move:
+            assert got[divided].tobytes() == want[divided].tobytes(), batch.dtype
 
 
 def test_liouville_sieve_against_factorization():

@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -96,6 +97,29 @@ EXTRA: list[list[str]] = [
                 "twisted:4:1:0.5:x", "prime-patch:10:100:-1:9")),
     *(["verify-coloring", "3", "5", "30", "--coloring", c, "--bound", "200"]
       for c in ("rado:5:junk", "two-adic:9", "dyadic:3:1")),
+    # the colorings besides the README's dyadic one
+    *(["verify-coloring", "3", "5", "30", "--coloring", c, "--bound", "2000"]
+      for c in ("rado:5", "two-adic")),
+    # prime overrides on a grid, and in a correlation factor
+    *(["ldelta", f"f=prime-patch:10:100:{value}", *_FORMS, "delta=0.3", "n=200"]
+      for value in ("0.5j", "0", "0.6+0.8j")),
+    ["correlate", "factors=prime-patch:10:100:-1@[1,0];liouville@[0,1]", "g=principal",
+     "form=[1,0,1]", "n=200"],
+    # a --config file (paths are relative to the repository root), with a
+    # token that overrides it
+    ["ldelta", "--config", "tests/corpus_ldelta.conf", "n=150"],
+    # a weight that vanishes on the whole grid
+    ["ldelta", "f=liouville", "p1=[-1,0,-1]", "p2=[0,2,0]", "n=50"],
+    # repeated integers in a list
+    ["divstat", "--form", "[1,0,1]", "--primes", "5", "--n", "50"],
+    *(["tk", "form=[1,0,1]", "q=210", "k=10", "n=50", f"h_primes={primes}"]
+      for primes in ("13,13", "13")),
+    # parameters of two modes at once
+    ["distance", "--f", "liouville", "--y", "10", "--profile", "100"],
+    ["distance", "--f", "liouville", "--profile", "100"],
+    ["divstat", "--form", "[1,0,1]", "--primes", "5", "--bound-l", "10", "--n", "50"],
+    ["omega", "--form", "[1,0,1]", "--hensel", "5,2,2", "--partner", "[1,0,2]"],
+    ["omega", "--form", "[1,0,1]", "--congruence-pair", "[1,0,2]", "--fast"],
 ]
 
 
@@ -106,11 +130,15 @@ def argvs() -> list[list[str]]:
 def run(argv: list[str]) -> tuple[str, str, int]:
     """stdout, stderr and exit code of cli.main(argv), in process."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    cwd = os.getcwd()
+    os.chdir(ROOT)  # where --config paths start
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    finally:
+        os.chdir(cwd)
     return out.getvalue(), err.getvalue(), code
 
 
