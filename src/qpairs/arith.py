@@ -151,18 +151,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _all_prime(values: Iterable[int]) -> bool:
-    """True iff every value is a prime.  Values up to the limit of the cached
-    prime table are looked up in it, which is not grown; is_prime tests only
-    the values past it."""
+def _all_prime(values) -> bool:
+    """True iff every value of an ascending int64 or object array is a
+    prime.  Values up to the limit of the cached prime table are looked up in
+    it, which is not grown; is_prime tests only the values past it."""
     import numpy as np  # on use: importing arith alone loads no numpy
 
     limit = max(2, min(_sieve_cache[0], caps().sieve_limit))
-    table, values = _prime_array(limit), sorted(values)
+    table = _prime_array(limit)
     lo, hi = bisect.bisect_left(values, 2), bisect.bisect_right(values, limit)
-    small = np.fromiter(values[lo:hi], np.int64, hi - lo)
+    small = values[lo:hi].astype(np.int64, copy=False)
     found = table[np.minimum(table.searchsorted(small), len(table) - 1)] == small
-    return lo == 0 and bool(found.all()) and all(map(is_prime, values[hi:]))
+    return lo == 0 and bool(found.all()) and all(map(is_prime, values[hi:].tolist()))
 
 
 def _strip_prime(values, p: int):

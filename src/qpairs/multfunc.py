@@ -16,12 +16,15 @@ index directly.  `dirichlet_characters(q)` is the list of all phi(q) of them.
 Evaluation hints: grid experiments need f at millions of form values, where
 per-value factorization is hopeless.  Each built-in carries a structural hint
 of one of two shapes: the Liouville sign sieve, or chi(n) * n^{it} with
-finitely many prime values replaced, built and checked by one constructor
-(`_periodic`).  `evaluate_many` returns the Liouville function as int8
-(unpacked from the cached table of signs, one bit per entry) and every other
-function as complex128, multiplying by an override only the values its prime
-divides (`arith._strip_prime`).  Prime sums read f at arrays of primes from
-the same hints (`prime_values`).  The scalar path never consults them.
+finitely many prime values replaced (`_periodic`).  `evaluate_many` returns
+the Liouville function as int8 (one bit per entry of the cached table of
+signs) and every other function as complex128, multiplying by an override
+only the values its prime divides (`arith._strip_prime`).  Prime sums read f
+at arrays of primes from the same hints (`prime_values`); the scalar path
+never consults them.  Overrides, additive supports and weight maps are each
+one sorted `PrimeTable`, checked by one constructor and read by one
+searchsorted over a window of primes, a walk of its keys up to a batch's
+largest value, or a scalar bisection.
 """
 
 from __future__ import annotations
@@ -168,6 +171,51 @@ class TwistData:
 # --------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class PrimeTable:
+    """Values at finitely many primes: ascending keys (int64, or object if one
+    is 2**63 or more) and their values, as read-only arrays that compare by
+    contents.  Only `of` checks keys: built directly, they must be primes."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, table: Mapping, kind: type = complex) -> PrimeTable:
+        """The table of a Mapping from primes to numbers converted by kind (complex or
+        float).  Keys go through operator.index: 2.5, "3" and None are refused."""
+        try:
+            items = sorted((operator.index(p), kind(v)) for p, v in table.items())
+        except TypeError as exc:
+            raise DomainError(f"prime tables map integers to numbers: {exc}") from exc
+        keys, values = np.array([p for p, _ in items], dtype=object), np.array([v for _, v in items], kind)
+        if not _all_prime(keys):
+            raise DomainError("prime table keys must be primes")
+        keys = keys if len(keys) and keys[-1] >= 2**63 else keys.astype(np.int64)
+        keys.flags.writeable = values.flags.writeable = False
+        return cls(keys, values)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PrimeTable) and np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.values, other.values))
+
+    def get(self, p: int, default):
+        i = bisect.bisect_left(self.keys, p)
+        return self.values.item(i) if i < len(self.keys) and self.keys[i] == p else default
+
+    def put(self, out: np.ndarray, primes: np.ndarray) -> np.ndarray:
+        """out with each value written where the int64 array primes holds its key."""
+        keys = self.keys[: bisect.bisect_left(self.keys, 2**63)].astype(np.int64, copy=False)
+        if len(keys):
+            at = np.minimum(keys.searchsorted(primes), len(keys) - 1)
+            hit = keys[at] == primes
+            out[hit] = self.values[at[hit]]
+        return out
+
+
+_NO_PRIMES = PrimeTable(np.zeros(0, np.int64), np.zeros(0, np.complex128))
+
+
 @dataclass(frozen=True)
 class EvalHint:
     """Structural shape used by evaluate_many and prime_values; never affects
@@ -181,7 +229,7 @@ class EvalHint:
     kind: str
     chi: DirichletCharacter = TRIVIAL_CHARACTER
     t: float = 0.0
-    overrides: Mapping[int, complex] = field(default_factory=dict)
+    overrides: PrimeTable = field(default_factory=lambda: _NO_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -205,8 +253,6 @@ def evaluate(f: MultiplicativeFunction, n: int) -> complex:
     n = abs(n)
     if f.direct_rule is not None:
         return complex(f.direct_rule(n))
-    if n == 1:
-        return 1 + 0j
     out = 1 + 0j
     for p, e in factorize(n).factors:
         out *= f.prime_power_rule(p, e)
@@ -216,17 +262,15 @@ def evaluate(f: MultiplicativeFunction, n: int) -> complex:
 
 
 def evaluate_on_exponents(f: MultiplicativeFunction, exponents: Mapping[int, int]) -> complex:
-    """f at prod p^{e_p} without expanding the integer.
-
-    Equals evaluate(f, prod) whenever the product is representable; intended
-    for Folner elements whose integer values are astronomical.
-    """
-    for p, e in exponents.items():
-        if e < 1:
-            raise DomainError("exponents must be >= 1")
-    if f.hint is not None and f.hint == EvalHint("periodic", t=f.hint.t):  # n^{it}
+    """f at prod p^{e_p} without expanding the integer: evaluate(f, prod)
+    where the product is representable, and meant for Folner elements whose
+    integer values are astronomical."""
+    if any(e < 1 for e in exponents.values()):
+        raise DomainError("exponents must be >= 1")
+    hint = f.hint
+    if hint is not None and hint.kind == "periodic" and hint.chi.q == 1 and not len(hint.overrides.keys):
         logn = math.fsum(e * math.log(p) for p, e in exponents.items())
-        return cmath.exp(1j * f.hint.t * logn)
+        return cmath.exp(1j * hint.t * logn)
     out = 1 + 0j
     for p in sorted(exponents):
         out *= f.prime_power_rule(p, exponents[p])
@@ -421,12 +465,13 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
     # so no bit depends on the batch size (see _grid).
     flat = absv.reshape(-1)
     w, out = flat, None
-    if hint.overrides:
+    ov = hint.overrides
+    if len(ov.keys):
         # zeros would never leave _strip_prime; they are masked to 0 below
         w = np.where(flat == 0, 1, flat).astype(object if flat.dtype == object else np.int64)
         out = np.ones(flat.shape, dtype=np.complex128)
-        top = int(flat.max(initial=0))  # larger primes divide no value, and may not fit int64
-        for p, val in sorted(item for item in hint.overrides.items() if item[0] <= top):
+        n = bisect.bisect_right(ov.keys, int(flat.max(initial=0)))  # larger primes divide no value
+        for p, val in zip(ov.keys[:n].tolist(), ov.values[:n].tolist()):
             hits, exps = _strip_prime(w, p)
             power = np.ones(len(hits), dtype=np.complex128)
             for e in range(1, int(exps.max(initial=0)) + 1):
@@ -449,11 +494,7 @@ def evaluate_many(f: MultiplicativeFunction, values: np.ndarray) -> np.ndarray:
 
 
 def liouville() -> MultiplicativeFunction:
-    return MultiplicativeFunction(
-        description="liouville",
-        prime_power_rule=lambda p, k: (-1.0) ** k,
-        hint=EvalHint(kind="liouville"),
-    )
+    return MultiplicativeFunction("liouville", lambda p, k: (-1.0) ** k, hint=EvalHint("liouville"))
 
 
 def _check_unit_disk(values: Sequence[complex]) -> None:
@@ -461,14 +502,11 @@ def _check_unit_disk(values: Sequence[complex]) -> None:
         raise DomainError("values must stay in the unit disk")
 
 
-def _periodic(
-    description: str, chi: DirichletCharacter, t: float, overrides: Mapping[int, complex]
-) -> MultiplicativeFunction:
-    """chi(n) * n^{it} with its values at the primes of overrides replaced.
+def _periodic(description: str, chi: DirichletCharacter, t: float, ov=_NO_PRIMES) -> MultiplicativeFunction:
+    """chi(n) * n^{it} with its values at the primes of the table ov replaced:
+    the constructor of every built-in but liouville, and the only check of t
+    and of the override values, which must lie in the closed unit disk.
 
-    The constructor of every built-in but liouville, and the only check of t
-    and of the overrides: keys must be prime integers, values in the closed
-    unit disk.
     f(p^k) = (base * p^{it})**k, or base**k at t = 0, where base is the
     override at p or else chi(p).  Without overrides f also has the direct
     rule chi(n) * n^{it}; n^{it} alone (chi mod 1) takes one exponential of
@@ -476,43 +514,37 @@ def _periodic(
     """
     if not (math.isfinite(t) and abs(t) * 710 <= sys.float_info.max):  # ln n < 710 at every float n
         raise DomainError(f"t must be finite with |t| * 710 <= {sys.float_info.max}, got {t}")
-    try:
-        ov = {operator.index(p): complex(v) for p, v in overrides.items()}
-    except TypeError as exc:
-        raise DomainError(f"overrides must map integers to numbers: {exc}") from exc
-    _check_unit_disk(list(ov.values()))
-    if ov and not _all_prime(ov):
-        raise DomainError("override keys must be primes")
+    _check_unit_disk(ov.values)
     power = lambda n: cmath.exp(1j * t * math.log(n))  # n^{it}
     if t == 0.0:
         rule, direct = (lambda p, k: ov.get(p, chi(p)) ** k), chi
-    elif chi.q == 1 and not ov:
+    elif chi.q == 1 and not len(ov.keys):
         rule, direct = (lambda p, k: cmath.exp(1j * t * k * math.log(p))), power
     else:
         rule = lambda p, k: (ov.get(p, chi(p)) * power(p)) ** k
         direct = lambda n: chi(n) * power(n)
     hint = EvalHint("periodic", chi, t, ov)
-    return MultiplicativeFunction(description, rule, None if ov else direct, hint)
+    return MultiplicativeFunction(description, rule, None if len(ov.keys) else direct, hint)
 
 
 def one() -> MultiplicativeFunction:
     """The constant completely multiplicative function 1 (CLI name: principal)."""
-    return _periodic("principal", TRIVIAL_CHARACTER, 0.0, {})
+    return _periodic("principal", TRIVIAL_CHARACTER, 0.0)
 
 
 def archimedean(t: float) -> MultiplicativeFunction:
     """n^{it}, by one complex exponential of t*ln n: no rounding accumulates
     across prime factors, which makes the concentration identities exact."""
-    return _periodic(f"arch:{t}", TRIVIAL_CHARACTER, t, {})
+    return _periodic(f"arch:{t}", TRIVIAL_CHARACTER, t)
 
 
 def character_function(chi: DirichletCharacter) -> MultiplicativeFunction:
-    return _periodic(chi.label, chi, 0.0, {})
+    return _periodic(chi.label, chi, 0.0)
 
 
 def twisted(chi: DirichletCharacter, t: float) -> MultiplicativeFunction:
     """chi * n^{it}; value 0 at primes dividing the modulus (chi = 0 there)."""
-    return _periodic(f"twisted:{chi.q}:{chi.label.rsplit(':', 1)[-1]}:{t}", chi, t, {})
+    return _periodic(f"twisted:{chi.q}:{chi.label.rsplit(':', 1)[-1]}:{t}", chi, t)
 
 
 def character_extended(
@@ -520,7 +552,7 @@ def character_extended(
 ) -> MultiplicativeFunction:
     """chi * n^{it} with the values at finitely many primes replaced,
     completely multiplicatively: f(p^k) = (override * p^{it})**k."""
-    return _periodic(f"{chi.label}+overrides", chi, t, overrides)
+    return _periodic(f"{chi.label}+overrides", chi, t, PrimeTable.of(overrides))
 
 
 def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
@@ -528,7 +560,8 @@ def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     value = complex(value)
     _check_unit_disk([value])  # before the prime table, which may be over its cap
     primes = _prime_array(max(2, hi))
-    overrides = dict.fromkeys(primes[(lo < primes) & (primes <= hi)].tolist(), value)
+    keys = primes[bisect.bisect_right(primes, lo) : bisect.bisect_right(primes, hi)]  # a view
+    overrides = PrimeTable(keys, np.broadcast_to(np.complex128(value), len(keys)))
     return _periodic(f"prime-patch:{lo}:{hi}:{value}", TRIVIAL_CHARACTER, 0.0, overrides)
 
 
@@ -580,22 +613,15 @@ class AdditiveFunction:
     def __call__(self, n: int) -> complex:
         if n == 0:
             raise DomainError("additive functions are not defined at 0")
-        n = abs(n)
-        if n == 1:
-            return 0j
         return sum((self.prime_power_rule(p, e) for p, e in factorize(n).factors), 0j)
 
 
 def additive_from_prime_values(values: Mapping[int, complex], description: str = "custom") -> AdditiveFunction:
-    """h supported on the given primes (h(p^k) = 0 for k >= 2)."""
-    table = {int(p): complex(v) for p, v in values.items()}
-
-    def rule(p: int, k: int) -> complex:
-        return table.get(p, 0j) if k == 1 else 0j
-
-    return AdditiveFunction(
-        description=description, prime_power_rule=rule, support=tuple(sorted(table))
-    )
+    """h supported on the given primes (h(p^k) = 0 for k >= 2); every key
+    must be a prime."""
+    table = PrimeTable.of(values)
+    rule = lambda p, k: table.get(p, 0j) if k == 1 else 0j
+    return AdditiveFunction(description, rule, support=tuple(table.keys.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -621,12 +647,10 @@ def _prime_window(x: float, y: float) -> np.ndarray:
 
 
 def prime_window_sum(term: Callable[[np.ndarray], np.ndarray], x: float, y: float) -> complex:
-    """Exactly rounded sum of the terms of the primes x < p <= y.
-
-    term maps an int64 array of primes to their float64 or complex128 terms.
-    The one loop behind every prime-window sum: distances, additive norms,
-    concentration exponents and predicted additive means.
-    """
+    """Exactly rounded sum of the terms of the primes x < p <= y, where term
+    maps an int64 array of primes to their float64 or complex128 terms.  The
+    one loop behind every prime-window sum: distances, additive norms,
+    concentration exponents and predicted additive means."""
     primes = _prime_window(x, y)
     chunks = (primes[i : i + _TERM_CHUNK] for i in range(0, len(primes), _TERM_CHUNK))
     return fsum_complex(map(term, chunks))
@@ -654,29 +678,17 @@ def _prime_power_it(primes: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _put_at_keys(out: np.ndarray, primes: np.ndarray, table: Mapping) -> np.ndarray:
-    """Write table[p] into out at the primes that are keys of table."""
-    limit = caps().sieve_limit
-    keys = [k for k in table if 2 <= k <= limit]
-    hits = np.flatnonzero(np.isin(primes, keys)) if keys else ()
-    if len(hits):
-        out[hits] = [table[p] for p in primes[hits].tolist()]
-    return out
-
-
 def prime_values(f: MultiplicativeFunction, primes: np.ndarray) -> np.ndarray:
-    """f at each prime of an int64 array, as complex128, read from f's hint.
-
-    Each value equals f.at_prime(p) up to the sign of a zero part, which no
-    sum of the prime-window terms can see.  Without a hint, f.at_prime is
-    called at each prime.
-    """
+    """f at each prime of an int64 array, as complex128, read from f's hint:
+    f.at_prime(p) up to the sign of a zero part, which no sum of the
+    prime-window terms can see.  Without a hint, f.at_prime is called at each
+    prime."""
     hint = f.hint
     if hint is None:
         return np.fromiter(map(f.at_prime, primes.tolist()), np.complex128, len(primes))
     if hint.kind == "liouville":
         return np.full(len(primes), -1.0, dtype=np.complex128)
-    out = _put_at_keys(hint.chi.table[primes % hint.chi.q], primes, hint.overrides)
+    out = hint.overrides.put(hint.chi.table[primes % hint.chi.q], primes)
     return _cmul(out, _prime_power_it(primes, hint.t)) if hint.t != 0.0 else out
 
 
@@ -723,30 +735,20 @@ def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x:
     return _distance(_root_count_weights(form), f, g, x, y)
 
 
-def distance_weighted(
-    c: Callable[[int], float] | Mapping[int, float],
-    f: MultiplicativeFunction,
-    g: MultiplicativeFunction,
-    x: float,
-    y: float,
-) -> float:
-    """Distance with arbitrary bounded nonnegative prime weights c(p)."""
+def distance_weighted(c: Callable[[int], float] | Mapping[int, float], f: MultiplicativeFunction,
+                      g: MultiplicativeFunction, x: float, y: float) -> float:
+    """Distance with arbitrary bounded nonnegative prime weights c(p); the
+    keys of a Mapping must be primes."""
     if isinstance(c, Mapping):
-        table = {p: float(v) for p, v in c.items()}
-        weights = lambda primes: _put_at_keys(np.zeros(len(primes)), primes, table)
+        table = PrimeTable.of(c, float)
+        weights = lambda primes: table.put(np.zeros(len(primes)), primes)
     else:
-        weights = lambda primes: np.fromiter(
-            (float(c(p)) for p in primes.tolist()), np.float64, len(primes)
-        )
+        weights = lambda primes: np.fromiter((float(c(p)) for p in primes.tolist()), np.float64, len(primes))
     return _distance(weights, f, g, x, y)
 
 
-def distance_profile(
-    f: MultiplicativeFunction,
-    g: MultiplicativeFunction,
-    checkpoints: Sequence[float],
-    form=None,
-) -> list[tuple[float, float]]:
+def distance_profile(f: MultiplicativeFunction, g: MultiplicativeFunction, checkpoints: Sequence[float],
+                     form=None) -> list[tuple[float, float]]:
     """Partial-sum growth of the (optionally form-weighted) distance.
 
     Pretentiousness is a statement about the limit and is undecidable from
@@ -776,16 +778,14 @@ def distance_profile(
 
 
 def _additive_term(h: AdditiveFunction, term: Callable[[int], complex]) -> Callable:
-    """primes -> term(p) where h(p) may be nonzero, 0 elsewhere.
-
-    term(p) must vanish where h(p) does.  It is called once for each member
-    of h's support, or at every prime when the support is not known.
-    """
+    """primes -> term(p) where h(p) may be nonzero, 0 elsewhere; term(p) must
+    vanish where h(p) does.  It is called once for each member of h's support
+    up to the sieve cap, or at every prime when the support is not known."""
     if h.support is None:
         return lambda primes: np.fromiter(map(term, primes.tolist()), np.complex128, len(primes))
-    limit = caps().sieve_limit
-    table = {p: term(p) for p in h.support if 2 <= p <= limit}
-    return lambda primes: _put_at_keys(np.zeros(len(primes), dtype=np.complex128), primes, table)
+    keys = np.array(sorted(p for p in h.support if 2 <= p <= caps().sieve_limit), dtype=np.int64)
+    table = PrimeTable(keys, np.fromiter(map(term, keys.tolist()), np.complex128, len(keys)))
+    return lambda primes: table.put(np.zeros(len(primes), dtype=np.complex128), primes)
 
 
 def distance_additive(h: AdditiveFunction, x: float, y: float) -> float:

@@ -416,6 +416,8 @@ def test_sweep_rows_match_direct_runs(capsys):
     # NaN fails every bound: |f| <= 1 and |h(p)| <= 1 must refuse it
     ["ldelta", "f=prime-patch:10:100:nan", "p1=[1,0,2]", "p2=[0,2,0]", "delta=0.05", "n=500"],
     ["tk", "form=[1,0,1]", "q=210", "k=10", "n=100", "h_primes=13", "h_value=nan"],
+    # the support of h holds primes only: 13**2, 13*17 and 5**2 are refused
+    *(["tk", "form=[1,0,1]", "q=210", "k=10", "n=300", f"h_primes={p}"] for p in ("169", "221", "25")),
     # t * ln n must be finite: ln n < 710 for every float n
     *(["ldelta", f"f={f}", "p1=[1,0,2]", "p2=[0,2,0]", "delta=0.3", "n=200"]
       for f in ("arch:nan", "arch:inf", "arch:-inf", "twisted:7:2:nan", "arch:1e308")),

@@ -17,6 +17,7 @@ from qpairs.errors import DomainError
 from qpairs.multfunc import (
     EvalHint,
     MultiplicativeFunction,
+    PrimeTable,
     additive_from_prime_values,
     archimedean,
     character_extended,
@@ -134,7 +135,7 @@ def test_override_keys_read_from_prime_table(monkeypatch):
     arith._prime_array(10**5)
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    assert len(prime_patch(10, 10**5, -1).hint.overrides) == 9588
+    assert len(prime_patch(10, 10**5, -1).hint.overrides.keys) == 9588
     assert calls == []
     f = character_extended(CHI7, {3: -1, 10**9 + 7: 1j, 2**61 - 1: -1j})
     assert sorted(calls) == [10**9 + 7, 2**61 - 1]
@@ -144,7 +145,7 @@ def test_override_keys_read_from_prime_table(monkeypatch):
 def test_override_keys_take_numpy_integers():
     f = character_extended(CHI7, {np.int64(3): -1, np.uint16(5): 1j})
     assert f.hint.overrides == character_extended(CHI7, {3: -1, 5: 1j}).hint.overrides
-    assert all(type(p) is int for p in f.hint.overrides)
+    assert f.hint.overrides.keys.dtype == np.int64
 
 
 def test_override_past_int64_in_evaluate_many():
@@ -165,6 +166,72 @@ def test_override_past_int64_in_evaluate_many():
 def test_prime_patch_checks_value_before_prime_table():
     with pytest.raises(DomainError):  # not the ResourceError of a sieve past its cap
         prime_patch(10, 10**9, math.nan)
+
+
+def test_prime_patch_keys_are_a_view_of_the_prime_table():
+    """prime_patch copies neither its keys nor one value per key."""
+    overrides = prime_patch(10, 10**6, -1).hint.overrides
+    assert np.shares_memory(overrides.keys, arith._prime_array(10**6))
+    assert overrides.values.strides == (0,)
+
+
+@pytest.mark.parametrize("key", [2.5, "3", 4, 169])
+def test_additive_supports_and_weights_refuse_non_prime_keys(key):
+    with pytest.raises(DomainError):
+        additive_from_prime_values({key: 1, 13: 1})
+    with pytest.raises(DomainError):
+        distance_weighted({key: 1.0}, liouville(), one(), 1, 100)
+
+
+# keys of 2**63 or more: 2**64 - 59 is the largest prime below 2**64
+_BIG_PRIMES = [10**9 + 7, 2**61 - 1, 2**64 - 59, 2**89 - 1]
+_EXACT_VALUES = [1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, -0.5j, 0j]  # every product of these is exact
+_PRIMES_TO_1E6 = 78_498  # two chunks of _TERM_CHUNK primes
+
+
+@settings(settings.get_profile("oracle"), max_examples=40)
+@example(small={}, big={}, lo=0, length=_PRIMES_TO_1E6, seed=0)
+@example(small={5: -1 + 0j}, big={}, lo=0, length=100, seed=3)
+@example(small={i: -1 + 0j for i in range(0, _PRIMES_TO_1E6, 997)}, big={2**89 - 1: 1j},
+         lo=3, length=_PRIMES_TO_1E6, seed=1)
+@example(small={0: 1j, 70_000: -1 + 0j}, big={2**64 - 59: -1 + 0j}, lo=60_000, length=20_000, seed=2)
+@given(
+    small=st.dictionaries(st.integers(0, _PRIMES_TO_1E6 - 1), st.sampled_from(_EXACT_VALUES), max_size=30),
+    big=st.dictionaries(st.sampled_from(_BIG_PRIMES), st.sampled_from(_EXACT_VALUES)),
+    lo=st.integers(0, _PRIMES_TO_1E6),
+    length=st.integers(0, _PRIMES_TO_1E6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prime_table_reads_match_dict(small, big, lo, length, seed):
+    """The vector lookup over a window of primes, alone and by prime-sum
+    chunks, and evaluate_many's walk of the keys up to a batch's largest
+    value, against a dict of the same keys: windows start anywhere, keys lie
+    past them or at 2**63 and above, and tables may be empty."""
+    primes = arith._prime_array(10**6)
+    table = {int(primes[i]): v for i, v in small.items()} | big
+    t = PrimeTable.of(table)
+    window = primes[lo : lo + length]
+    want = np.array([table.get(p, 0j) for p in window.tolist()], dtype=np.complex128)
+    assert t.put(np.zeros(len(window), dtype=np.complex128), window).tobytes() == want.tobytes()
+    if len(window):
+        term = lambda ps: t.put(np.zeros(len(ps), dtype=np.complex128), ps)
+        got = multfunc.prime_window_sum(term, int(window[0]) - 1, int(window[-1]))
+        assert got == arith.fsum_complex([want])
+
+    f = character_extended(multfunc.TRIVIAL_CHARACTER, table)
+    rng = random.Random(seed)
+    pool = sorted(table) + [2, 3, 5, 7, 999_983]
+    batch, expected = [0], [0j]
+    for _ in range(60):
+        factors = rng.choices(pool, k=rng.randint(0, 4))
+        batch.append(math.prod(factors) * rng.choice((1, -1)))
+        expected.append(math.prod((table.get(p, 1 + 0j) for p in factors), start=1 + 0j))
+    assert evaluate_many(f, np.array(batch, dtype=object)).tolist() == expected
+    small_batch = [(v, w) for v, w in zip(batch, expected) if abs(v) < 2**62]
+    values = np.array([v for v, _ in small_batch], dtype=np.int64)
+    assert evaluate_many(f, values).tolist() == [w for _, w in small_batch]
+    for p in rng.sample(pool, 4):  # batches whose largest value is a key
+        assert evaluate_many(f, np.array([-p, 1], dtype=object)).tolist() == [table.get(p, 1 + 0j), 1]
 
 
 def _bits(z: complex) -> bytes:
@@ -201,11 +268,12 @@ def _builtin_formulas():
         v = complex(value)
         patched = {p: v for p in sieve_primes(200) if p > 3}
         cases.append((prime_patch(3, 200, value), lambda p, k, v=v: v**k if 3 < p <= 200 else 1 + 0j,
-                      None, EvalHint("periodic", overrides=patched)))
+                      None, EvalHint("periodic", overrides=PrimeTable.of(patched))))
     ov = {2: 0.5j, 3: -1.0 + 0j, 5: 0.6 + 0.8j}
     for t in (0.0, 0.7):
         rule = (lambda p, k, t=t: (ov.get(p, CHI7(p)) * it(t, p)) ** k) if t else (lambda p, k: ov.get(p, CHI7(p)) ** k)
-        cases.append((character_extended(CHI7, ov, t), rule, None, EvalHint("periodic", CHI7, t, ov)))
+        cases.append((character_extended(CHI7, ov, t), rule, None,
+                      EvalHint("periodic", CHI7, t, PrimeTable.of(ov))))
     return cases
 
 
@@ -475,7 +543,8 @@ def _whole_batch_overrides(f, values):
     w = np.where(flat == 0, 1, flat).astype(object if flat.dtype == object else np.int64)
     out = np.ones(flat.shape, dtype=np.complex128)
     top = int(flat.max(initial=0))
-    for p, val in sorted(item for item in hint.overrides.items() if item[0] <= top):
+    overrides = zip(hint.overrides.keys.tolist(), hint.overrides.values.tolist())
+    for p, val in sorted(item for item in overrides if item[0] <= top):
         w = w.copy()
         corr = np.ones(len(w), dtype=np.complex128)
         mask = w % p == 0
@@ -512,7 +581,7 @@ def test_overrides_match_whole_batch_loop(f, zero_signs_move):
     for batch in (values, np.append(values.astype(object), [2**70 * 3**5, -(5**40) * 7, 2**89 - 1])):
         got, want = evaluate_many(f, batch), _whole_batch_overrides(f, batch)
         assert (got == want).all(), batch.dtype
-        keys = np.array(sorted(f.hint.overrides), dtype=object)
+        keys = f.hint.overrides.keys.tolist()
         divided = np.array([any(int(v) % p == 0 for p in keys) and v != 0 for v in batch])
         assert divided.sum() > len(batch) // 3
         if not zero_signs_move:

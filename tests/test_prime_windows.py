@@ -209,7 +209,8 @@ def test_concentration_exponents_match_scalar_loop(fname, form, twist, window):
 
 
 @ORACLE
-@given(st.dictionaries(st.integers(1, 2200), st.complex_numbers(max_magnitude=1.0), max_size=12),
+@given(st.dictionaries(st.sampled_from(sieve_primes(2200)), st.complex_numbers(max_magnitude=1.0),
+                       max_size=12),
        windows())
 def test_additive_sums_match_scalar_loop(values, window):
     h = additive_from_prime_values(values)
@@ -222,7 +223,7 @@ def test_additive_sums_match_scalar_loop(values, window):
 
 
 @ORACLE
-@given(st.dictionaries(st.integers(-3, 2200), st.floats(0.0, 2.0), max_size=12), windows())
+@given(st.dictionaries(st.sampled_from(sieve_primes(2200)), st.floats(0.0, 2.0), max_size=12), windows())
 def test_weighted_distance_matches_scalar_loop(weights, window):
     f, g = _function("twisted:5:1:-1.7"), _function("liouville")
     x, y = window

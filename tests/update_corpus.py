@@ -105,6 +105,14 @@ EXTRA: list[list[str]] = [
       for value in ("0.5j", "0", "0.6+0.8j")),
     ["correlate", "factors=prime-patch:10:100:-1@[1,0];liouville@[0,1]", "g=principal",
      "form=[1,0,1]", "n=200"],
+    # override tables read past their first keys: a window over two prime
+    # chunks, windows starting past 2, and overrides on a grid
+    ["distance", "--f", "prime-patch:10:1000000:-1", "--y", "1e6"],
+    ["distance", "--f", "prime-patch:1000:200000:0.5j", "--x", "500", "--y", "3e5", "--form",
+     "[1,0,1]"],
+    ["distance", "--f", "liouville", "--g", "prime-patch:10:300000:0.6+0.8j", "--profile",
+     "1e3,7e4,3e5"],
+    ["concentrate", "form=[1,0,1]", "f=prime-patch:10:2000:-1", "q=6", "k=3", "n=100"],
     # a --config file (paths are relative to the repository root), with a
     # token that overrides it
     ["ldelta", "--config", "tests/corpus_ldelta.conf", "n=150"],
@@ -114,6 +122,8 @@ EXTRA: list[list[str]] = [
     ["divstat", "--form", "[1,0,1]", "--primes", "5", "--n", "50"],
     *(["tk", "form=[1,0,1]", "q=210", "k=10", "n=50", f"h_primes={primes}"]
       for primes in ("13,13", "13")),
+    # support primes of h that are not primes (exit 2)
+    *(["tk", "form=[1,0,1]", "q=210", "k=10", "n=300", f"h_primes={p}"] for p in ("169", "221", "25")),
     # parameters of two modes at once
     ["distance", "--f", "liouville", "--y", "10", "--profile", "100"],
     ["distance", "--f", "liouville", "--profile", "100"],
