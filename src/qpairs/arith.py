@@ -1,9 +1,11 @@
 """Exact integer arithmetic substrate.
 
 Sieves, deterministic factorization, residue symbols, CRT, prime search in
-arithmetic progressions, and Pell solving via continued fractions.  All
-functions are pure; the sieve table is built once and grows monotonically
-under a lock, so concurrent use is safe.
+arithmetic progressions, Pell solving via continued fractions, and the exact
+accumulator behind every floating-point sum (`fsum_complex`).  All functions
+are pure.  The segmented sieve streams primes one segment at a time; the
+cached prime table is built from it once and grows monotonically under a
+lock, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import bisect
 import math
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -35,7 +36,8 @@ _sieve_cache: tuple = (0, None)
 _sieve_lock = threading.Lock()
 
 _WALK_CHUNK = 1 << 12  # primes per chunk of a residue-class walk
-_TERM_CHUNK = 1 << 16  # terms per list fsum_complex hands math.fsum, primes per prime-sum chunk
+_TERM_CHUNK = 1 << 15  # terms per extraction in fsum_complex, primes per prime-sum chunk
+_EXTRACT_MAX = 2.0**1001  # the least magnitude at which 2**(e + 22) overflows
 
 
 @dataclass(frozen=True)
@@ -63,38 +65,49 @@ class SquarefreeDecomposition:
     r: int
 
 
-def _odd_sieve(limit: int):
-    """The primes <= limit (limit >= 2) as a read-only int64 array.
+def _odd_sieve(limit: int, after: int = 0) -> Iterator:
+    """The primes after < p <= limit, ascending, as read-only int64 chunks:
+    one chunk per segment of _SIEVE_SEGMENT odd integers that holds such a
+    prime, segments aligned to multiples of 2 * _SIEVE_SEGMENT.
 
-    One bool per odd integer while sieving (1/2 B per integer), then 8 B per
-    prime: about 96 MB at once for limit 10**8.  The odd primes up to
-    sqrt(limit) are sieved first, in the table's own head; then each segment
-    of the table is crossed off by all of them while it sits in cache.
+    The odd primes up to sqrt(limit) are sieved first, alone; then each
+    segment from the one holding after + 1 is crossed off by all of them in
+    one reused bool buffer (1 MB), which stays in cache, and its primes are
+    read out.  So a walk holds one segment and its chunk, never 1/2 B per
+    integer of the whole range.
     """
     import numpy as np  # on use: importing arith alone loads no numpy
 
-    odd = np.ones((limit + 1) // 2, dtype=bool)  # odd[i] stands for 2*i + 1
     root = isqrt(limit)
-    head = odd[: (root + 1) // 2]
+    head = np.ones((root + 1) // 2, dtype=bool)  # head[i] stands for 2*i + 1
     for i in range(1, (isqrt(root) + 1) // 2):
         if head[i]:
             head[(2 * i + 1) ** 2 // 2 :: 2 * i + 1] = False
     base = (2 * np.flatnonzero(head[1:]) + 3).tolist()
-    starts = [p * p // 2 for p in base]  # the next index each prime crosses off
-    for lo in range(0, len(odd), _SIEVE_SEGMENT):
-        segment = odd[lo : lo + _SIEVE_SEGMENT]
-        hi = lo + len(segment)
+    end = (limit + 1) // 2  # odd indices below end stand for the odd n <= limit
+    # the segment of the first odd n > after; index 0 also holds the prime 2
+    first = (after + 1) // 2 // _SIEVE_SEGMENT * _SIEVE_SEGMENT if after >= 2 else 0
+    # the next index each prime crosses off: its square, or the first odd
+    # multiple at or past the first segment (2*i + 1 = 0 mod p at i = p // 2)
+    starts = [max(p * p // 2, first + (p // 2 - first) % p) for p in base]
+    buf = np.empty(min(_SIEVE_SEGMENT, max(end - first, 0)), dtype=bool)
+    for lo in range(first, end, _SIEVE_SEGMENT):
+        hi = min(end, lo + _SIEVE_SEGMENT)
+        segment = buf[: hi - lo]
+        segment[:] = True
         for j, p in enumerate(base):
             if starts[j] < hi:
                 segment[starts[j] - lo :: p] = False
                 starts[j] += (hi - starts[j] + p - 1) // p * p
-    # odd[0] stands for 1 and stays set: it becomes the prime 2
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    primes.flags.writeable = False
-    return primes
+        skip = max(0, (after + 1) // 2 - lo) if after >= 2 else 0  # the indices of odd n <= after
+        chunk = np.flatnonzero(segment[skip:])
+        chunk *= 2
+        chunk += 2 * (lo + skip) + 1
+        if lo + skip == 0:
+            chunk[0] = 2  # index 0 stands for 1 and stays set: it becomes the prime 2
+        if len(chunk):
+            chunk.flags.writeable = False
+            yield chunk
 
 
 def _prime_array(limit: int):
@@ -102,9 +115,13 @@ def _prime_array(limit: int):
     shared cache: no copy is made.
 
     Repeated calls with increasing limits cost one sieve of the largest
-    limit seen.  Reads of a large enough cache take no lock; growth is
-    serialized.
+    limit seen.  The table is the concatenation of _odd_sieve's chunks, so a
+    build holds the chunks and the table, 8 B per prime each (92 MB at
+    10**8), and no sieve array.  Reads of a large enough cache take no lock;
+    growth is serialized.
     """
+    import numpy as np  # on use: importing arith alone loads no numpy
+
     global _sieve_cache
     if limit < 2:
         raise DomainError("sieve limit must be >= 2")
@@ -115,10 +132,31 @@ def _prime_array(limit: int):
         with _sieve_lock:
             cache_limit, primes = _sieve_cache
             if limit > cache_limit:
-                _sieve_cache = cache_limit, primes = limit, _odd_sieve(limit)
+                primes = np.concatenate(list(_odd_sieve(limit)))
+                primes.flags.writeable = False
+                _sieve_cache = cache_limit, primes = limit, primes
     if limit == cache_limit:
         return primes
     return primes[: primes.searchsorted(limit, "right")]
+
+
+def _check_cutoffs(*cutoffs: float) -> None:
+    if not all(-math.inf < c < math.inf for c in cutoffs):
+        raise DomainError("prime-window cutoffs must be finite")
+
+
+def _prime_window(x: float, y: float) -> Iterator:
+    """The primes x < p <= y in ascending read-only int64 chunks of at most
+    _TERM_CHUNK, streamed by _odd_sieve: no cached table is read or grown.
+    The cutoffs are checked at the call."""
+    _check_cutoffs(x, y)
+    if x > y:
+        raise DomainError("need x <= y")
+    if y > caps().sieve_limit:
+        raise ResourceError("upper range exceeds the sieve cap")
+    hi = math.floor(y)
+    segments = _odd_sieve(hi, max(1, math.floor(x))) if hi >= 2 else ()
+    return (seg[i : i + _TERM_CHUNK] for seg in segments for i in range(0, len(seg), _TERM_CHUNK))
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -441,25 +479,69 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-def fsum_complex(terms: Iterable) -> complex:
-    """Exactly rounded complex sum of a stream of numbers and 1-D float64 or
-    complex128 arrays, the same in any order and split.  Real parts go to
-    math.fsum as they come, 2**16 array terms at a time; imaginary parts wait
-    aside, 8 B per complex array term.  A zero sum is +0.0."""
-    imag: list = []  # floats, and arrays of 2**16 terms or fewer
+def _exact_parts(x) -> list[float]:
+    """A few floats whose exact sum is the exact sum of the finite float64
+    array x, of at most 2**21 terms: the state of the exact accumulator.
 
-    def reals() -> Iterator:
-        for t in terms:
-            if not getattr(t, "ndim", 0):  # a number (no numpy import here)
-                imag.append(t.imag)
-                yield (t.real,)
-                continue
+    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with every
+    |x_i| <= 2**e, q = (sigma + x) - sigma at sigma = 2**(e + 22) splits x
+    exactly into x - q and multiples q of 2**(e - 31), of which 2**21 sum
+    exactly in any order; a second level at sigma = 2**(e - 9) takes the
+    next 31 bits.  What is left is compacted and extracted again from its
+    own largest magnitude, so terms within 2**8 of the largest take one
+    round.  Terms of 2**1001 or more, where sigma would overflow, are kept
+    as they are.
+    """
+    parts: list[float] = []
+    while len(x):
+        top = max(x.max(), -x.min())
+        if top >= _EXTRACT_MAX:
+            huge = abs(x) >= _EXTRACT_MAX
+            parts += x[huge].tolist()
+            x = x[~huge]
+            continue
+        if top == 0.0:  # zeros only
+            break
+        e = math.frexp(top)[1]  # top < 2**e
+        for k in (e + 22, e - 9):
+            sigma = math.ldexp(1.0, k)  # 0.0 below 2**-1074, where q = x
+            q = x + sigma
+            q -= sigma
+            x = x - q
+            parts.append(float(q.sum()))
+        x = x[x != 0.0]
+    return parts
+
+
+def fsum_complex(terms: Iterable) -> complex:
+    """Exactly rounded complex sum of a stream of finite numbers and 1-D
+    float64 or complex128 arrays, the same in any order and split (as long
+    as no partial sum overflows).  A zero sum is +0.0.
+
+    Real and imaginary parts each keep one state of the exact accumulator
+    (_exact_parts): a short list of floats with the exact sum so far.  An
+    array adds the state of each chunk of _TERM_CHUNK terms, a number adds
+    itself, and a state past _TERM_CHUNK floats is replaced by its own
+    state; the result is math.fsum of each list.  Merging states is
+    concatenation, so no array term becomes a Python float and memory stays
+    bounded however long the stream.
+    """
+    re: list = []
+    im: list = []
+    for t in terms:
+        if not getattr(t, "ndim", 0):  # a number
+            re.append(t.real)
+            im.append(t.imag)
+        else:
             for i in range(0, len(t), _TERM_CHUNK):
                 chunk = t[i : i + _TERM_CHUNK]
+                re += _exact_parts(chunk.real)
                 if chunk.dtype.kind == "c":
-                    imag.append(chunk.imag.copy())
-                yield chunk.real.tolist()
+                    im += _exact_parts(chunk.imag)
+        for parts in (re, im):
+            if len(parts) > _TERM_CHUNK:
+                import numpy as np  # on use: importing arith alone loads no numpy
 
-    real = math.fsum(chain.from_iterable(reals()))
-    parts = (part.tolist() if getattr(part, "ndim", 0) else (part,) for part in imag)
-    return complex(real, math.fsum(chain.from_iterable(parts)))
+                parts[:] = _exact_parts(np.array(parts, dtype=np.float64))
+    return complex(math.fsum(re), math.fsum(im))

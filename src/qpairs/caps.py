@@ -18,9 +18,14 @@ from typing import Iterator
 
 @dataclass(frozen=True)
 class Caps:
-    # Largest prime table.  Sieving takes 1/2 B per integer (a bool per odd
-    # integer) and the table keeps 8 B per prime: about 96 MB at once at
-    # 10**8, whose 5,761,455 primes then take 46 MB.
+    # Largest prime sieved.  A prime window (distances, concentration
+    # exponents, additive sums, profiles) streams its primes segment by
+    # segment: a 1 MB bool buffer for 2**21 integers and that segment's
+    # primes as int64, whatever the window.  The cached table that
+    # factorization, prime overrides and partner sets read keeps 8 B per
+    # prime, 46 MB for the 5,761,455 primes to 10**8; it is concatenated
+    # from the same segments' primes, so its build holds twice that and no
+    # sieve of the whole range.
     sieve_limit: int = 10**8
     # Largest completely-multiplicative value table.  The Liouville table costs
     # 1 bit per entry (about 50 MB here), built in segments of 2**20 entries

@@ -36,12 +36,14 @@ import operator
 import sys
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _TERM_CHUNK, _all_prime, _prime_array, _strip_prime, factorize, fsum_complex, sieve_primes
+from .arith import _TERM_CHUNK, _all_prime, _check_cutoffs, _exact_parts, _prime_array, _prime_window
+from .arith import _strip_prime, factorize, fsum_complex, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -498,8 +500,11 @@ def liouville() -> MultiplicativeFunction:
 
 
 def _check_unit_disk(values: Sequence[complex]) -> None:
-    if not (np.abs(np.asarray(values, dtype=np.complex128)) <= 1 + 1e-12).all():  # NaN compares False
-        raise DomainError("values must stay in the unit disk")
+    """Refuse NaN and values off the closed unit disk, _TERM_CHUNK at a time."""
+    for i in range(0, len(values), _TERM_CHUNK):
+        chunk = np.asarray(values[i : i + _TERM_CHUNK], dtype=np.complex128)
+        if not (np.abs(chunk) <= 1 + 1e-12).all():  # NaN compares False
+            raise DomainError("values must stay in the unit disk")
 
 
 def _periodic(description: str, chi: DirichletCharacter, t: float, ov=_NO_PRIMES) -> MultiplicativeFunction:
@@ -629,31 +634,13 @@ def additive_from_prime_values(values: Mapping[int, complex], description: str =
 # --------------------------------------------------------------------------
 
 
-def _check_cutoffs(*cutoffs: float) -> None:
-    if not all(-math.inf < c < math.inf for c in cutoffs):
-        raise DomainError("prime-window cutoffs must be finite")
-
-
-def _prime_window(x: float, y: float) -> np.ndarray:
-    """The primes x < p <= y, ascending, as a read-only int64 array."""
-    _check_cutoffs(x, y)
-    if x > y:
-        raise DomainError("need x <= y")
-    if y > caps().sieve_limit:
-        raise ResourceError("upper range exceeds the sieve cap")
-    primes = _prime_array(max(2, int(y)))
-    lo, hi = (primes.searchsorted(max(1, math.floor(c)), "right") for c in (x, y))
-    return primes[lo:hi]
-
-
 def prime_window_sum(term: Callable[[np.ndarray], np.ndarray], x: float, y: float) -> complex:
     """Exactly rounded sum of the terms of the primes x < p <= y, where term
     maps an int64 array of primes to their float64 or complex128 terms.  The
     one loop behind every prime-window sum: distances, additive norms,
-    concentration exponents and predicted additive means."""
-    primes = _prime_window(x, y)
-    chunks = (primes[i : i + _TERM_CHUNK] for i in range(0, len(primes), _TERM_CHUNK))
-    return fsum_complex(map(term, chunks))
+    concentration exponents and predicted additive means, holding one
+    sieve segment and one chunk of terms at a time."""
+    return fsum_complex(map(term, _prime_window(x, y)))
 
 
 def _cmul(a, b) -> np.ndarray:
@@ -703,15 +690,29 @@ def _root_count_weights(form) -> Callable[[np.ndarray], np.ndarray]:
     return lambda primes: local_root_counts(form, primes).astype(np.float64)
 
 
-def _pretentious_term(weights: Callable[[np.ndarray], np.ndarray], f, g) -> Callable:
+def _pretentious_term(weights: Callable[[np.ndarray], np.ndarray], f, g, real: bool = False) -> Callable:
     """primes -> c(p)/p * (f(p) conj g(p) - 1) for c = weights(primes), 0
     where c(p) = 0: the term of every distance and concentration exponent.
-    Its real part is exactly minus c(p)/p * (1 - Re f(p) conj g(p))."""
+    Its real part is exactly minus c(p)/p * (1 - Re f(p) conj g(p)).
+
+    real=True gives the real part alone, for distances, as float64
+    c(p)/p * ((Re f Re g + Im f Im g) - 1): _cmul's real part bit for bit,
+    as subtracting Im f * (-Im g) adds Im f * Im g."""
 
     def term(primes: np.ndarray) -> np.ndarray:
+        fv, gv = prime_values(f, primes), prime_values(g, primes)
+        if real:
+            re = fv.real * gv.real
+            re += fv.imag * gv.imag
+            re -= 1.0
+            del fv, gv  # freed before the weights, to bound the chunk's arrays
+            c = weights(primes)
+            out = np.zeros(len(primes))
+            np.multiply(c / primes, re, out=out, where=c != 0)
+            return out
         c = weights(primes)
-        z = _cmul(prime_values(f, primes), np.conj(gv := prime_values(g, primes), out=gv))
         s = c / primes
+        z = _cmul(fv, np.conj(gv, out=gv))
         out = np.zeros(len(primes), dtype=np.complex128)
         np.multiply(s, z.real - 1.0, out=out.real, where=c != 0)
         np.multiply(s, z.imag, out=out.imag, where=c != 0)
@@ -721,8 +722,8 @@ def _pretentious_term(weights: Callable[[np.ndarray], np.ndarray], f, g) -> Call
 
 
 def _distance(weights, f, g, x: float, y: float) -> float:
-    term = _pretentious_term(weights, f, g)
-    return math.sqrt(max(0.0, -prime_window_sum(lambda primes: term(primes).real, x, y).real))
+    term = _pretentious_term(weights, f, g, real=True)
+    return math.sqrt(max(0.0, -prime_window_sum(term, x, y).real))
 
 
 def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
@@ -756,10 +757,11 @@ def distance_profile(f: MultiplicativeFunction, g: MultiplicativeFunction, check
     honest finite substitute.  Bounded profiles suggest pretentious behavior,
     steadily growing ones suggest the opposite; no boolean is offered.
 
-    One pass: the real parts of the terms up to the largest cutoff are
-    computed once into one float64 array, and each cutoff, in the given
-    order, takes the exactly rounded sum of its prefix, so every entry equals
-    distance (or distance_form) at that cutoff.
+    One streamed pass to the largest cutoff computes each term once and
+    keeps the exact state (arith._exact_parts) of each chunk of terms; a
+    cutoff sums the states below it and that of its prefix of its chunk, so
+    every entry, in the given order, equals distance (or distance_form) at
+    its cutoff.
     """
     ys = [float(y) for y in checkpoints]
     if not ys:
@@ -768,13 +770,18 @@ def distance_profile(f: MultiplicativeFunction, g: MultiplicativeFunction, check
     if min(ys) < 1:
         raise DomainError("need x <= y")
     weights = _unit_weights if form is None else _root_count_weights(form)
-    term = _pretentious_term(weights, f, g)
-    primes = _prime_window(1, max(ys))
-    terms = np.empty(len(primes))
-    for i in range(0, len(primes), _TERM_CHUNK):
-        terms[i : i + _TERM_CHUNK] = term(primes[i : i + _TERM_CHUNK]).real
-    sums = (fsum_complex([terms[: primes.searchsorted(math.floor(y), "right")]]) for y in ys)
-    return [(y, math.sqrt(max(0.0, -s.real))) for y, s in zip(ys, sums)]
+    term = _pretentious_term(weights, f, g, real=True)
+    ends = sorted({math.floor(y) for y in ys})
+    states: list[list[float]] = []  # one per chunk
+    sums: dict[int, float] = {}
+    for primes in _prime_window(1, max(ys)):
+        terms = term(primes)
+        while ends and ends[0] < primes[-1]:  # a cutoff inside the chunk
+            prefix = _exact_parts(terms[: primes.searchsorted(ends[0], "right")])
+            sums[ends.pop(0)] = math.fsum(chain(*states, prefix))
+        states.append(_exact_parts(terms))
+    total = math.fsum(chain(*states))
+    return [(y, math.sqrt(max(0.0, -sums.get(math.floor(y), total)))) for y in ys]
 
 
 def _additive_term(h: AdditiveFunction, term: Callable[[int], complex]) -> Callable:

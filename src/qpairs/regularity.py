@@ -19,6 +19,10 @@ from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 from .quadforms import needs_bigint
 
+# Points (x, y) per block of the solution scan: its int64 arrays take 0.5 MB
+# each, so the scan's memory does not grow with the bound.
+_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EquationTriple:
@@ -403,9 +407,11 @@ def enumerate_solutions(t: EquationTriple, bound: int) -> list[tuple[int, int, i
 
     Scans only the (x, y) with c | a*x^2 + b*y^2: the x of one residue class r
     mod |c| (each x on its own when |c| > bound) against the y with
-    b*y^2 = -a*r^2 (mod |c|), in blocks of about 10^6 points, and tests
-    c*z^2 = a*x^2 + b*y^2 by integer square root; exact, lexicographically
-    sorted.  Raises ResourceError when a*x^2 + b*y^2 could overflow int64.
+    b*y^2 = -a*r^2 (mod |c|), in blocks of at most _BLOCK points (rows of x
+    against at most _BLOCK of those y), and tests c*z^2 = a*x^2 + b*y^2 by
+    integer square root; exact, lexicographically sorted.  So the scan holds
+    a few int64 arrays of one block (0.5 MB each) at a time, whatever the
+    bound.  Raises ResourceError when a*x^2 + b*y^2 could overflow int64.
     """
     if bound < 1:
         raise DomainError("bound must be positive")
@@ -430,21 +436,20 @@ def enumerate_solutions(t: EquationTriple, bound: int) -> list[tuple[int, int, i
     for r in range(1, min(modulus, bound) + 1):
         want = (-a * r * r) % modulus
         cls = order[np.searchsorted(residue, want) : np.searchsorted(residue, want, "right")]
-        if not len(cls):
-            continue
-        y, by2_class = ys[cls], by2[cls]
         x_class = np.arange(r, bound + 1, modulus, dtype=np.int64)
-        chunk = max(1, 10**6 // len(cls))
-        for x0 in range(0, len(x_class), chunk):
-            xs = x_class[x0 : x0 + chunk]
-            q = ((a * xs * xs)[:, None] + by2_class[None, :]) // c  # exact: c divides
-            good = q >= 1
-            z = np.zeros_like(q)
-            if good.any():
-                z[good] = np.sqrt(q[good].astype(np.float64)).round().astype(np.int64)
-                good &= z * z == q
-            i, j = np.nonzero(good)
-            out.extend(zip(xs[i].tolist(), y[j].tolist(), z[i, j].tolist()))
+        for y0 in range(0, len(cls), _BLOCK):
+            y, by2_class = ys[cls[y0 : y0 + _BLOCK]], by2[cls[y0 : y0 + _BLOCK]]
+            rows = max(1, _BLOCK // len(y))
+            for x0 in range(0, len(x_class), rows):
+                xs = x_class[x0 : x0 + rows]
+                q = ((a * xs * xs)[:, None] + by2_class[None, :]) // c  # exact: c divides
+                good = q >= 1
+                z = np.zeros_like(q)
+                if good.any():
+                    z[good] = np.sqrt(q[good].astype(np.float64)).round().astype(np.int64)
+                    good &= z * z == q
+                i, j = np.nonzero(good)
+                out.extend(zip(xs[i].tolist(), y[j].tolist(), z[i, j].tolist()))
     out.sort()
     return out
 

@@ -186,7 +186,7 @@ def test_additive_supports_and_weights_refuse_non_prime_keys(key):
 # keys of 2**63 or more: 2**64 - 59 is the largest prime below 2**64
 _BIG_PRIMES = [10**9 + 7, 2**61 - 1, 2**64 - 59, 2**89 - 1]
 _EXACT_VALUES = [1 + 0j, -1 + 0j, 1j, -1j, 0.5 + 0j, -0.5j, 0j]  # every product of these is exact
-_PRIMES_TO_1E6 = 78_498  # two chunks of _TERM_CHUNK primes
+_PRIMES_TO_1E6 = 78_498  # three chunks of _TERM_CHUNK primes
 
 
 @settings(settings.get_profile("oracle"), max_examples=40)

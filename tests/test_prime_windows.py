@@ -11,14 +11,20 @@ scan of every residue.
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpairs import arith
+from qpairs import arith, multfunc
 from qpairs.arith import fsum_complex, is_prime, jacobi, sieve_primes
+from qpairs.caps import caps
 from qpairs.errors import DomainError, ResourceError
 from qpairs.experiments import (
     concentration_exponent,
@@ -273,7 +279,7 @@ def test_distance_is_root_of_minus_concentration_exponent(fname, form, twist, k,
     assert repr(d) == repr(math.sqrt(max(0.0, -exponent.real)))
 
 
-# Array terms per list that fsum_complex hands to math.fsum
+# Array terms per extraction in fsum_complex
 TERM_CHUNK = arith._TERM_CHUNK
 
 
@@ -281,7 +287,7 @@ TERM_CHUNK = arith._TERM_CHUNK
 def term_streams(draw):
     """(stream, real parts, imaginary parts): one run of terms cut into
     pieces, each given as numbers, a float64 array (its imaginary parts
-    then 0) or a complex128 array.  Runs of 2**16 +- 1 terms and empty
+    then 0) or a complex128 array.  Runs of TERM_CHUNK +- 1 terms and empty
     pieces are drawn."""
     size = draw(st.sampled_from([0, 1, 2, 7, 40, TERM_CHUNK - 1, TERM_CHUNK, TERM_CHUNK + 1,
                                  2 * TERM_CHUNK + 1]))
@@ -312,10 +318,11 @@ def test_fsum_complex_equals_fsum_of_parts(data):
     assert repr((got.real, got.imag)) == repr((math.fsum(re), math.fsum(im)))
 
 
-@pytest.mark.parametrize("size", [TERM_CHUNK - 1, TERM_CHUNK, TERM_CHUNK + 1, 3 * TERM_CHUNK + 5])
+@pytest.mark.parametrize("size", [2 * TERM_CHUNK - 1, 2 * TERM_CHUNK, 2 * TERM_CHUNK + 1, 6 * TERM_CHUNK + 5])
 @pytest.mark.parametrize("kind", ["float", "complex"])
 def test_fsum_complex_streams_long_arrays(size, kind):
-    """Whole arrays longer than a chunk, beside numbers and an empty array."""
+    """Whole arrays longer than a chunk and ending at, before or after a
+    chunk edge, beside numbers and an empty array."""
     rng = np.random.default_rng(size)
     re = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
     im = np.zeros(size) if kind == "float" else rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
@@ -324,6 +331,182 @@ def test_fsum_complex_streams_long_arrays(size, kind):
     want_re = math.fsum([*re.tolist(), 0.5, *(-re[: size // 3]).tolist()])
     want_im = math.fsum([*im.tolist(), -2.0, *(-im[: size // 3]).tolist()])
     assert repr((got.real, got.imag)) == repr((want_re, want_im))
+
+
+# --- the exact accumulator ---------------------------------------------------------
+
+# Terms per call of the accumulator's extraction at most
+EXTRACT_TERMS = 2**21
+
+
+@st.composite
+def near_powers(draw):
+    """+-2**k and its two neighbouring floats, subnormal k included."""
+    v = math.ldexp(1.0, draw(st.integers(-1074, 1000)))
+    v = draw(st.sampled_from([v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]))
+    return v if draw(st.booleans()) else -v
+
+
+ACCUMULATED = st.one_of(
+    near_powers(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(-(2.0**1000), 2.0**1000),
+)
+
+
+@settings(settings.get_profile("oracle"), max_examples=12)
+@given(st.lists(ACCUMULATED, min_size=1, max_size=8),
+       st.sampled_from([1, 2, 40, TERM_CHUNK - 1, TERM_CHUNK + 1, EXTRACT_TERMS - 1, EXTRACT_TERMS,
+                        EXTRACT_TERMS + 1]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_accumulator_equals_fsum_for_any_split_and_order(pool, size, cancel, seed):
+    """The state of one extraction (at most 2**21 terms), states merged by
+    concatenation, and fsum_complex over the terms shuffled and cut into
+    arrays and numbers: each equals math.fsum of the terms with ==.  With
+    cancel, all but the last three terms cancel in pairs, so the sum is
+    made of those three, however small beside the rest."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array(pool), size)
+    if cancel:
+        m = max(0, size - 3) // 2
+        x[m : 2 * m] = -rng.permutation(x[:m])
+    want = math.fsum(x.tolist())
+    head = x[:EXTRACT_TERMS]
+    want_head = want if size <= EXTRACT_TERMS else math.fsum(head.tolist())
+    assert repr(math.fsum(arith._exact_parts(head))) == repr(want_head)
+    cut = int(rng.integers(0, size + 1))
+    if size <= EXTRACT_TERMS:
+        merged = arith._exact_parts(x[cut:]) + arith._exact_parts(x[:cut])
+        assert repr(math.fsum(merged)) == repr(want)
+    x = rng.permutation(x)
+    bounds = sorted({0, size, *rng.integers(0, size + 1, int(rng.integers(0, 5))).tolist()})
+    pieces = [x[lo:hi] if hi - lo > 3 else x[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+    stream = [t for piece in pieces for t in ([piece] if isinstance(piece, np.ndarray) else piece)]
+    got = fsum_complex(stream)
+    assert repr((got.real, got.imag)) == repr((want, 0.0))
+
+
+@pytest.mark.parametrize("e", [1, 1000, -1030])  # -1030: subnormal terms
+@pytest.mark.parametrize("size", [EXTRACT_TERMS - 1, EXTRACT_TERMS])
+def test_accumulator_at_its_term_bound(e, size):
+    """size terms just below 2**e with distinct low bits, whose level sums
+    run up to their bound of 2**52 units, then the same terms negated in
+    another order: the two states cancel exactly, leaving one tiny term."""
+    rng = np.random.default_rng(size + e)
+    x = np.ldexp(2.0 - rng.integers(1, 2**40, size) * 2.0**-40, e - 1)
+    tiny = math.ldexp(3.0, e - 200) if e > -800 else 0.0
+    parts = arith._exact_parts(x) + arith._exact_parts(-rng.permutation(x)) + [tiny]
+    assert repr(math.fsum(parts)) == repr(tiny)
+
+
+def test_fsum_complex_compacts_long_streams_of_numbers():
+    """Past TERM_CHUNK numbers the state is replaced by its own state, again
+    and again; the terms cancel down to the first ones, which must survive."""
+    rng = np.random.default_rng(5)
+    size = 3 * TERM_CHUNK + 5
+    re = (rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)).tolist()
+    im = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).tolist()
+    stream = [complex(a, b) for a, b in zip(re, im)] + [complex(-a, -b) for a, b in zip(re[3:], im[3:])]
+    got = fsum_complex(iter(stream))
+    want = (math.fsum(re + [-a for a in re[3:]]), math.fsum(im + [-b for b in im[3:]]))
+    assert repr((got.real, got.imag)) == repr(want)
+    assert want == (math.fsum(re[:3]), math.fsum(im[:3]))
+
+
+def test_accumulator_keeps_terms_past_its_range():
+    """Terms of 2**1001 or more are kept as they are, beside extracted ones."""
+    terms = [2.0**1020, 2.0**1010, 1.0, -(2.0**1020), 5e-324, -3.0, math.nextafter(2.0**1001, 0.0)]
+    for order in ([0, 1, 2, 3, 4, 5, 6], [3, 6, 4, 0, 5, 2, 1]):
+        x = np.array([terms[i] for i in order])
+        assert math.fsum(arith._exact_parts(x)) == math.fsum(terms)
+        assert fsum_complex([x[:2], x[2], x[3:]]) == complex(math.fsum(terms), 0.0)
+
+
+# --- streamed prime windows --------------------------------------------------------
+
+# Segments of the prime sieve start at the multiples of EDGE
+EDGE = 2 * arith._SIEVE_SEGMENT
+STREAM_WINDOWS = [
+    (1, 1000), (2, 1000), (-3, 1.9), (0.5, 2), (2, 3), (1, EDGE - 9),  # EDGE - 9 is a prime
+    (1, EDGE), (EDGE - 9, EDGE + 100), (EDGE - 10, EDGE - 9), (EDGE, EDGE + 1.5 * EDGE),
+    (2_000_000, 4_500_000), (2 * EDGE - 0.5, 2 * EDGE + 5), (EDGE + 3, 2 * EDGE),
+]
+
+
+def _streamed(x, y) -> np.ndarray:
+    chunks = list(arith._prime_window(x, y))
+    assert all(0 < len(c) <= TERM_CHUNK and not c.flags.writeable for c in chunks)
+    return np.concatenate([np.zeros(0, np.int64), *chunks])
+
+
+def test_streamed_windows_equal_the_cached_table(fresh_primes):
+    """Windows starting past 2 and ending on a segment edge or at a prime,
+    streamed with the cache cold, then again once the table is built: a
+    window neither reads nor grows the cache."""
+    cold = [_streamed(x, y) for x, y in STREAM_WINDOWS]
+    assert arith._sieve_cache == (0, None)
+    table = arith._prime_array(3 * EDGE)
+    assert is_prime(EDGE - 9) and not any(is_prime(n) for n in range(EDGE - 8, EDGE + 1))
+    for (x, y), got in zip(STREAM_WINDOWS, cold):
+        want = table[(table > x) & (table <= y)].tolist()
+        assert got.tolist() == want, (x, y)
+        assert _streamed(x, y).tolist() == want, (x, y)
+    assert arith._sieve_cache[0] == 3 * EDGE
+
+
+@settings(settings.get_profile("oracle"), max_examples=150)
+@given(st.sampled_from([1, 2, 7, 64]), st.integers(-3, 3600), st.integers(0, 3600))
+def test_streamed_windows_match_trial_division(segment, x, width):
+    """Short segments put many edges in every window."""
+    oracle = oracle_primes(3600 + 3600)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "_SIEVE_SEGMENT", segment)
+        got = _streamed(x, x + width).tolist()
+    assert got == [p for p in oracle if x < p <= x + width]
+
+
+def test_distance_profile_sums_each_term_once(monkeypatch):
+    """Each prime up to the largest cutoff reaches the term function once,
+    across a segment edge, and each entry equals distance at its cutoff."""
+    seen = []
+    make = multfunc._pretentious_term
+
+    def counting(*args, **kwargs):
+        term = make(*args, **kwargs)
+        return lambda primes: seen.append(primes.copy()) or term(primes)
+
+    monkeypatch.setattr(multfunc, "_pretentious_term", counting)
+    f, g = _function("twisted:7:2:0.5"), _function("liouville")
+    cutoffs = [5e5, 1e3, EDGE + 0.5, 5e5, 1.5, 3e4, EDGE - 9]
+    profile = distance_profile(f, g, cutoffs)
+    assert np.concatenate(seen).tolist() == sieve_primes(EDGE)
+    monkeypatch.undo()
+    assert profile == [(y, distance(f, g, 1, y)) for y in cutoffs]
+
+
+# Runs a qpairs command in a child and prints the child's peak RSS in kB.
+# It is started from this small process, since a child's ru_maxrss counts
+# the memory of the process it was forked from.
+_PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-c", "import sys; from qpairs.cli import main; sys.exit(main())",
+                          *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_distance_to_the_sieve_cap_runs_in_bounded_memory():
+    """distance --y 1e8, at the sieve cap, streams its window: 126.6 MB peak
+    RSS when it read a cached prime table, about 40 MB now."""
+    assert caps().sieve_limit == 10**8
+    src = str(Path(arith.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, "distance", "--f", "liouville", "--y", "1e8"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    code, peak_kb = map(int, out.split())
+    assert code == 0
+    assert peak_kb / 1024 < 80, peak_kb
 
 
 @pytest.mark.parametrize("y", [float("nan"), float("inf"), -float("inf")])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpairs.arith import jacobi, sieve_primes
 from qpairs.errors import DomainError, ResourceError
+from qpairs import regularity
 from qpairs.regularity import (
     Coloring,
     EquationTriple,
@@ -236,6 +237,27 @@ NONZERO = st.integers(-30, 30).filter(bool)
 def test_enumeration_matches_full_square(a, b, c, bound):
     t = EquationTriple(a, b, c)
     assert enumerate_solutions(t, bound) == _enumerate_full_square(t, bound)
+
+
+@pytest.mark.parametrize("a, b, c, bound", [
+    (3, 5, 30, 400),
+    (1, 1, 1, 300),  # c = 1: one residue class holds every y
+    (2, -1, 1, 300),  # negative b
+    (-7, 2, 1, 250),  # negative a
+    (1, 1, 2, 200),
+    (3, -5, -2, 250),
+    (1, 1, 500, 120),  # |c| > bound: each x is its own class
+    (-1, 2, 151, 150),
+    (1, -2, -161, 150),
+])
+def test_enumeration_is_the_same_for_any_block(monkeypatch, a, b, c, bound):
+    """Blocks of 7 and 64 points cut every residue class into many rows and
+    columns; 2**16 is the module's own block."""
+    t = EquationTriple(a, b, c)
+    want = _enumerate_full_square(t, bound)
+    for block in (7, 64, 2**16):
+        monkeypatch.setattr(regularity, "_BLOCK", block)
+        assert enumerate_solutions(t, bound) == want, block
 
 
 def test_enumeration_divides_out_common_factor():

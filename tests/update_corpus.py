@@ -113,6 +113,17 @@ EXTRA: list[list[str]] = [
     ["distance", "--f", "liouville", "--g", "prime-patch:10:300000:0.6+0.8j", "--profile",
      "1e3,7e4,3e5"],
     ["concentrate", "form=[1,0,1]", "f=prime-patch:10:2000:-1", "q=6", "k=3", "n=100"],
+    # prime sums past 10**6 that cross the sieve's segment edges (multiples of
+    # 2**21): a window starting past 2, unsorted and repeated cutoffs, and
+    # complex terms with root-count weights
+    ["distance", "--f", "liouville", "--x", "2000000", "--y", "4500000"],
+    ["distance", "--f", "liouville", "--profile", "5e6,1e3,2.2e6,5e6"],
+    ["distance", "--f", "twisted:7:2:0.5", "--form", "[1,0,1]", "--x", "1e6", "--y", "2.5e6"],
+    # solution enumeration at the benchmark's size, and with large residue
+    # classes, so many blocks per class
+    ["verify-coloring", "3", "5", "30", "--coloring", "dyadic:6", "--bound", "10000"],
+    ["verify-coloring", "1", "1", "1", "--coloring", "dyadic:6", "--bound", "3000"],
+    ["verify-coloring", "2", "-1", "1", "--coloring", "rado:5", "--bound", "3000"],
     # a --config file (paths are relative to the repository root), with a
     # token that overrides it
     ["ldelta", "--config", "tests/corpus_ldelta.conf", "n=150"],
