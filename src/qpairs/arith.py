@@ -3,17 +3,17 @@
 Sieves, deterministic factorization, residue symbols, CRT, prime search in
 arithmetic progressions, Pell solving via continued fractions, and the exact
 accumulator behind every floating-point sum (`fsum_complex`).  All functions
-are pure.  The segmented sieve streams primes one segment at a time; the
-cached prime table is built from it once and grows monotonically under a
-lock, so concurrent use is safe.
+are pure.  Every prime list is read from one segmented sieve, which streams
+the primes one segment at a time; no prime table grows, and no result or
+cost depends on what earlier calls built.  Trial division reads one fixed
+table, the primes below 2**16, built on first use.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -23,17 +23,11 @@ from .errors import DomainError, InvariantError, ResourceError
 # Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 1 << 16  # trial division reads the primes below it; Brent rho splits the rest
 
 # Odd integers per segment of the prime sieve: 1 MB of bools, which stays in
 # the L2 cache while every sieving prime crosses it off.
 _SIEVE_SEGMENT = 1 << 20
-
-# One growing prime table shared by all callers: (limit, the primes <= limit
-# as one read-only int64 array), replaced as a whole so that a lock-free read
-# sees a matching pair.
-_sieve_cache: tuple = (0, None)
-_sieve_lock = threading.Lock()
 
 _WALK_CHUNK = 1 << 12  # primes per chunk of a residue-class walk
 _TERM_CHUNK = 1 << 15  # terms per extraction in fsum_complex, primes per prime-sum chunk
@@ -78,6 +72,8 @@ def _odd_sieve(limit: int, after: int = 0) -> Iterator:
     """
     import numpy as np  # on use: importing arith alone loads no numpy
 
+    if limit < 2:
+        return
     root = isqrt(limit)
     head = np.ones((root + 1) // 2, dtype=bool)  # head[i] stands for 2*i + 1
     for i in range(1, (isqrt(root) + 1) // 2):
@@ -110,34 +106,37 @@ def _odd_sieve(limit: int, after: int = 0) -> Iterator:
             yield chunk
 
 
-def _prime_array(limit: int):
-    """The primes <= limit, ascending, as a read-only int64 view of the
-    shared cache: no copy is made.
-
-    Repeated calls with increasing limits cost one sieve of the largest
-    limit seen.  The table is the concatenation of _odd_sieve's chunks, so a
-    build holds the chunks and the table, 8 B per prime each (92 MB at
-    10**8), and no sieve array.  Reads of a large enough cache take no lock;
-    growth is serialized.
-    """
-    import numpy as np  # on use: importing arith alone loads no numpy
-
-    global _sieve_cache
-    if limit < 2:
-        raise DomainError("sieve limit must be >= 2")
+def _check_sieve_limit(limit: int) -> None:
+    """Refuse a sieve to limit past sieve_limit, before anything is allocated."""
     if limit > caps().sieve_limit:
         raise ResourceError(f"sieve limit {limit} exceeds cap {caps().sieve_limit}")
-    cache_limit, primes = _sieve_cache
-    if limit > cache_limit:
-        with _sieve_lock:
-            cache_limit, primes = _sieve_cache
-            if limit > cache_limit:
-                primes = np.concatenate(list(_odd_sieve(limit)))
-                primes.flags.writeable = False
-                _sieve_cache = cache_limit, primes = limit, primes
-    if limit == cache_limit:
-        return primes
-    return primes[: primes.searchsorted(limit, "right")]
+
+
+def _primes(limit: int, after: int = 0):
+    """The primes after < p <= limit as one new read-only int64 array, the
+    concatenation of _odd_sieve's chunks: a build holds the chunks and the
+    array, 8 B per prime each (92 MB at 10**8), and no sieve array.  The
+    limit is not checked against sieve_limit here."""
+    import numpy as np  # on use: importing arith alone loads no numpy
+
+    primes = np.concatenate([np.zeros(0, np.int64), *_odd_sieve(limit, after)])
+    primes.flags.writeable = False
+    return primes
+
+
+def _prime_array(limit: int):
+    """The primes <= limit, ascending, as a new read-only int64 array."""
+    if limit < 2:
+        raise DomainError("sieve limit must be >= 2")
+    _check_sieve_limit(limit)
+    return _primes(limit)
+
+
+@cache
+def _trial_primes():
+    """The 6,542 primes below _TRIAL_LIMIT, built on first use: a fixed
+    table, not a sieve sized by a caller, so sieve_limit does not apply."""
+    return _primes(_TRIAL_LIMIT)
 
 
 def _check_cutoffs(*cutoffs: float) -> None:
@@ -147,7 +146,7 @@ def _check_cutoffs(*cutoffs: float) -> None:
 
 def _prime_window(x: float, y: float) -> Iterator:
     """The primes x < p <= y in ascending read-only int64 chunks of at most
-    _TERM_CHUNK, streamed by _odd_sieve: no cached table is read or grown.
+    _TERM_CHUNK, streamed by _odd_sieve: no array of the window is built.
     The cutoffs are checked at the call."""
     _check_cutoffs(x, y)
     if x > y:
@@ -155,12 +154,12 @@ def _prime_window(x: float, y: float) -> Iterator:
     if y > caps().sieve_limit:
         raise ResourceError("upper range exceeds the sieve cap")
     hi = math.floor(y)
-    segments = _odd_sieve(hi, max(1, math.floor(x))) if hi >= 2 else ()
+    segments = _odd_sieve(hi, max(1, math.floor(x)))
     return (seg[i : i + _TERM_CHUNK] for seg in segments for i in range(0, len(seg), _TERM_CHUNK))
 
 
 def sieve_primes(limit: int) -> list[int]:
-    """All primes <= limit, ascending, as a new list (from the shared cache)."""
+    """All primes <= limit, ascending, as a new list."""
     return _prime_array(limit).tolist()
 
 
@@ -187,20 +186,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _all_prime(values) -> bool:
-    """True iff every value of an ascending int64 or object array is a
-    prime.  Values up to the limit of the cached prime table are looked up in
-    it, which is not grown; is_prime tests only the values past it."""
-    import numpy as np  # on use: importing arith alone loads no numpy
-
-    limit = max(2, min(_sieve_cache[0], caps().sieve_limit))
-    table = _prime_array(limit)
-    lo, hi = bisect.bisect_left(values, 2), bisect.bisect_right(values, limit)
-    small = values[lo:hi].astype(np.int64, copy=False)
-    found = table[np.minimum(table.searchsorted(small), len(table) - 1)] == small
-    return lo == 0 and bool(found.all()) and all(map(is_prime, values[hi:].tolist()))
 
 
 def _strip_prime(values, p: int):
@@ -242,16 +227,16 @@ def _pollard_brent(n: int) -> int:
 
 
 def _trial_divide(m: int, factors: dict[int, int]) -> int:
-    """Divide the primes up to min(10**6, isqrt(m)) out of m into factors and
-    return what is left.
+    """Divide the primes below min(_TRIAL_LIMIT, isqrt(m) + 1) out of m into
+    factors and return what is left.
 
-    The cached primes are walked in steps of growing length, and the walk
+    The trial primes are walked in steps of growing length, and the walk
     ends at the first prime p with p*p > m.  The first step, the 32 smallest
     primes, goes one by one; a later step tests all its primes at once, in
     numpy while m < 2**63, and ends the walk after it if m has become small
     enough.
     """
-    primes = _prime_array(min(_TRIAL_LIMIT, max(2, isqrt(m))))
+    primes = _trial_primes()
     for p in primes[:32].tolist():
         if p * p > m:
             return m
@@ -275,7 +260,8 @@ def _trial_divide(m: int, factors: dict[int, int]) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero integer: trial division to 10**6, then Brent rho.
+    """Factor a nonzero integer: trial division by the primes below 2**16,
+    then Brent rho on what is left.
 
     Deterministic; every reported prime passes the Miller-Rabin check.
     """
@@ -377,19 +363,22 @@ def check_prime_limit(limit: int) -> None:
 
 def primes_in_class(a: int, q: int, limit: int) -> Iterator[int]:
     """The primes p <= limit with p = a (mod q), ascending, read from the
-    shared prime array in chunks: a search that stops early converts no more.
-    A limit of 1 holds no primes; a limit <= 0 is an error."""
+    segmented sieve in chunks of at most _WALK_CHUNK primes: a search that
+    stops early sieves and converts no more.  A limit of 1 holds no primes;
+    a limit <= 0 is an error, and so is one past sieve_limit, before the
+    first segment."""
     check_prime_limit(limit)
     if q <= 0:
         raise DomainError(f"modulus {q} of the residue class must be positive")
     if gcd(a, q) != 1:
         raise DomainError(f"gcd({a}, {q}) != 1: the class contains at most one prime")
+    _check_sieve_limit(limit)
     a %= q
-    primes = _prime_array(limit) if limit >= 2 else ()
-    for i in range(0, len(primes), _WALK_CHUNK):
-        chunk = primes[i : i + _WALK_CHUNK]
-        # for q > limit, p % q == p, and q need not fit in int64
-        yield from chunk[(chunk % q if q <= limit else chunk) == a].tolist()
+    for segment in _odd_sieve(limit):
+        for i in range(0, len(segment), _WALK_CHUNK):
+            chunk = segment[i : i + _WALK_CHUNK]
+            # for q > limit, p % q == p, and q need not fit in int64
+            yield from chunk[(chunk % q if q <= limit else chunk) == a].tolist()
 
 
 def find_prime_in_class(a: int, q: int, limit: int) -> int | None:

@@ -21,11 +21,12 @@ class Caps:
     # Largest prime sieved.  A prime window (distances, concentration
     # exponents, additive sums, profiles) streams its primes segment by
     # segment: a 1 MB bool buffer for 2**21 integers and that segment's
-    # primes as int64, whatever the window.  The cached table that
-    # factorization, prime overrides and partner sets read keeps 8 B per
-    # prime, 46 MB for the 5,761,455 primes to 10**8; it is concatenated
-    # from the same segments' primes, so its build holds twice that and no
-    # sieve of the whole range.
+    # primes as int64, whatever the window; so does a prime search in a
+    # residue class.  A prime array, as prime overrides, partner sets and
+    # sieve_primes take, keeps 8 B per prime, 46 MB for the 5,761,455 primes
+    # to 10**8; it is concatenated from the same segments' primes, so its
+    # build holds twice that and no sieve of the whole range.  Factorization
+    # needs no sieve: it reads a fixed table of the primes below 2**16.
     sieve_limit: int = 10**8
     # Largest completely-multiplicative value table.  The Liouville table costs
     # 1 bit per entry (about 50 MB here), built in segments of 2**20 entries

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import functools
 import math
 import operator
 import sys
@@ -42,8 +43,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _TERM_CHUNK, _all_prime, _check_cutoffs, _exact_parts, _prime_array, _prime_window
-from .arith import _strip_prime, factorize, fsum_complex, sieve_primes
+from .arith import _TERM_CHUNK, _check_cutoffs, _check_sieve_limit, _exact_parts, _prime_window, _primes
+from .arith import _strip_prime, factorize, fsum_complex, is_prime, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -191,7 +192,7 @@ class PrimeTable:
         except TypeError as exc:
             raise DomainError(f"prime tables map integers to numbers: {exc}") from exc
         keys, values = np.array([p for p, _ in items], dtype=object), np.array([v for _, v in items], kind)
-        if not _all_prime(keys):
+        if not all(map(is_prime, keys.tolist())):
             raise DomainError("prime table keys must be primes")
         keys = keys if len(keys) and keys[-1] >= 2**63 else keys.astype(np.int64)
         keys.flags.writeable = values.flags.writeable = False
@@ -560,12 +561,19 @@ def character_extended(
     return _periodic(f"{chi.label}+overrides", chi, t, PrimeTable.of(overrides))
 
 
+# The primes lo < p <= hi as prime_patch's keys, called as _patch_keys(hi, lo).
+# The last range is kept, so the patches of one spec, built once per function a
+# sweep resolves, share one array.
+_patch_keys = functools.lru_cache(maxsize=1)(_primes)
+
+
 def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
-    """value at primes in (lo, hi], 1 elsewhere; completely multiplicative."""
+    """value at primes in (lo, hi], 1 elsewhere; completely multiplicative.
+    The keys are the primes in (lo, hi]; the values, one broadcast value."""
     value = complex(value)
-    _check_unit_disk([value])  # before the prime table, which may be over its cap
-    primes = _prime_array(max(2, hi))
-    keys = primes[bisect.bisect_right(primes, lo) : bisect.bisect_right(primes, hi)]  # a view
+    _check_unit_disk([value])  # before the keys, which may be over the sieve cap
+    _check_sieve_limit(hi)  # outside the memoized keys: the caps in force apply
+    keys = _patch_keys(hi, lo)
     overrides = PrimeTable(keys, np.broadcast_to(np.complex128(value), len(keys)))
     return _periodic(f"prime-patch:{lo}:{hi}:{value}", TRIVIAL_CHARACTER, 0.0, overrides)
 

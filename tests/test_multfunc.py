@@ -13,7 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qpairs import arith, multfunc
 from qpairs.arith import is_prime, sieve_primes
-from qpairs.errors import DomainError
+from qpairs.caps import override as caps_override
+from qpairs.errors import DomainError, ResourceError
 from qpairs.multfunc import (
     EvalHint,
     MultiplicativeFunction,
@@ -119,7 +120,7 @@ CHI7 = dirichlet_characters(7)[1]
     ({0: 1.0}, 0.0),
     ({-3: 1.0}, 0.0),
     ({-(2**70): 1.0}, 0.0),
-    ({10**9 + 1: 1.0}, 0.0),  # past the prime table: is_prime decides
+    ({10**9 + 1: 1.0}, 0.0),  # past any sieve: 10**9 + 1 = 7 * 11 * 13 * 19 * 52579
     ({2.5: -1.0}, 0.0),  # int() would truncate it to 2
     ({3.0: -1.0}, 0.0),  # keys are integers, not integral floats
     ({"3": -1.0}, 0.0),
@@ -130,16 +131,14 @@ def test_character_extended_refuses_bad_input(overrides, t):
         character_extended(CHI7, overrides, t)
 
 
-def test_override_keys_read_from_prime_table(monkeypatch):
-    """is_prime runs only on keys past the cached prime table."""
-    arith._prime_array(10**5)
-    calls = []
-    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or is_prime(n))
+def test_override_keys_read_from_prime_table():
+    """A patch takes every prime of its range as a key; checked keys may lie
+    far past any sieve."""
     assert len(prime_patch(10, 10**5, -1).hint.overrides.keys) == 9588
-    assert calls == []
     f = character_extended(CHI7, {3: -1, 10**9 + 7: 1j, 2**61 - 1: -1j})
-    assert sorted(calls) == [10**9 + 7, 2**61 - 1]
+    assert f.hint.overrides.keys.tolist() == [3, 10**9 + 7, 2**61 - 1]
     assert evaluate(f, 3 * (10**9 + 7)) == -1j
+    assert evaluate(f, 2**61 - 1) == -1j
 
 
 def test_override_keys_take_numpy_integers():
@@ -168,11 +167,24 @@ def test_prime_patch_checks_value_before_prime_table():
         prime_patch(10, 10**9, math.nan)
 
 
-def test_prime_patch_keys_are_a_view_of_the_prime_table():
-    """prime_patch copies neither its keys nor one value per key."""
-    overrides = prime_patch(10, 10**6, -1).hint.overrides
-    assert np.shares_memory(overrides.keys, arith._prime_array(10**6))
+@pytest.mark.parametrize("lo, hi", [(10, 10**6), (-5, 2), (0, 1), (7, 7), (100, 10), (10**6, 3 * 10**6)])
+def test_prime_patch_keys_are_the_primes_of_its_range(lo, hi):
+    """The keys are the primes in (lo, hi]; two patches of one range share
+    one key array, and no patch holds one value per key."""
+    overrides = prime_patch(lo, hi, -1).hint.overrides
+    primes = arith._prime_array(max(2, hi))
+    assert overrides.keys.dtype == np.int64
+    assert overrides.keys.tolist() == primes[(primes > lo) & (primes <= hi)].tolist()
     assert overrides.values.strides == (0,)
+    assert prime_patch(lo, hi, 0.5j).hint.overrides.keys is overrides.keys
+
+
+def test_prime_patch_keys_obey_the_caps_in_force():
+    """The keys of a range are kept, but a lowered sieve_limit still refuses it."""
+    prime_patch(10, 10**5, -1)
+    with caps_override(sieve_limit=10**4):
+        with pytest.raises(ResourceError):
+            prime_patch(10, 10**5, -1)
 
 
 @pytest.mark.parametrize("key", [2.5, "3", 4, 169])
@@ -660,9 +672,8 @@ def liouville_oracle():
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty Liouville and prime caches, restored after the test."""
+    """An empty Liouville table, restored after the test."""
     monkeypatch.setattr(multfunc, "_liouville_table", None)
-    monkeypatch.setattr(arith, "_sieve_cache", (0, []))
     return monkeypatch
 
 
@@ -805,8 +816,11 @@ def test_liouville_window_matches_whole_array(liouville_oracle, anchor, before, 
 
 
 def test_concurrent_first_touch_of_both_caches(fresh_caches):
-    """Threads grow both caches at once, to different limits; each result
-    equals a fresh single-threaded build."""
+    """Threads build both tables that are made on first use at once: the
+    Liouville table, grown to different limits, and the trial-division
+    primes; they stream prime lists meanwhile.  Each result equals a fresh
+    single-threaded build."""
+    arith._trial_primes.cache_clear()
     limits = [(5_000, 2_500_000), (900_000, 200_000), (40_000, 1_500_000),
               (300_000, 700_000), (2_000, 3_300_000), (1_200_000, 50_000)]
     barrier = threading.Barrier(len(limits))
@@ -820,7 +834,8 @@ def test_concurrent_first_touch_of_both_caches(fresh_caches):
         else:
             table = multfunc._liouville_sieve(table_limit)
             primes = sieve_primes(prime_limit)
-        results[i] = (primes, _unpack(table)[: table_limit + 1])
+        factors = arith.factorize(prime_limit * 65521 * 65537).factors
+        results[i] = (primes, _unpack(table)[: table_limit + 1], factors)
 
     threads = [threading.Thread(target=work, args=(i, *lim)) for i, lim in enumerate(limits)]
     interval = sys.getswitchinterval()
@@ -836,9 +851,9 @@ def test_concurrent_first_touch_of_both_caches(fresh_caches):
     assert sorted(results) == list(range(len(limits)))
     for i, (prime_limit, table_limit) in enumerate(limits):
         fresh_caches.setattr(multfunc, "_liouville_table", None)
-        fresh_caches.setattr(arith, "_sieve_cache", (0, []))
         assert results[i][0] == sieve_primes(prime_limit)
         assert np.array_equal(results[i][1], _unpack(multfunc._liouville_sieve(table_limit))[: table_limit + 1])
+        assert list(results[i][2]) == trial_factor(prime_limit * 65521 * 65537)
 
 
 def test_function_from_name_round_trip():

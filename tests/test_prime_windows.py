@@ -10,10 +10,8 @@ scan of every residue.
 
 import cmath
 import functools
+import importlib.util
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -24,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from qpairs import arith, multfunc
 from qpairs.arith import fsum_complex, is_prime, jacobi, sieve_primes
-from qpairs.caps import caps
+from qpairs.caps import caps, override as caps_override
 from qpairs.errors import DomainError, ResourceError
 from qpairs.experiments import (
     concentration_exponent,
@@ -49,12 +47,18 @@ from qpairs.multfunc import (
 from qpairs.quadforms import (
     _EULER_MAX,
     BinaryQuadraticForm,
+    local_root_count,
     local_root_count_fast,
     local_root_counts,
     partner_prime_sets,
 )
 
 ORACLE = settings(settings.get_profile("oracle"), max_examples=120)
+
+# the wall time and peak RSS of a command run in a child, from tools/peak_rss.py
+_spec = importlib.util.spec_from_file_location("peak_rss", Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py")
+peak_rss = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(peak_rss)
 
 # every function kind the CLI names, a character with overrides, and a
 # function without a hint
@@ -439,19 +443,13 @@ def _streamed(x, y) -> np.ndarray:
     return np.concatenate([np.zeros(0, np.int64), *chunks])
 
 
-def test_streamed_windows_equal_the_cached_table(fresh_primes):
+def test_streamed_windows_equal_the_prime_array():
     """Windows starting past 2 and ending on a segment edge or at a prime,
-    streamed with the cache cold, then again once the table is built: a
-    window neither reads nor grows the cache."""
-    cold = [_streamed(x, y) for x, y in STREAM_WINDOWS]
-    assert arith._sieve_cache == (0, None)
+    against the whole prime array to past the last of them."""
     table = arith._prime_array(3 * EDGE)
     assert is_prime(EDGE - 9) and not any(is_prime(n) for n in range(EDGE - 8, EDGE + 1))
-    for (x, y), got in zip(STREAM_WINDOWS, cold):
-        want = table[(table > x) & (table <= y)].tolist()
-        assert got.tolist() == want, (x, y)
-        assert _streamed(x, y).tolist() == want, (x, y)
-    assert arith._sieve_cache[0] == 3 * EDGE
+    for x, y in STREAM_WINDOWS:
+        assert _streamed(x, y).tolist() == table[(table > x) & (table <= y)].tolist(), (x, y)
 
 
 @settings(settings.get_profile("oracle"), max_examples=150)
@@ -484,29 +482,22 @@ def test_distance_profile_sums_each_term_once(monkeypatch):
     assert profile == [(y, distance(f, g, 1, y)) for y in cutoffs]
 
 
-# Runs a qpairs command in a child and prints the child's peak RSS in kB.
-# It is started from this small process, since a child's ru_maxrss counts
-# the memory of the process it was forked from.
-_PEAK_RSS = """
-import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-c", "import sys; from qpairs.cli import main; sys.exit(main())",
-                          *sys.argv[1:]], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 def test_distance_to_the_sieve_cap_runs_in_bounded_memory():
     """distance --y 1e8, at the sieve cap, streams its window: 126.6 MB peak
-    RSS when it read a cached prime table, about 40 MB now."""
+    RSS when it read a table of every prime to 10**8, about 40 MB now."""
     assert caps().sieve_limit == 10**8
-    src = str(Path(arith.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, "distance", "--f", "liouville", "--y", "1e8"],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    code, peak_kb = map(int, out.split())
-    assert code == 0
-    assert peak_kb / 1024 < 80, peak_kb
+    run = peak_rss.measure(["distance", "--f", "liouville", "--y", "1e8"])
+    assert run["exit"] == 0
+    assert run["peak_rss_mb"] < 80, run
+
+
+def test_prime_search_to_the_sieve_cap_stops_with_its_witness():
+    """classify 1 2 5 finds its witness 23 in the first sieve segment and
+    sieves no further: 122.9 MB peak RSS when the search read a table of
+    every prime to 10**8, about 37 MB now."""
+    run = peak_rss.measure(["classify", "1", "2", "5", "--prime-limit", "100000000"])
+    assert run["exit"] == 0
+    assert run["peak_rss_mb"] < 60, run
 
 
 @pytest.mark.parametrize("y", [float("nan"), float("inf"), -float("inf")])
@@ -599,13 +590,7 @@ def test_partner_prime_sets_match_scalar_loop(form1, form2, bound):
     )
 
 
-# --- the prime cache --------------------------------------------------------------
-
-
-@pytest.fixture
-def fresh_primes(monkeypatch):
-    monkeypatch.setattr(arith, "_sieve_cache", (0, None))
-    return monkeypatch
+# --- prime arrays and factorization ---------------------------------------------
 
 
 def _limits():
@@ -618,41 +603,68 @@ def _limits():
 
 
 @pytest.mark.parametrize("segment", [1, 2, 7, 64, arith._SIEVE_SEGMENT])
-def test_sieve_matches_trial_division(fresh_primes, segment):
-    """Fresh builds at each limit, with segments shorter than, equal to and
+def test_sieve_matches_trial_division(monkeypatch, segment):
+    """Builds at each limit, with segments shorter than, equal to and
     longer than the sieving primes."""
-    fresh_primes.setattr(arith, "_SIEVE_SEGMENT", segment)
+    monkeypatch.setattr(arith, "_SIEVE_SEGMENT", segment)
     oracle = oracle_primes(max(_limits()))
     for limit in _limits():
-        fresh_primes.setattr(arith, "_sieve_cache", (0, None))
         want = [p for p in oracle if p <= limit]
         assert sieve_primes(limit) == want, limit
         assert arith._prime_array(limit).tolist() == want
 
 
-def test_grown_cache_equals_fresh_build(fresh_primes):
-    fresh_primes.setattr(arith, "_SIEVE_SEGMENT", 5)
-    grown = {}
-    for limit in _limits():  # ascending: the cache grows at every step
-        grown[limit] = sieve_primes(limit)
-    for limit in reversed(_limits()):  # descending: served from the largest table
-        assert sieve_primes(limit) == grown[limit]
-    for limit in _limits():
-        fresh_primes.setattr(arith, "_sieve_cache", (0, None))
-        assert sieve_primes(limit) == grown[limit]
-
-
-def test_handed_out_prime_arrays_are_read_only(fresh_primes):
-    whole = arith._prime_array(1000)  # the cached table itself
-    prefix = arith._prime_array(100)  # a view of it
+def test_handed_out_prime_arrays_are_read_only():
+    whole = arith._prime_array(1000)
+    prefix = arith._prime_array(100)
     assert whole.dtype == prefix.dtype == np.int64
-    for view in (whole, prefix):
+    for array in (whole, prefix):
         with pytest.raises(ValueError):
-            view[0] = 4
+            array[0] = 4
     assert sieve_primes(1000)[:3] == [2, 3, 5]
     copy = sieve_primes(100)
     copy[0] = 4  # a list of its own
     assert sieve_primes(100)[0] == 2
+
+
+@pytest.mark.parametrize("a, q", [(1, 4), (2, 3), (1, 3 * EDGE), (EDGE + 1, 2 * EDGE)])
+def test_prime_search_sieves_until_its_prime(monkeypatch, a, q):
+    """A search in a residue class sieves the segments up to the one that
+    holds its prime, and none past it; a limit over sieve_limit is refused
+    before the first segment."""
+    segments = []
+    sieve = arith._odd_sieve
+
+    def counting(*args):
+        for chunk in sieve(*args):
+            segments.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(arith, "_odd_sieve", counting)
+    p = arith.find_prime_in_class(a, q, 10**8)
+    assert p == next(n for n in range(a, 10**8, q) if is_prime(n))
+    assert len(segments) == p // EDGE + 1
+    segments.clear()
+    with caps_override(sieve_limit=10**6), pytest.raises(ResourceError, match="sieve limit 10000000 exceeds cap"):
+        arith.find_prime_in_class(a, q, 10**7)
+    assert segments == []
+
+
+def test_factorization_needs_no_sieve():
+    """Trial division reads its fixed table of the primes below 2**16, so a
+    lowered sieve_limit changes no factorization or root count, even where
+    the table is first built under it."""
+    form = BinaryQuadraticForm(1, 0, 1)
+    want = arith.factorize(10**7 + 19), local_root_count_fast(form, 10**6 + 3)
+    with caps_override(sieve_limit=100):
+        assert local_root_count_fast(form, 10**6 + 3) == want[1]
+        assert local_root_count(form, 10**6 + 3) == want[1]
+    for fresh in (False, True):
+        if fresh:
+            arith._trial_primes.cache_clear()
+        with caps_override(sieve_limit=1000):
+            assert arith.factorize(10**7 + 19) == want[0]
+    assert arith._trial_primes().tolist() == oracle_primes(arith._TRIAL_LIMIT)
 
 
 def test_factorize_across_trial_steps_and_int64():

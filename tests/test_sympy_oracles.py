@@ -26,6 +26,31 @@ def test_factorize_matches_sympy(n):
     assert factorize(n).factors == tuple(sorted(sympy.factorint(abs(n)).items()))
 
 
+def _prime_near(anchor: int):
+    """The primes just below and past anchor, within 2**12 of it."""
+    return st.integers(-(2**12), 2**12).map(lambda d: sympy.prevprime(anchor + d) if d < 0
+                                             else sympy.nextprime(anchor + d - 1))
+
+
+# primes around the end of the trial-division table (2**16), around the
+# largest trial divisor before it (10**6), and where rho's cofactors leave
+# int64; at most one factor past 2**32 besides, so rho ends in about 2**16 steps
+_SMALL = st.one_of(_prime_near(2**16), _prime_near(10**6))
+_FACTORS = st.tuples(
+    st.lists(_SMALL, max_size=3),
+    st.lists(_prime_near(2**32), max_size=1),
+    st.lists(_prime_near(2**63), max_size=1),
+    st.integers(0, 8),  # a power of 65537, the first prime past 2**16
+).map(lambda t: [*t[0], *t[1], *t[2], *[65537] * t[3]]).filter(bool)
+
+
+@settings(settings.get_profile("oracle"), max_examples=40)  # rho takes 0.1 s on a factor past 2**32
+@given(_FACTORS)
+def test_factorize_matches_sympy_past_trial_division(factors):
+    n = prod(factors)
+    assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
+
+
 @ORACLE
 @given(st.integers(-(10**12), 10**12), st.integers(0, 10**9).map(lambda k: 2 * k + 1))
 def test_jacobi_matches_sympy(a, n):

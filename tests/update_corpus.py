@@ -141,6 +141,19 @@ EXTRA: list[list[str]] = [
     ["divstat", "--form", "[1,0,1]", "--primes", "5", "--bound-l", "10", "--n", "50"],
     ["omega", "--form", "[1,0,1]", "--hensel", "5,2,2", "--partner", "[1,0,2]"],
     ["omega", "--form", "[1,0,1]", "--congruence-pair", "[1,0,2]", "--fast"],
+    # prime searches: one that stops in the first sieve segment, a walk to
+    # the limit across a segment edge (2**21), and a limit over the sieve cap
+    ["obstruct", "1", "2", "5", "--prime-limit", "3000000"],
+    ["obstruct", "--split", "2,3,5,7,11,13", "17,19", "--prime-limit", "3000000"],
+    ["classify", "1", "2", "5", "--prime-limit", "1000000000"],
+    # factorization: 999983 * 1000003, both factors between 2**16 and 10**6,
+    # and 65537**2, whose prime is the first past 2**16
+    ["ring", "count-ideals", "--d", "1", "--k", "999986000051"],
+    ["omega", "--form", "[1,0,1]", "--modulus", "4295098369"],
+    ["divstat", "--form", "[1,0,1]", "--bound-l", "4295098369", "--n", "50"],
+    # override keys starting past 10**6, in a window across a segment edge
+    ["distance", "--f", "prime-patch:1000000:3000000:-1", "--y", "3e6"],
+    ["omega", "--form", "[1,0,1]", "--partner", "[1,0,2]", "--modulus", "3000000"],
 ]
 
 
