@@ -17,6 +17,8 @@ from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .caps import caps
 from .errors import DomainError, InvariantError, ResourceError
 
@@ -70,8 +72,6 @@ def _odd_sieve(limit: int, after: int = 0) -> Iterator:
     read out.  So a walk holds one segment and its chunk, never 1/2 B per
     integer of the whole range.
     """
-    import numpy as np  # on use: importing arith alone loads no numpy
-
     if limit < 2:
         return
     root = isqrt(limit)
@@ -117,8 +117,6 @@ def _primes(limit: int, after: int = 0):
     concatenation of _odd_sieve's chunks: a build holds the chunks and the
     array, 8 B per prime each (92 MB at 10**8), and no sieve array.  The
     limit is not checked against sieve_limit here."""
-    import numpy as np  # on use: importing arith alone loads no numpy
-
     primes = np.concatenate([np.zeros(0, np.int64), *_odd_sieve(limit, after)])
     primes.flags.writeable = False
     return primes
@@ -144,15 +142,21 @@ def _check_cutoffs(*cutoffs: float) -> None:
         raise DomainError("prime-window cutoffs must be finite")
 
 
-def _prime_window(x: float, y: float) -> Iterator:
-    """The primes x < p <= y in ascending read-only int64 chunks of at most
-    _TERM_CHUNK, streamed by _odd_sieve: no array of the window is built.
-    The cutoffs are checked at the call."""
+def _check_window(x: float, y: float) -> None:
+    """Refuse a prime window (x, y] unless x and y are finite, x <= y and y
+    <= sieve_limit: the checks of every prime-window sum."""
     _check_cutoffs(x, y)
     if x > y:
         raise DomainError("need x <= y")
     if y > caps().sieve_limit:
         raise ResourceError("upper range exceeds the sieve cap")
+
+
+def _prime_window(x: float, y: float) -> Iterator:
+    """The primes x < p <= y in ascending read-only int64 chunks of at most
+    _TERM_CHUNK, streamed by _odd_sieve: no array of the window is built.
+    The window is checked at the call."""
+    _check_window(x, y)
     hi = math.floor(y)
     segments = _odd_sieve(hi, max(1, math.floor(x)))
     return (seg[i : i + _TERM_CHUNK] for seg in segments for i in range(0, len(seg), _TERM_CHUNK))
@@ -167,7 +171,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -193,8 +197,6 @@ def _strip_prime(values, p: int):
     array of nonzero integers (a zero would never leave the loop).  Returns the
     ascending indices of the values p divides and p's int64 exponent in each.
     Only the first pass reads every value; later ones, the values just divided."""
-    import numpy as np  # on use: importing arith alone loads no numpy
-
     hits = np.flatnonzero(values % p == 0)
     exps = np.zeros(len(hits), dtype=np.int64)
     at = np.arange(len(hits))  # the positions in hits of the values p still divides
@@ -530,7 +532,5 @@ def fsum_complex(terms: Iterable) -> complex:
                     im += _exact_parts(chunk.imag)
         for parts in (re, im):
             if len(parts) > _TERM_CHUNK:
-                import numpy as np  # on use: importing arith alone loads no numpy
-
                 parts[:] = _exact_parts(np.array(parts, dtype=np.float64))
     return complex(math.fsum(re), math.fsum(im))

@@ -39,13 +39,13 @@ from .multfunc import (
     MultiplicativeFunction,
     TRIVIAL_CHARACTER,
     TwistData,
-    _additive_term,
     _pretentious_term,
     _root_count_weights,
     _unit_power,
     _unit_weights,
     distance_additive,
     evaluate_many,
+    predicted_additive_mean,
     prime_window_sum,
     twisted,
 )
@@ -92,13 +92,6 @@ def concentration_exponent(
     if k >= n:
         return 0j
     return prime_window_sum(_pretentious_term(_unit_weights, f, twisted(twist.chi, twist.t)), k, n)
-
-
-def predicted_additive_mean(h: AdditiveFunction, k: int, n: int) -> complex:
-    """2 * sum over k < p <= n of h(p)/p."""
-    if k >= n:
-        return 0j
-    return prime_window_sum(_additive_term(h, lambda p: 2.0 / p * h.at_prime(p)), k, n)
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +196,10 @@ def turan_kubilius_variance(
 ) -> "TkReport":
     """Grid variance of h(P_c(Qm+a, Qn+b)) around the predicted mean.
 
-    h must vanish at primes <= K, primes > N, primes where the form has no
-    root, and on all higher prime powers; under those conditions h of a
-    lattice value is a sum of h(p) over primes exactly dividing it, which is
-    accumulated by sieving root classes instead of factorizing.  For p not
+    h must vanish at primes <= K, primes > N and primes where the form has no
+    root; as it vanishes on higher prime powers, h of a lattice value is then
+    a sum of h(p) over primes exactly dividing it, which is accumulated by
+    sieving root classes instead of factorizing.  For p not
     dividing w = Qn+b, p^e divides P(Qm+a, w) exactly when Qm+a = r*w
     (mod p^e) for a root r of P(x, 1) mod p^e: one residue class of rows per
     column, root and p^e.  Each stripe adds h(p) at the hits of the classes
@@ -223,19 +216,14 @@ def turan_kubilius_variance(
         setup.k,
         setup.n,
     )
-    if h.support is None:
-        raise DomainError("the additive function must declare its prime support")
     support = []
-    for p in h.support:
-        hp = h.at_prime(p)
+    for p, hp in zip(h.table.keys.tolist(), h.table.values.tolist()):
         if hp == 0:
             continue
         if p <= k or p > n:
             raise DomainError(f"h({p}) != 0 violates the support window ({k}, {n}]")
         if not form_has_root(form, p):
             raise DomainError(f"h({p}) != 0 but the form has no root mod {p}")
-        if h.prime_power_rule(p, 2) != 0:
-            raise DomainError("h must vanish on higher prime powers")
         if not abs(hp) <= 1 + 1e-12:  # NaN compares False
             raise DomainError("h must be bounded by 1 on primes")
         if q % p == 0 or (2 * form.alpha * form.discriminant) % p == 0:

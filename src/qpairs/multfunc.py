@@ -21,30 +21,30 @@ the Liouville function as int8 (one bit per entry of the cached table of
 signs) and every other function as complex128, multiplying by an override
 only the values its prime divides (`arith._strip_prime`).  Prime sums read f
 at arrays of primes from the same hints (`prime_values`); the scalar path
-never consults them.  Overrides, additive supports and weight maps are each
+never consults them.  Overrides, additive functions and weight maps are each
 one sorted `PrimeTable`, checked by one constructor and read by one
 searchsorted over a window of primes, a walk of its keys up to a batch's
-largest value, or a scalar bisection.
+largest value, a scalar bisection, or a slice of its keys (no sieve).
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
-import functools
 import math
 import operator
 import sys
 import threading
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
 from math import gcd
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _TERM_CHUNK, _check_cutoffs, _check_sieve_limit, _exact_parts, _prime_window, _primes
-from .arith import _strip_prime, factorize, fsum_complex, is_prime, sieve_primes
+from .arith import _TERM_CHUNK, _check_cutoffs, _check_sieve_limit, _check_window, _exact_parts, _prime_window
+from .arith import _primes, _strip_prime, factorize, fsum_complex, is_prime, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -214,6 +214,13 @@ class PrimeTable:
             hit = keys[at] == primes
             out[hit] = self.values[at[hit]]
         return out
+
+    def window(self, x: float, y: float) -> tuple[np.ndarray, np.ndarray]:
+        """The int64 keys x < p <= y and their values: all that a sum over a
+        window (checked as _prime_window checks it) reads of the table."""
+        _check_window(x, y)
+        lo, hi = (bisect.bisect_right(self.keys, math.floor(c)) for c in (x, y))
+        return self.keys[lo:hi].astype(np.int64, copy=False), self.values[lo:hi]
 
 
 _NO_PRIMES = PrimeTable(np.zeros(0, np.int64), np.zeros(0, np.complex128))
@@ -561,10 +568,10 @@ def character_extended(
     return _periodic(f"{chi.label}+overrides", chi, t, PrimeTable.of(overrides))
 
 
-# The primes lo < p <= hi as prime_patch's keys, called as _patch_keys(hi, lo).
-# The last range is kept, so the patches of one spec, built once per function a
-# sweep resolves, share one array.
-_patch_keys = functools.lru_cache(maxsize=1)(_primes)
+# prime_patch's keys, the primes lo < p <= hi, by (lo, hi): the patches of one
+# range alive at once, such as the functions a sweep resolves from one spec,
+# share one array, which goes with the last of them.
+_patch_keys: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
@@ -572,8 +579,10 @@ def prime_patch(lo: int, hi: int, value: complex) -> MultiplicativeFunction:
     The keys are the primes in (lo, hi]; the values, one broadcast value."""
     value = complex(value)
     _check_unit_disk([value])  # before the keys, which may be over the sieve cap
-    _check_sieve_limit(hi)  # outside the memoized keys: the caps in force apply
-    keys = _patch_keys(hi, lo)
+    _check_sieve_limit(hi)  # outside the shared keys: the caps in force apply
+    keys = _patch_keys.get((lo, hi))
+    if keys is None:
+        keys = _patch_keys[lo, hi] = _primes(hi, lo)
     overrides = PrimeTable(keys, np.broadcast_to(np.complex128(value), len(keys)))
     return _periodic(f"prime-patch:{lo}:{hi}:{value}", TRIVIAL_CHARACTER, 0.0, overrides)
 
@@ -614,27 +623,24 @@ def function_from_name(name: str) -> MultiplicativeFunction:
 
 @dataclass(frozen=True)
 class AdditiveFunction:
-    """h(mn) = h(m) + h(n) for coprime m, n; even extension to Z."""
+    """h(mn) = h(m) + h(n) for coprime m, n, extended evenly to Z: h(p) is
+    p's value in table, 0 at every other prime, and h(p^k) = 0 for k >= 2."""
 
     description: str
-    prime_power_rule: Callable[[int, int], complex]
-    support: Optional[tuple[int, ...]] = None  # primes with h(p) != 0, if known
+    table: PrimeTable
 
     def at_prime(self, p: int) -> complex:
-        return complex(self.prime_power_rule(p, 1))
+        return self.table.get(p, 0j)
 
     def __call__(self, n: int) -> complex:
         if n == 0:
             raise DomainError("additive functions are not defined at 0")
-        return sum((self.prime_power_rule(p, e) for p, e in factorize(n).factors), 0j)
+        return sum((self.at_prime(p) for p, e in factorize(n).factors if e == 1), 0j)
 
 
 def additive_from_prime_values(values: Mapping[int, complex], description: str = "custom") -> AdditiveFunction:
-    """h supported on the given primes (h(p^k) = 0 for k >= 2); every key
-    must be a prime."""
-    table = PrimeTable.of(values)
-    rule = lambda p, k: table.get(p, 0j) if k == 1 else 0j
-    return AdditiveFunction(description, rule, support=tuple(table.keys.tolist()))
+    """h with the given values at primes; every key must be a prime."""
+    return AdditiveFunction(description, PrimeTable.of(values))
 
 
 # --------------------------------------------------------------------------
@@ -644,10 +650,8 @@ def additive_from_prime_values(values: Mapping[int, complex], description: str =
 
 def prime_window_sum(term: Callable[[np.ndarray], np.ndarray], x: float, y: float) -> complex:
     """Exactly rounded sum of the terms of the primes x < p <= y, where term
-    maps an int64 array of primes to their float64 or complex128 terms.  The
-    one loop behind every prime-window sum: distances, additive norms,
-    concentration exponents and predicted additive means, holding one
-    sieve segment and one chunk of terms at a time."""
+    maps an int64 array of primes to their float64 or complex128 terms,
+    holding one sieve segment and one chunk of terms at a time."""
     return fsum_complex(map(term, _prime_window(x, y)))
 
 
@@ -729,19 +733,19 @@ def _pretentious_term(weights: Callable[[np.ndarray], np.ndarray], f, g, real: b
     return term
 
 
-def _distance(weights, f, g, x: float, y: float) -> float:
+def _distance(weights, f, g, primes: Iterable[np.ndarray]) -> float:
     term = _pretentious_term(weights, f, g, real=True)
-    return math.sqrt(max(0.0, -prime_window_sum(term, x, y).real))
+    return math.sqrt(max(0.0, -fsum_complex(map(term, primes)).real))
 
 
 def distance(f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
     """Prime-sum distance: sqrt of sum over x < p <= y of (1 - Re f(p) conj g(p)) / p."""
-    return _distance(_unit_weights, f, g, x, y)
+    return _distance(_unit_weights, f, g, _prime_window(x, y))
 
 
 def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x: float, y: float) -> float:
     """Distance with each prime weighted by the local root count of the form."""
-    return _distance(_root_count_weights(form), f, g, x, y)
+    return _distance(_root_count_weights(form), f, g, _prime_window(x, y))
 
 
 def distance_weighted(c: Callable[[int], float] | Mapping[int, float], f: MultiplicativeFunction,
@@ -749,11 +753,10 @@ def distance_weighted(c: Callable[[int], float] | Mapping[int, float], f: Multip
     """Distance with arbitrary bounded nonnegative prime weights c(p); the
     keys of a Mapping must be primes."""
     if isinstance(c, Mapping):
-        table = PrimeTable.of(c, float)
-        weights = lambda primes: table.put(np.zeros(len(primes)), primes)
-    else:
-        weights = lambda primes: np.fromiter((float(c(p)) for p in primes.tolist()), np.float64, len(primes))
-    return _distance(weights, f, g, x, y)
+        keys, values = PrimeTable.of(c, float).window(x, y)
+        return _distance(lambda primes: values, f, g, [keys])
+    weights = lambda primes: np.fromiter((float(c(p)) for p in primes.tolist()), np.float64, len(primes))
+    return _distance(weights, f, g, _prime_window(x, y))
 
 
 def distance_profile(f: MultiplicativeFunction, g: MultiplicativeFunction, checkpoints: Sequence[float],
@@ -792,18 +795,17 @@ def distance_profile(f: MultiplicativeFunction, g: MultiplicativeFunction, check
     return [(y, math.sqrt(max(0.0, -sums.get(math.floor(y), total)))) for y in ys]
 
 
-def _additive_term(h: AdditiveFunction, term: Callable[[int], complex]) -> Callable:
-    """primes -> term(p) where h(p) may be nonzero, 0 elsewhere; term(p) must
-    vanish where h(p) does.  It is called once for each member of h's support
-    up to the sieve cap, or at every prime when the support is not known."""
-    if h.support is None:
-        return lambda primes: np.fromiter(map(term, primes.tolist()), np.complex128, len(primes))
-    keys = np.array(sorted(p for p in h.support if 2 <= p <= caps().sieve_limit), dtype=np.int64)
-    table = PrimeTable(keys, np.fromiter(map(term, keys.tolist()), np.complex128, len(keys)))
-    return lambda primes: table.put(np.zeros(len(primes), dtype=np.complex128), primes)
+def _table_sum(table: PrimeTable, term: Callable, x: float, y: float, dtype) -> complex:
+    """The exactly rounded sum of term(p, value) over the keys x < p <= y of table."""
+    keys, values = table.window(x, y)
+    return fsum_complex([np.array([term(p, v) for p, v in zip(keys.tolist(), values.tolist())], dtype)])
 
 
 def distance_additive(h: AdditiveFunction, x: float, y: float) -> float:
     """sqrt of sum over x < p <= y of |h(p)|^2 / p (the additive-function norm)."""
-    term = _additive_term(h, lambda p: abs(h.at_prime(p)) ** 2 / p)
-    return math.sqrt(prime_window_sum(term, x, y).real)
+    return math.sqrt(_table_sum(h.table, lambda p, v: abs(v) ** 2 / p, x, y, np.float64).real)
+
+
+def predicted_additive_mean(h: AdditiveFunction, k: int, n: int) -> complex:
+    """2 * sum over k < p <= n of h(p)/p."""
+    return _table_sum(h.table, lambda p, v: 2.0 / p * v, k, n, np.complex128) if k < n else 0j

@@ -15,6 +15,8 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .arith import (
     _prime_array,
     crt,
@@ -69,8 +71,6 @@ class BinaryQuadraticForm:
         value of the broadcast shape and dtype of u and w, equal to
         alpha*u*u + beta*u*w + gamma*w*w.
         """
-        import numpy as np
-
         out = None
         for c, x, y in ((self.alpha, u, u), (self.beta, u, w), (self.gamma, w, w)):
             if c:
@@ -230,8 +230,6 @@ _EULER_MAX = 3037000499
 def _residues(n: int, moduli):
     """n mod m for each m of an int64 array of moduli below 2**32, exact for
     any Python int n: Horner's rule over the 31-bit limbs of |n|."""
-    import numpy as np
-
     out = np.zeros_like(moduli)
     a = abs(n)
     for shift in range(31 * ((a.bit_length() - 1) // 31), -1, -31):
@@ -242,8 +240,6 @@ def _residues(n: int, moduli):
 def _euler_criterion(a, p):
     """a**((p - 1)/2) mod p for int64 arrays with 0 <= a < p <= _EULER_MAX,
     by square-and-multiply over the bits of each exponent, in place."""
-    import numpy as np
-
     out = np.ones_like(p)
     a = a.copy()
     e = (p - 1) // 2
@@ -271,8 +267,6 @@ def local_root_counts(form: BinaryQuadraticForm, primes):
       - p = 2: [gamma even] + [alpha + beta + gamma even];
       - p > _EULER_MAX: local_root_count.
     """
-    import numpy as np
-
     primes = np.asarray(primes, dtype=np.int64)
     big = primes > _EULER_MAX
     p = np.where(big | (primes == 2), 3, primes)

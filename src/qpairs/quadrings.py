@@ -130,10 +130,6 @@ def parse_element(text: str) -> tuple[int, int]:
     return int(m_text) if m_text else 0, int(n_text)
 
 
-def norm(z: RingElement) -> int:
-    return z.norm()
-
-
 def count_norm_solutions(d: int, k: int, box: int) -> int:
     """Lattice points m, n in [-box, box] with norm(m + n*tau_d) = k.
 

@@ -280,7 +280,7 @@ def tk_dense_deviations(setup, h):
     form, q, a, b, n = setup.form, setup.q, setup.a, setup.b, setup.n
     acc = np.zeros((n, n), dtype=np.complex128)
     ws = q * np.arange(1, n + 1, dtype=np.int64) + b
-    for p in h.support:
+    for p in h.table.keys.tolist():
         hp = h.at_prime(p)
         if hp == 0:
             continue

@@ -1,10 +1,12 @@
 import bisect
 import cmath
+import gc
 import math
 import random
 import struct
 import sys
 import threading
+import weakref
 from itertools import product
 
 import numpy as np
@@ -180,11 +182,26 @@ def test_prime_patch_keys_are_the_primes_of_its_range(lo, hi):
 
 
 def test_prime_patch_keys_obey_the_caps_in_force():
-    """The keys of a range are kept, but a lowered sieve_limit still refuses it."""
-    prime_patch(10, 10**5, -1)
+    """The keys of a range are shared while a patch holds them, but a lowered
+    sieve_limit still refuses the range."""
+    f = prime_patch(10, 10**5, -1)
     with caps_override(sieve_limit=10**4):
         with pytest.raises(ResourceError):
             prime_patch(10, 10**5, -1)
+    assert f.hint.overrides.keys[-1] == 99_991
+
+
+def test_prime_patch_keys_go_with_the_last_patch():
+    """Two live patches of a range share its keys, and the array is freed
+    with the last of them: no patch left, no keys kept."""
+    f, g = prime_patch(10, 10**5, -1), prime_patch(10, 10**5, 0.5j)
+    keys = weakref.ref(f.hint.overrides.keys)
+    del f
+    gc.collect()
+    assert keys() is g.hint.overrides.keys
+    del g
+    gc.collect()
+    assert keys() is None
 
 
 @pytest.mark.parametrize("key", [2.5, "3", 4, 169])

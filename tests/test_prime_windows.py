@@ -31,6 +31,7 @@ from qpairs.experiments import (
 )
 from qpairs.multfunc import (
     MultiplicativeFunction,
+    PrimeTable,
     TwistData,
     additive_from_prime_values,
     character_extended,
@@ -240,6 +241,90 @@ def test_weighted_distance_matches_scalar_loop(weights, window):
     for c in (weights, lambda p: weights.get(p, 0.5)):
         get = (lambda p: float(c.get(p, 0.0))) if isinstance(c, dict) else (lambda p: float(c(p)))
         assert repr(distance_weighted(c, f, g, x, y)) == repr(scalar_distance(get, f, g, x, y))
+
+
+def sieved_table_sum(table, term, x, y):
+    """A sum over the keys of a PrimeTable as it was taken before it read
+    them: every prime of the window streamed from the sieve, with the terms
+    term(p, value) of the keys up to sieve_limit written into zeros by put."""
+    keys = [p for p in table.keys.tolist() if p <= caps().sieve_limit]
+    terms = PrimeTable(np.array(keys, dtype=np.int64),
+                       np.array([term(p, table.get(p, 0j)) for p in keys], dtype=np.complex128))
+    return multfunc.prime_window_sum(lambda primes: terms.put(np.zeros(len(primes), dtype=np.complex128), primes),
+                                     x, y)
+
+
+def sieved_weighted_distance(c, f, g, x, y):
+    """distance_weighted with a Mapping as it was before it read the keys:
+    the weights written into every prime of the streamed window by put."""
+    table = PrimeTable.of(c, float)
+    term = multfunc._pretentious_term(lambda primes: table.put(np.zeros(len(primes)), primes), f, g, real=True)
+    return math.sqrt(max(0.0, -multfunc.prime_window_sum(term, x, y).real))
+
+
+def _outcome(call):
+    """The repr of call()'s value, or the type and message of its refusal."""
+    try:
+        return repr(call())
+    except (DomainError, ResourceError) as exc:
+        return type(exc), str(exc)
+
+
+# keys past the sieve_limit of 2000 that the table test runs under, and at
+# 2**63 and above, where the keys become an object array
+TABLE_KEYS = sieve_primes(2200) + [2**61 - 1, 2**64 - 59, 2**89 - 1]
+
+
+@ORACLE
+@given(st.dictionaries(st.sampled_from(TABLE_KEYS), st.complex_numbers(max_magnitude=1.0), max_size=12),
+       st.sampled_from(ALL_FUNCTIONS), st.data())
+def test_table_sums_match_the_sieved_window(values, fname, data):
+    """The additive sums and the Mapping-weighted distance read their table's
+    keys in the window; the sieve's window with the table written in by put
+    gives the same bits and the same refusals.  Ends fall on keys, next to
+    them, past sieve_limit or on non-finite values; tables may be empty."""
+    near_key = st.sampled_from(sorted(values) or [2]).flatmap(
+        lambda p: st.sampled_from([p, p - 1, p + 1, p - 0.5, p + 0.5]))
+    end = st.one_of(near_key, CUTOFFS, st.sampled_from([math.inf, -math.inf, math.nan]))
+    x, y = data.draw(end), data.draw(end)
+    if data.draw(st.booleans()):
+        x, y = min(x, y), max(x, y)
+    h = additive_from_prime_values(values)
+    weights = {p: abs(v) for p, v in values.items()}
+    f, g = _function(fname), _function("twisted:5:1:-1.7")
+    with caps_override(sieve_limit=2000):
+        pairs = [
+            (lambda: distance_additive(h, x, y),
+             lambda: math.sqrt(sieved_table_sum(h.table, lambda p, v: abs(v) ** 2 / p, x, y).real)),
+            (lambda: distance_weighted(weights, f, g, x, y),
+             lambda: sieved_weighted_distance(weights, f, g, x, y)),
+        ]
+        if all(map(math.isfinite, (x, y))):
+            k, n = math.floor(x), math.floor(y)
+            want = lambda: sieved_table_sum(h.table, lambda p, v: 2.0 / p * v, k, n) if k < n else 0j
+            pairs.append((lambda: predicted_additive_mean(h, k, n), want))
+        for got, want in pairs:
+            assert _outcome(got) == _outcome(want)
+
+
+def test_table_sums_walk_no_sieve(monkeypatch):
+    """With the sieve patched to raise, the additive sums and the
+    Mapping-weighted distance still run to 10**8, while a distance with
+    callable weights walks the sieve and meets the patch."""
+    h = additive_from_prime_values({13: 1, 17: 0.5j, 99_999_989: -1})
+    f, g = function_from_name("char:5:2"), function_from_name("liouville")
+    weights = {13: 1.0, 17: 0.5}
+    want = distance_weighted(lambda p: weights.get(p, 0.0), f, g, 10, 10**4)
+
+    def no_sieve(*args):
+        raise AssertionError("the sieve was walked")
+
+    monkeypatch.setattr(arith, "_odd_sieve", no_sieve)
+    assert distance_additive(h, 10, 10**8) == math.sqrt(math.fsum([1 / 13, 0.25 / 17, 1 / 99_999_989]))
+    assert predicted_additive_mean(h, 10, 10**8) == complex(math.fsum([2 / 13, -2 / 99_999_989]), 1 / 17)
+    assert distance_weighted(weights, f, g, 10, 10**4) == distance_weighted(weights, f, g, 10, 10**8) == want
+    with pytest.raises(AssertionError, match="the sieve was walked"):
+        distance_weighted(lambda p: weights.get(p, 0.0), f, g, 10, 10**4)
 
 
 @pytest.mark.parametrize("name", ALL_FUNCTIONS)

@@ -135,6 +135,12 @@ EXTRA: list[list[str]] = [
       for primes in ("13,13", "13")),
     # support primes of h that are not primes (exit 2)
     *(["tk", "form=[1,0,1]", "q=210", "k=10", "n=300", f"h_primes={p}"] for p in ("169", "221", "25")),
+    # support primes on the ends of the prime sums' windows: at split =
+    # max(K, isqrt(N)) = 13 and at N = 173; at K = 13, which must divide Q
+    # and which tk refuses (exit 2); and with split = K, so (K, split] is empty
+    ["tk", "form=[1,0,1]", "q=210", "k=10", "n=173", "h_primes=13,173"],
+    *(["tk", "form=[1,0,1]", "q=30030", "k=13", "n=173", f"h_primes={primes}", "h_value=0.5j"]
+      for primes in ("13,173", "17,173")),
     # parameters of two modes at once
     ["distance", "--f", "liouville", "--y", "10", "--profile", "100"],
     ["distance", "--f", "liouville", "--profile", "100"],
