@@ -11,6 +11,7 @@ table, the primes below 2**16, built on first use.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -150,6 +151,13 @@ def _check_window(x: float, y: float) -> None:
         raise DomainError("need x <= y")
     if y > caps().sieve_limit:
         raise ResourceError("upper range exceeds the sieve cap")
+
+
+def _check_weights(w: np.ndarray) -> np.ndarray:
+    """w, unless a prime weight in it is negative, NaN or infinite."""
+    if not ((w >= 0) & (w < math.inf)).all():  # NaN fails both
+        raise DomainError("prime weights must be finite and nonnegative")
+    return w
 
 
 def _prime_window(x: float, y: float) -> Iterator:
@@ -482,11 +490,13 @@ def _exact_parts(x) -> list[float]:
     next 31 bits.  What is left is compacted and extracted again from its
     own largest magnitude, so terms within 2**8 of the largest take one
     round.  Terms of 2**1001 or more, where sigma would overflow, are kept
-    as they are.
+    as they are.  A NaN or infinite term raises DomainError.
     """
     parts: list[float] = []
     while len(x):
         top = max(x.max(), -x.min())
+        if not math.isfinite(top):  # NaN would never leave the loop
+            raise DomainError("an exact sum got a term that is not finite")
         if top >= _EXTRACT_MAX:
             huge = abs(x) >= _EXTRACT_MAX
             parts += x[huge].tolist()
@@ -508,7 +518,8 @@ def _exact_parts(x) -> list[float]:
 def fsum_complex(terms: Iterable) -> complex:
     """Exactly rounded complex sum of a stream of finite numbers and 1-D
     float64 or complex128 arrays, the same in any order and split (as long
-    as no partial sum overflows).  A zero sum is +0.0.
+    as no partial sum overflows).  A zero sum is +0.0; a NaN or infinite
+    term raises DomainError.
 
     Real and imaginary parts each keep one state of the exact accumulator
     (_exact_parts): a short list of floats with the exact sum so far.  An
@@ -522,6 +533,8 @@ def fsum_complex(terms: Iterable) -> complex:
     im: list = []
     for t in terms:
         if not getattr(t, "ndim", 0):  # a number
+            if not cmath.isfinite(t):
+                raise DomainError("an exact sum got a term that is not finite")
             re.append(t.real)
             im.append(t.imag)
         else:

@@ -41,7 +41,7 @@ class Caps:
     box_count_n: int = 10**4          # lattice box half-width for norm counting
     enumerate_bound: int = 10**4      # solution enumeration in x, y
     folner_k: int = 7                 # full Folner enumeration
-    grid_n: int = 10**4               # grid averages [N]^2
+    grid_n: int = 10**4               # grids and levelsets
     lift_work: int = 10**6            # root-lifting work per prime power
 
 

@@ -31,6 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import _grid
 from ._grid import _lattice, striped_complex_mean, tiled_block
 from .arith import fsum_complex, sieve_primes
 from .errors import DomainError, InvariantError, ResourceError
@@ -54,7 +55,6 @@ from .quadforms import (
     BinaryQuadraticForm,
     LinearForm,
     form_has_root,
-    needs_bigint,
     _roots_mod_prime_power,
 )
 
@@ -397,7 +397,8 @@ def nonnegativity_probe(
     """Mean over the Folner box at level K of Re of the normalized weighted
     correlation with the lattice Qm+1, Qn, in one pass for all the moduli."""
     if k > 4:
-        raise ResourceError("probe limited to K <= 4: Q already has hundreds of digits beyond")
+        raise ResourceError("probe limited to K <= 4: the box has K^pi(K) moduli Q (125 at K = 5), "
+                            "each with its own n x n grid")
     qs = [elem.integer_value() for elem in folner_enumerate(k)]
     values = _pair_averages(f, form1, form2, WeightSpec(delta, form1, form2), qs, 1, 0, n, threads)
     return fsum_complex(values).real / len(values)
@@ -518,49 +519,42 @@ def level_set_search(
     f(k * P1(m, n)) and f(k * P2(m, n)) inside the arc.
 
     Scan order: k ascending, then m, then n.  Returns None when the ranges
-    are exhausted (not an error).
+    are exhausted (not an error).  `_grid._lattice` sets up the box
+    [1, mn_max]^2 for the forms times max(k_max, 1), so its dtype holds
+    every k * P.  Each k scans it in tiles of `tiled_block`'s rows, and
+    evaluates f only at the tile's pairs of distinct positive values.
     """
     if form1 == form2:
         raise DomainError("the forms must be distinct")
-    pairs = []
-    for m in range(1, mn_max + 1):
-        for n in range(1, mn_max + 1):
-            v1 = form1.value(m, n)
-            v2 = form2.value(m, n)
-            if v1 > 0 and v2 > 0 and v1 != v2:
-                pairs.append((m, n, v1, v2))
-    if not pairs:
-        return None
-    values = [(v1, v2) for _, _, v1, v2 in pairs]
-    arr = np.array(values, object if needs_bigint(k_max * max(map(max, values))) else np.int64)
+    scale = max(k_max, 1)
+    scaled = [BinaryQuadraticForm(scale * p.alpha, scale * p.beta, scale * p.gamma) for p in (form1, form2)]
+    rows, w = _lattice([], scaled, 1, 0, 0, mn_max)
+    step = max(1, _grid._TILE_POINTS // max(mn_max, 1))
     for k in range(1, k_max + 1):
-        # as complex128: numpy takes the phase of int8 values in float16
-        z1 = evaluate_many(spec.f, k * arr[:, 0]).astype(np.complex128, copy=False)
-        z2 = evaluate_many(spec.f, k * arr[:, 1]).astype(np.complex128, copy=False)
-        ok = (
-            (np.abs(z1) >= 1e-12)
-            & (np.abs(z2) >= 1e-12)
-            & (np.abs(np.angle(z1)) < spec.arc_half_width)
-            & (np.abs(np.angle(z2)) < spec.arc_half_width)
-        )
-        idx = np.nonzero(ok)[0]
-        if len(idx):
-            i = int(idx[0])
-            m, n, v1, v2 = pairs[i]
-            coeffs = spec.fourier_coefficients()
-            f1 = complex(evaluate_many(spec.f, np.array([v1]))[0])
-            f2 = complex(evaluate_many(spec.f, np.array([v2]))[0])
-            surrogate = fsum_complex(
-                abs(c) ** 2 * f1**l * (f2**l).conjugate() for l, c in coeffs.items()
+        for lo in range(1, mn_max + 1, step):
+            u = rows(np.arange(lo, min(lo + step, mn_max + 1)))
+            v1, v2 = form1.grid_values(u, w).ravel(), form2.grid_values(u, w).ravel()
+            kept = np.flatnonzero((v1 > 0) & (v2 > 0) & (v1 != v2))
+            # as complex128: numpy takes the phase of int8 values in float16
+            z1 = evaluate_many(spec.f, k * v1[kept]).astype(np.complex128, copy=False)
+            z2 = evaluate_many(spec.f, k * v2[kept]).astype(np.complex128, copy=False)
+            ok = (
+                (np.abs(z1) >= 1e-12)
+                & (np.abs(z2) >= 1e-12)
+                & (np.abs(np.angle(z1)) < spec.arc_half_width)
+                & (np.abs(np.angle(z2)) < spec.arc_half_width)
             )
-            return LevelSetHit(
-                k=k,
-                m=m,
-                n=n,
-                value1=v1,
-                value2=v2,
-                f_at_k1=complex(z1[i]),
-                f_at_k2=complex(z2[i]),
-                surrogate=surrogate,
-            )
+            idx = np.flatnonzero(ok)
+            if len(idx):
+                j = int(idx[0])
+                i = int(kept[j])
+                value1, value2 = int(v1[i]), int(v2[i])
+                coeffs = spec.fourier_coefficients()
+                f1 = complex(evaluate_many(spec.f, np.array([value1]))[0])
+                f2 = complex(evaluate_many(spec.f, np.array([value2]))[0])
+                surrogate = fsum_complex(
+                    abs(c) ** 2 * f1**l * (f2**l).conjugate() for l, c in coeffs.items()
+                )
+                m, n = lo + i // mn_max, 1 + i % mn_max
+                return LevelSetHit(k, m, n, value1, value2, complex(z1[j]), complex(z2[j]), surrogate)
     return None

@@ -43,8 +43,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .arith import _TERM_CHUNK, _check_cutoffs, _check_sieve_limit, _check_window, _exact_parts, _prime_window
-from .arith import _primes, _strip_prime, factorize, fsum_complex, is_prime, sieve_primes
+from .arith import _TERM_CHUNK, _check_cutoffs, _check_sieve_limit, _check_weights, _check_window, _exact_parts
+from .arith import _prime_window, _primes, _strip_prime, factorize, fsum_complex, is_prime, sieve_primes
 from .caps import caps
 from .errors import DomainError, ResourceError
 
@@ -750,12 +750,15 @@ def distance_form(form, f: MultiplicativeFunction, g: MultiplicativeFunction, x:
 
 def distance_weighted(c: Callable[[int], float] | Mapping[int, float], f: MultiplicativeFunction,
                       g: MultiplicativeFunction, x: float, y: float) -> float:
-    """Distance with arbitrary bounded nonnegative prime weights c(p); the
-    keys of a Mapping must be primes."""
+    """Distance with finite nonnegative prime weights c(p), or DomainError;
+    the keys of a Mapping must be primes."""
     if isinstance(c, Mapping):
-        keys, values = PrimeTable.of(c, float).window(x, y)
+        table = PrimeTable.of(c, float)
+        _check_weights(table.values)
+        keys, values = table.window(x, y)
         return _distance(lambda primes: values, f, g, [keys])
-    weights = lambda primes: np.fromiter((float(c(p)) for p in primes.tolist()), np.float64, len(primes))
+    weights = lambda primes: _check_weights(
+        np.fromiter((float(c(p)) for p in primes.tolist()), np.float64, len(primes)))
     return _distance(weights, f, g, _prime_window(x, y))
 
 

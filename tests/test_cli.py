@@ -198,6 +198,7 @@ def test_resource_cap_exit_3(capsys):
     ["correlate", "factors=liouville@[1,0]", "form=[1,0,1]", "n=200"],
     ["tk", "form=[1,0,1]", "q=210", "k=10", "n=200", "h_primes=13"],
     ["divstat", "--form", "[1,0,1]", "--primes", "5", "--n", "200"],
+    ["levelset", "f=arch:0.7", "arc=0.3", "p1=[1,-2,-1]", "p2=[1,2,-1]", "mnmax=200"],
 ])
 def test_grid_cap_exit_3(args, capsys):
     code, out, err = run_cli(["--cap-n", "100", *args], capsys)
@@ -240,6 +241,15 @@ def test_levelset_past_int64(capsys):
         assert got["re"] == pytest.approx(want.real, abs=1e-12)
         assert got["im"] == pytest.approx(want.imag, abs=1e-12)
         assert abs(cmath.phase(want)) < 0.3
+
+
+@pytest.mark.parametrize("ranges", [["kmax=0"], ["mnmax=0"], ["kmax=-1", "mnmax=-1"]])
+def test_levelset_empty_ranges_past_int64(ranges, capsys):
+    """With no k or no pair to scan nothing is found, also on forms whose
+    values pass 2^63 (kmax=0 used to raise OverflowError)."""
+    code, out, _ = run_cli(["levelset", "f=arch:0.7", "arc=0.3", "p1=[3000000000000000000,0,1]",
+                            "p2=[1,2,-1]", *ranges], capsys)
+    assert code == 0 and json.loads(out)["found"] is False
 
 
 BIG_Q = 9261000000  # 2^6 3^3 5^6 7^3: P(Qm+1, Qn) passes 2^62 at every n

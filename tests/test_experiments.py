@@ -2,17 +2,20 @@ import cmath
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from qpairs import _grid
 from qpairs._grid import stripe_ranges
-from qpairs.arith import sieve_primes
+from qpairs.arith import fsum_complex, sieve_primes
 from qpairs.averaging import WeightSpec, divisor_stat_exact, mu_estimate, weight_stability
 from qpairs.errors import DomainError, ResourceError
 from qpairs.experiments import (
     FULL_QUADRANT,
+    LevelSetHit,
     LevelSetSpec,
     RegionSpec,
     concentration_exponent,
@@ -38,6 +41,7 @@ from qpairs.multfunc import (
     dirichlet_characters,
     distance_additive,
     distance_form,
+    evaluate_many,
     liouville,
     one,
     prime_patch,
@@ -50,6 +54,7 @@ from qpairs.quadforms import (
     _roots_mod_prime_power,
     form_has_root,
     local_root_count,
+    needs_bigint,
 )
 
 P11 = BinaryQuadraticForm(1, 0, 1)
@@ -550,6 +555,108 @@ def test_level_set_character():
     assert hit is not None
     assert (hit.k * hit.value1) % 3 == 1
     assert (hit.k * hit.value2) % 3 == 1
+
+
+def _pair_list_level_set(spec, form1, form2, k_max, mn_max):
+    """level_set_search as it was before it scanned tiles: a list of every
+    pair with distinct positive values, evaluated whole for each k."""
+    if form1 == form2:
+        raise DomainError("the forms must be distinct")
+    pairs = []
+    for m in range(1, mn_max + 1):
+        for n in range(1, mn_max + 1):
+            v1 = form1.value(m, n)
+            v2 = form2.value(m, n)
+            if v1 > 0 and v2 > 0 and v1 != v2:
+                pairs.append((m, n, v1, v2))
+    if not pairs:
+        return None
+    values = [(v1, v2) for _, _, v1, v2 in pairs]
+    arr = np.array(values, object if needs_bigint(k_max * max(map(max, values))) else np.int64)
+    for k in range(1, k_max + 1):
+        z1 = evaluate_many(spec.f, k * arr[:, 0]).astype(np.complex128, copy=False)
+        z2 = evaluate_many(spec.f, k * arr[:, 1]).astype(np.complex128, copy=False)
+        ok = (
+            (np.abs(z1) >= 1e-12)
+            & (np.abs(z2) >= 1e-12)
+            & (np.abs(np.angle(z1)) < spec.arc_half_width)
+            & (np.abs(np.angle(z2)) < spec.arc_half_width)
+        )
+        idx = np.nonzero(ok)[0]
+        if len(idx):
+            i = int(idx[0])
+            m, n, v1, v2 = pairs[i]
+            coeffs = spec.fourier_coefficients()
+            f1 = complex(evaluate_many(spec.f, np.array([v1]))[0])
+            f2 = complex(evaluate_many(spec.f, np.array([v2]))[0])
+            surrogate = fsum_complex(
+                abs(c) ** 2 * f1**l * (f2**l).conjugate() for l, c in coeffs.items()
+            )
+            return LevelSetHit(k, m, n, v1, v2, complex(z1[i]), complex(z2[i]), surrogate)
+    return None
+
+
+LEVEL_SET_FUNCTIONS = {
+    "liouville": liouville(),
+    "arch": archimedean(0.7),
+    "char": character_function(dirichlet_characters(5)[1]),
+    "prime-patch": prime_patch(2, 50, 1j),
+}
+BIG = 2**60  # 3 * BIG is below 2**62, 9 * BIG past 2**63
+
+
+@st.composite
+def level_set_forms(draw):
+    """Two forms with coefficients in [-3, 3], which take zero, negative and
+    equal values (equal forms are refused); or with one nonzero coefficient
+    of the first times BIG, so that its values pass 2**63 from m, n = 3."""
+    coeffs = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+    c1, c2 = draw(coeffs), draw(coeffs)
+    if draw(st.booleans()):
+        at = draw(st.sampled_from([i for i, c in enumerate(c1) if c]))
+        c1 = tuple(BIG * c if i == at else c for i, c in enumerate(c1))
+    return BinaryQuadraticForm(*c1), BinaryQuadraticForm(*c2)
+
+
+def _level_set_outcome(run):
+    try:
+        return repr(run())
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@settings(settings.get_profile("oracle"), max_examples=150)
+@given(
+    st.sampled_from(sorted(LEVEL_SET_FUNCTIONS)),
+    st.sampled_from([0.01, 0.3, 1.0, 3.0]),
+    level_set_forms(),
+    st.integers(-1, 4),
+    st.one_of(
+        st.tuples(st.sampled_from([1, 7, 37, 100]), st.integers(-2, 40)),
+        st.tuples(st.just(_grid._TILE_POINTS), st.sampled_from([-1, 0, 1, 17, 257, 300])),
+    ),
+)
+# P1 = 3 * BIG fits int64 at (1, 1), but the hit is at k = 3, where 3 * P1 does not
+@example("arch", 1.0, (BinaryQuadraticForm(3 * BIG, 0, 0), BinaryQuadraticForm(1, 0, 0)), 4,
+         (_grid._TILE_POINTS, 1))
+def test_level_set_tiles_match_pair_list(name, arc, forms, k_max, tiles):
+    """The tiled scan returns the pair-list scan's hit, repr for repr, or
+    the same refusal.  Tiles of 1, 7, 37 and 100 points, and of 2**16 at
+    mn_max 257 and 300 (255 and 218 rows), put tile edges inside the box,
+    most where the rows per tile do not divide mn_max.  With no k to scan
+    the search finds nothing, where the pair-list scan raised OverflowError
+    on values past 2**63."""
+    coefficients = [c for form in forms for c in (form.alpha, form.beta, form.gamma)]
+    assume(name != "liouville" or max(map(abs, coefficients)) < BIG)  # its table would pass the cap
+    tile_points, mn_max = tiles
+    spec = LevelSetSpec(LEVEL_SET_FUNCTIONS[name], arc)
+    if k_max < 1 and forms[0] != forms[1]:
+        want = repr(None)
+    else:
+        want = _level_set_outcome(lambda: _pair_list_level_set(spec, *forms, k_max, mn_max))
+    with mock.patch.object(_grid, "_TILE_POINTS", tile_points):
+        got = _level_set_outcome(lambda: level_set_search(spec, *forms, k_max, mn_max))
+    assert got == want
 
 
 def test_level_set_fourier_coefficients_reconstruct():

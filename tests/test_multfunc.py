@@ -465,6 +465,18 @@ def test_distance_weighted_examples():
     assert abs(distance_weighted(c, lam, one(), 1, 13) - direct) < 1e-14
 
 
+@pytest.mark.parametrize("weights", [
+    {13: -5.0}, {5: 1.0, 13: math.inf}, {101: -1.0}, lambda p: -1.0,
+    lambda p: math.inf if p == 13 else 1.0,
+])
+def test_distance_weighted_refuses_bad_weights(weights):
+    """Weights must be finite and nonnegative: every value of a Mapping, in
+    the window or not, and every value the callable returns.  A negative
+    weight used to come back as distance 0.0, an infinite one as inf."""
+    with pytest.raises(DomainError, match="finite and nonnegative"):
+        distance_weighted(weights, liouville(), one(), 1, 100)
+
+
 def _random_unit_function(rng):
     values = {p: cmath.exp(2j * math.pi * rng.random()) for p in sieve_primes(100)}
 

@@ -12,6 +12,9 @@ import cmath
 import functools
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -56,8 +59,10 @@ from qpairs.quadforms import (
 
 ORACLE = settings(settings.get_profile("oracle"), max_examples=120)
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # the wall time and peak RSS of a command run in a child, from tools/peak_rss.py
-_spec = importlib.util.spec_from_file_location("peak_rss", Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py")
+_spec = importlib.util.spec_from_file_location("peak_rss", ROOT / "tools" / "peak_rss.py")
 peak_rss = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(peak_rss)
 
@@ -509,6 +514,38 @@ def test_accumulator_keeps_terms_past_its_range():
         x = np.array([terms[i] for i in order])
         assert math.fsum(arith._exact_parts(x)) == math.fsum(terms)
         assert fsum_complex([x[:2], x[2], x[3:]]) == complex(math.fsum(terms), 0.0)
+
+
+def _outcome_in_child(expr: str) -> str:
+    """The repr of expr, or the name of the exception it raises, computed in
+    a child process that must end within 20 s, so a sum that never ends
+    fails the test instead of stalling the suite."""
+    code = (
+        "import math\nimport numpy as np\nfrom qpairs.arith import fsum_complex\n"
+        "from qpairs.multfunc import *\n"
+        f"try:\n    print(repr({expr}))\nexcept Exception as exc:\n    print(type(exc).__name__)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("expr", [
+    "fsum_complex([np.array([1.0, math.nan])])",
+    "fsum_complex([np.array([-math.inf, 2.0, math.inf])])",
+    "fsum_complex([np.array([2.0, math.inf])])",
+    "fsum_complex([1.0, complex(0.0, math.nan)])",
+    "distance_additive(additive_from_prime_values({13: complex('nan')}), 1, 100)",
+    "distance_weighted({13: math.inf}, liouville(), one(), 1, 100)",
+    "distance_weighted(lambda p: math.nan, liouville(), one(), 1, 100)",
+])
+def test_exact_sum_refuses_terms_that_are_not_finite(expr):
+    """A NaN term used to be extracted again in every round of the exact
+    accumulator, which never ended; -inf and +inf raised math.fsum's
+    ValueError, and +inf came back as the sum.  Each raises DomainError."""
+    assert _outcome_in_child(expr) == "DomainError"
 
 
 # --- streamed prime windows --------------------------------------------------------

@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "corpus.json"
 
 _FORMS = ["p1=[1,0,2]", "p2=[0,2,0]"]
+_LEVEL_FORMS = ["p1=[1,-2,-1]", "p2=[1,2,-1]"]
 
 
 def readme_examples() -> list[list[str]]:
@@ -160,6 +161,18 @@ EXTRA: list[list[str]] = [
     # override keys starting past 10**6, in a window across a segment edge
     ["distance", "--f", "prime-patch:1000000:3000000:-1", "--y", "3e6"],
     ["omega", "--form", "[1,0,1]", "--partner", "[1,0,2]", "--modulus", "3000000"],
+    # the probe's Folner box past its limit (exit 3)
+    ["probe-nonneg", "f=arch:2.0", *_FORMS, "delta=0.3", "k=5", "n=10"],
+    # level sets: a box of two tiles (218 + 82 rows), first hits in the
+    # second tile at k = 1 and in the last tile at k = 6, empty ranges, form
+    # values past 2**63, and a box over the grid cap
+    ["levelset", "f=liouville", "arc=0.3", *_LEVEL_FORMS, "kmax=500", "mnmax=300"],
+    ["levelset", "f=arch:1.3", "arc=0.03", *_LEVEL_FORMS, "mnmax=700"],
+    ["levelset", "f=arch:1.3", "arc=0.01", *_LEVEL_FORMS, "mnmax=600"],
+    ["levelset", "f=arch:0.7", "arc=0.3", *_LEVEL_FORMS, "mnmax=0"],
+    ["levelset", "f=arch:0.7", "arc=0.3", *_LEVEL_FORMS, "kmax=0"],
+    ["levelset", "f=arch:0.7", "arc=0.3", "p1=[3000000000000000000,0,1]", "p2=[1,2,-1]"],
+    ["--cap-n", "100", "levelset", "f=arch:0.7", "arc=0.3", *_LEVEL_FORMS, "mnmax=101"],
 ]
 
 
